@@ -194,11 +194,8 @@ impl HptView for MeHpt {
         self.cwt.pmd_mask(va)
     }
 
-    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr> {
-        self.tables[ps.index()]
-            .as_ref()
-            .map(|t| t.probe_addrs(vpn))
-            .unwrap_or_default()
+    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
+        self.tables[ps.index()].as_ref()?.probe(vpn, out)
     }
 
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {

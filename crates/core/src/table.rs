@@ -376,18 +376,25 @@ impl MeHptTable {
         None
     }
 
-    /// The W physical addresses a walker probes for `vpn`. The L2P lookup
-    /// that produces these addresses costs ~4 cycles in hardware and is
-    /// hidden behind the CWC access (Section V-D).
-    pub fn probe_addrs(&self, vpn: Vpn) -> Vec<PhysAddr> {
+    /// One walker probe of `vpn`: hashes each way once, pushes the way
+    /// slot's physical address onto `out` (W addresses) and returns the
+    /// translation if a slot's tag matches — what [`MeHptTable::lookup`]
+    /// returns. The L2P lookup that produces the addresses costs ~4 cycles
+    /// in hardware and is hidden behind the CWC access (Section V-D).
+    pub fn probe(&self, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
         let tag = ClusterEntry::tag_of(vpn);
-        (0..self.ways.len())
-            .map(|w| {
-                let h = self.family.hash(w, &tag);
-                let (in_old, idx) = self.ways[w].locate(h);
-                self.ways[w].addr(in_old, idx)
-            })
-            .collect()
+        let mut hit = None;
+        for (w, way) in self.ways.iter().enumerate() {
+            let (in_old, idx) = way.locate(self.family.hash(w, &tag));
+            out.push(way.addr(in_old, idx));
+            match way.slot(in_old, idx) {
+                Some(cluster) if hit.is_none() && cluster.tag() == tag => {
+                    hit = Some(cluster.get(vpn));
+                }
+                _ => {}
+            }
+        }
+        hit.flatten()
     }
 
     /// Inserts (or updates) the translation `vpn → ppn`.
@@ -1177,18 +1184,77 @@ mod tests {
     }
 
     #[test]
-    fn probe_addrs_land_inside_owned_chunks() {
+    fn probe_lands_inside_owned_chunks() {
         let (mut mem, mut l2p) = setup();
         let mut t = table(&mut mem, &mut l2p);
+        let mut out = Vec::new();
         for i in 0..50_000u64 {
             t.insert(Vpn(i * 8), Ppn(i), &mut mem, &mut l2p).unwrap();
             if i % 977 == 0 {
-                for addr in t.probe_addrs(Vpn(i * 8)) {
+                out.clear();
+                assert_eq!(t.probe(Vpn(i * 8), &mut out), Some(Ppn(i)));
+                assert_eq!(out.len(), 3, "one probe per way");
+                for addr in &out {
                     // Each probe address must fall in some live page-table
                     // chunk (we only check it is within the memory the
                     // allocator handed out).
                     assert!(addr.0 < mem.total_bytes());
                 }
+            }
+        }
+    }
+
+    /// Hashes a `u64` key byte by byte, as `Hasher::write` does, so the
+    /// reference below bypasses the slicing-by-8 `write_u64`.
+    struct Bytewise(u64);
+
+    impl std::hash::Hash for Bytewise {
+        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+            h.write(&self.0.to_ne_bytes());
+        }
+    }
+
+    /// The per-way probe computation `probe` replaced: one byte-wise CRC
+    /// per way, then the slot address.
+    fn reference_probe(t: &MeHptTable, vpn: Vpn) -> Vec<PhysAddr> {
+        let tag = ClusterEntry::tag_of(vpn);
+        (0..t.ways.len())
+            .map(|w| {
+                let (in_old, idx) = t.ways[w].locate(t.family.hash(w, &Bytewise(tag)));
+                t.ways[w].addr(in_old, idx)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn probe_matches_per_way_reference_through_resizes() {
+        for in_place in [true, false] {
+            let (mut mem, mut l2p) = setup();
+            let cfg = MeHptConfig {
+                in_place,
+                ..MeHptConfig::default()
+            };
+            let mut t = MeHptTable::new(PageSize::Base4K, cfg, &mut mem, &mut l2p).unwrap();
+            let mut out = Vec::new();
+            let mut mid_resize_checks = 0;
+            for i in 0..40_000u64 {
+                t.insert(Vpn(i * 8 + i % 3), Ppn(i), &mut mem, &mut l2p)
+                    .unwrap();
+                if i % 97 != 0 {
+                    continue;
+                }
+                mid_resize_checks += u32::from(t.is_resizing());
+                for probe in (0..i * 2).step_by(1 + i as usize / 16) {
+                    let vpn = Vpn(probe * 4 + probe % 3);
+                    out.clear();
+                    assert_eq!(t.probe(vpn, &mut out), t.lookup(vpn), "{vpn:?} at {i}");
+                    assert_eq!(out, reference_probe(&t, vpn), "{vpn:?} at {i}");
+                }
+            }
+            assert!(mid_resize_checks > 0, "never checked mid-resize");
+            // The out-of-place ablation covers `old_storage` probes instead.
+            if in_place {
+                assert!(t.stats().chunk_switches > 0, "never switched chunk size");
             }
         }
     }

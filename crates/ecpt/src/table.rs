@@ -306,18 +306,25 @@ impl EcptTable {
         None
     }
 
-    /// The physical addresses a hardware walker probes for `vpn` — one per
-    /// way, honoring the rehash pointers (Section II-B: "a lookup operation
-    /// during resizing only needs W probes").
-    pub fn probe_addrs(&self, vpn: Vpn) -> Vec<PhysAddr> {
+    /// One walker probe of `vpn`: hashes each way once, pushes the way
+    /// slot's physical address onto `out` (W addresses, honoring the rehash
+    /// pointers — Section II-B: "a lookup operation during resizing only
+    /// needs W probes") and returns the translation if a slot's tag
+    /// matches. Returns what [`EcptTable::lookup`] returns.
+    pub fn probe(&self, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
         let tag = ClusterEntry::tag_of(vpn);
-        (0..self.ways.len())
-            .map(|w| {
-                let h = self.family.hash(w, &tag);
-                let (in_old, idx) = self.ways[w].locate(h);
-                self.ways[w].addr(in_old, idx)
-            })
-            .collect()
+        let mut hit = None;
+        for (w, way) in self.ways.iter().enumerate() {
+            let (in_old, idx) = way.locate(self.family.hash(w, &tag));
+            out.push(way.addr(in_old, idx));
+            match way.slot(in_old, idx) {
+                Some(cluster) if hit.is_none() && cluster.tag() == tag => {
+                    hit = Some(cluster.get(vpn));
+                }
+                _ => {}
+            }
+        }
+        hit.flatten()
     }
 
     /// Inserts (or updates) the translation `vpn → ppn`.
@@ -612,5 +619,61 @@ impl EcptTable {
         };
         self.stats.resizes.push(event);
         mem.free(old.chunk);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mehpt_mem::AllocCostModel;
+    use mehpt_types::GIB;
+
+    /// Hashes a `u64` key byte by byte, as `Hasher::write` does, so the
+    /// reference below bypasses the slicing-by-8 `write_u64`.
+    struct Bytewise(u64);
+
+    impl std::hash::Hash for Bytewise {
+        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+            h.write(&self.0.to_ne_bytes());
+        }
+    }
+
+    /// The per-way probe computation `probe` replaced: one byte-wise CRC
+    /// per way, then the slot address.
+    fn reference_probe(t: &EcptTable, vpn: Vpn) -> Vec<PhysAddr> {
+        let tag = ClusterEntry::tag_of(vpn);
+        (0..t.ways.len())
+            .map(|w| {
+                let (in_old, idx) = t.ways[w].locate(t.family.hash(w, &Bytewise(tag)));
+                t.ways[w].addr(in_old, idx)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn probe_matches_per_way_reference_through_resizes() {
+        let mut mem = PhysMem::with_cost_model(GIB, AllocCostModel::zero_cost());
+        let mut t = EcptTable::new(&mut mem).unwrap();
+        let mut out = Vec::new();
+        let mut mid_resize_checks = 0;
+        for i in 0..20_000u64 {
+            t.insert(Vpn(i * 8 + i % 3), Ppn(i), &mut mem).unwrap();
+            if i % 97 != 0 {
+                continue;
+            }
+            mid_resize_checks += u32::from(t.is_resizing());
+            for probe in (0..i * 2).step_by(1 + i as usize / 16) {
+                let vpn = Vpn(probe * 4 + probe % 3);
+                out.clear();
+                assert_eq!(t.probe(vpn, &mut out), t.lookup(vpn), "{vpn:?} at {i}");
+                assert_eq!(out, reference_probe(&t, vpn), "{vpn:?} at {i}");
+            }
+        }
+        assert!(mid_resize_checks > 0, "never checked mid-resize");
+        assert!(
+            t.resizes().len() >= 6,
+            "too few resizes: {}",
+            t.resizes().len()
+        );
     }
 }

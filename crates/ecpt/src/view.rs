@@ -7,6 +7,13 @@ use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
 /// hardware model times walks over both designs — which is faithful to the
 /// paper: ME-HPT reuses the ECPT walker and hides its extra L2P access
 /// behind the CWC probe (Section V-D).
+///
+/// The masks must cover the tables: every page size with a mapping at
+/// `va` has its bit set in [`HptView::pud_mask`] and, for 4KB and 2MB
+/// pages, in [`HptView::pmd_mask`]. The walker probes a superset of those
+/// sizes and takes its translation from the largest size whose
+/// [`HptView::probe`] hit, which is then exactly
+/// [`HptView::translate`]'s answer.
 pub trait HptView {
     /// The page sizes mapped somewhere in `va`'s 1GB region
     /// (bit 0 = 4KB, bit 1 = 2MB, bit 2 = 1GB), or `None` if untracked.
@@ -15,10 +22,15 @@ pub trait HptView {
     /// The page sizes mapped in `va`'s 2MB region (bits 0–1), or `None`.
     fn pmd_mask(&self, va: VirtAddr) -> Option<u8>;
 
-    /// The physical addresses of the W way slots a walker probes for `vpn`
-    /// in the `ps` table, honoring in-flight resize state.
-    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr>;
+    /// One walker probe of `vpn` in the `ps` table: pushes the physical
+    /// addresses of the W way slots onto `out`, honoring in-flight resize
+    /// state, and returns the translation those slots hold for `vpn`.
+    ///
+    /// Each way is hashed once. Pushes nothing and returns `None` if no
+    /// `ps` table exists.
+    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn>;
 
-    /// Functional translation (ground truth).
+    /// Functional translation (ground truth): the largest page size that
+    /// maps `va`.
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)>;
 }

@@ -72,6 +72,8 @@ pub struct EcptWalker {
     total_cycles: u64,
     total_accesses: u64,
     cwt_walks: u64,
+    /// The current walk's probe group, reused so a walk allocates nothing.
+    group: Vec<PhysAddr>,
 }
 
 impl EcptWalker {
@@ -90,6 +92,7 @@ impl EcptWalker {
             total_cycles: 0,
             total_accesses: 0,
             cwt_walks: 0,
+            group: Vec::new(),
         }
     }
 
@@ -123,7 +126,8 @@ impl EcptWalker {
             (true, false) => pud_mask, // refine small sizes speculatively
             (false, _) => 0b111,       // probe everything
         };
-        let mut group: Vec<PhysAddr> = Vec::with_capacity(11);
+        let group = &mut self.group;
+        group.clear();
         if !pud_cached {
             group.push(PhysAddr::new(PUD_CWT_BASE + pud_key * 8));
             self.cwt_walks += 1;
@@ -134,16 +138,23 @@ impl EcptWalker {
             self.cwt_walks += 1;
             self.pmd_cwc.fill(pmd_key);
         }
+        // The masks come from the live CWTs, so `sizes` holds every page
+        // size mapped at `va` (exactly with warm CWCs, a superset on a
+        // miss). The largest size that hit is therefore the ground-truth
+        // translation; sizes ascend, so the last hit wins.
+        let mut translation = None;
         for ps in PAGE_SIZES {
             if sizes & size_bit(ps) != 0 {
-                group.extend(ecpt.probe_addrs(ps, va.vpn(ps)));
+                if let Some(ppn) = ecpt.probe(ps, va.vpn(ps), group) {
+                    translation = Some((ppn, ps));
+                }
             }
         }
+        debug_assert_eq!(translation, ecpt.translate(va));
         let accesses = group.len() as u32;
         if !group.is_empty() {
-            cycles += mem.access_parallel(&group);
+            cycles += mem.access_parallel(group);
         }
-        let translation = ecpt.translate(va);
         self.total_cycles += cycles;
         self.total_accesses += accesses as u64;
         HptWalkResult {

@@ -40,9 +40,14 @@ fn clustering_keeps_contiguous_pages_together() {
     assert_eq!(t.clusters(), 1);
     assert_eq!(t.pages(), 8);
     // The walker probes the same addresses for all eight.
-    let base_probes = t.probe_addrs(Vpn(0x100));
-    for i in 1..8u64 {
-        assert_eq!(t.probe_addrs(Vpn(0x100 + i)), base_probes);
+    let probe = |vpn| {
+        let mut out = Vec::new();
+        let ppn = t.probe(vpn, &mut out);
+        (ppn, out)
+    };
+    let (_, base_probes) = probe(Vpn(0x100));
+    for i in 0..8u64 {
+        assert_eq!(probe(Vpn(0x100 + i)), (Some(Ppn(i)), base_probes.clone()));
     }
 }
 

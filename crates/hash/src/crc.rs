@@ -3,25 +3,42 @@ use std::hash::{Hash, Hasher};
 /// The CRC-64/ECMA-182 polynomial (normal form).
 const CRC64_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
-/// Computes the 256-entry CRC-64 lookup table at first use.
-fn crc64_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = (i as u64) << 56;
-            for _ in 0..8 {
-                crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ CRC64_POLY
-                } else {
-                    crc << 1
-                };
-            }
-            *slot = crc;
+/// The slicing-by-8 CRC-64 lookup tables, computed at compile time.
+///
+/// `CRC64_TABLES[0]` is the classic byte-at-a-time table: the CRC of one
+/// byte `i` from a zero state. `CRC64_TABLES[n][i]` is that CRC followed by
+/// `n` zero bytes, so eight independent lookups (one per byte of a 64-bit
+/// word) fold a whole word into the state at once.
+static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u64) << 56;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & (1 << 63) != 0 {
+                (crc << 1) ^ CRC64_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut n = 1;
+    while n < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[n - 1][i];
+            tables[n][i] = tables[0][(prev >> 56) as usize] ^ (prev << 8);
+            i += 1;
+        }
+        n += 1;
+    }
+    tables
 }
 
 /// Computes the CRC-64/ECMA checksum of `bytes` starting from `init`.
@@ -38,7 +55,7 @@ fn crc64_table() -> &'static [u64; 256] {
 /// assert_ne!(crc64(0, b"abc"), crc64(1, b"abc"));
 /// ```
 pub fn crc64(init: u64, bytes: &[u8]) -> u64 {
-    let table = crc64_table();
+    let table = &CRC64_TABLES[0];
     let mut crc = init;
     for &b in bytes {
         crc = table[(((crc >> 56) as u8) ^ b) as usize] ^ (crc << 8);
@@ -77,6 +94,23 @@ impl Hasher for Crc64Hasher {
 
     fn write(&mut self, bytes: &[u8]) {
         self.state = crc64(self.state, bytes);
+    }
+
+    /// Folds all eight bytes of `k` at once (slicing-by-8), bit-identical
+    /// to `write(&k.to_ne_bytes())`. Every hashed page-table key is a
+    /// `u64`, so this is the path every cuckoo probe takes.
+    fn write_u64(&mut self, k: u64) {
+        let t = &CRC64_TABLES;
+        // The first byte fed in meets the state's top byte.
+        let x = self.state ^ u64::from_be_bytes(k.to_ne_bytes());
+        self.state = t[7][(x >> 56) as usize]
+            ^ t[6][(x >> 48) as u8 as usize]
+            ^ t[5][(x >> 40) as u8 as usize]
+            ^ t[4][(x >> 32) as u8 as usize]
+            ^ t[3][(x >> 24) as u8 as usize]
+            ^ t[2][(x >> 16) as u8 as usize]
+            ^ t[1][(x >> 8) as u8 as usize]
+            ^ t[0][x as u8 as usize];
     }
 }
 

@@ -4,7 +4,11 @@
 
 use std::collections::HashMap;
 
-use mehpt_hash::{Config, ElasticCuckooTable, LevelHashTable, ResizeMode, WaySizing};
+use std::hash::Hasher;
+
+use mehpt_hash::{
+    crc64, Config, Crc64Hasher, ElasticCuckooTable, LevelHashTable, ResizeMode, WaySizing,
+};
 use mehpt_types::proptest_lite::{check, Gen};
 
 #[derive(Clone, Debug)]
@@ -176,5 +180,24 @@ fn load_factor_bounded_under_any_workload() {
                 );
             }
         }
+    });
+}
+
+#[test]
+fn prop_write_u64_matches_bytewise_crc() {
+    // Slicing-by-8 must be bit-identical to feeding the key's bytes one at
+    // a time, or every table's slot layout (and every report) would change.
+    check("write_u64_matches_bytewise_crc", 512, |g| {
+        let (init, k) = (g.u64(), g.u64());
+        let mut sliced = Crc64Hasher::new(init);
+        sliced.write_u64(k);
+        // `finish` is a bijection of the CRC state, so equal outputs mean
+        // equal states.
+        let bytewise = Crc64Hasher::new(crc64(init, &k.to_ne_bytes()));
+        assert_eq!(
+            sliced.finish(),
+            bytewise.finish(),
+            "init {init:#x} key {k:#x}"
+        );
     });
 }

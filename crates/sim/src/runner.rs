@@ -87,20 +87,29 @@ impl Pt {
 
     /// Rewrites the PPN of an existing mapping (compaction migrated the
     /// data page).
-    fn remap(&mut self, va: VirtAddr, ps: PageSize, ppn: Ppn, mem: &mut PhysMem) {
+    fn remap(
+        &mut self,
+        va: VirtAddr,
+        ps: PageSize,
+        ppn: Ppn,
+        mem: &mut PhysMem,
+    ) -> Result<(), String> {
         let vpn = va.vpn(ps);
         match self {
             Pt::Radix { table, .. } => {
                 let ok = table.remap(vpn, ps, ppn);
                 debug_assert!(ok, "relocated frame had no mapping");
+                Ok(())
             }
-            Pt::Ecpt { table, .. } => {
-                // `map` on an existing VPN updates the translation in place.
-                let _ = table.map(vpn, ps, ppn, mem);
-            }
-            Pt::MeHpt { table, .. } => {
-                let _ = table.map(vpn, ps, ppn, mem);
-            }
+            // `map` on an existing VPN updates the translation in place.
+            Pt::Ecpt { table, .. } => table
+                .map(vpn, ps, ppn, mem)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            Pt::MeHpt { table, .. } => table
+                .map(vpn, ps, ppn, mem)
+                .map(drop)
+                .map_err(|e| e.to_string()),
         }
     }
 
@@ -336,7 +345,11 @@ impl ProcState {
                 continue;
             };
             let new_ppn = Ppn(new_frame >> (mps.shift() - 12));
-            self.pt.remap(page_va, mps, new_ppn, mem);
+            if let Err(e) = self.pt.remap(page_va, mps, new_ppn, mem) {
+                self.aborted = Some(format!("page-table remap failed: {e}"));
+                self.done = true;
+                return false;
+            }
             tlb.invalidate(page_va.vpn(mps), mps);
             self.frame_owner.insert(new_frame, (page_va, mps));
         }
@@ -353,9 +366,7 @@ impl ProcState {
     /// Assembles the final report. `machine_peak` taints per-process peaks
     /// with the machine-wide page-table high-water mark only in
     /// single-process runs (pass `None` for multiprogrammed runs).
-    pub(crate) fn into_report(mut self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
-        // Allocation cycles were accumulated per step; total includes them.
-        self.counters.total += 0;
+    pub(crate) fn into_report(self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
         let c = &self.counters;
         let total = c.total + c.alloc;
         let (walks, mean_walk_cycles, mean_walk_accesses) = match &self.pt {

@@ -95,11 +95,18 @@ impl MemoryModel {
 
     /// Creates the model from an explicit configuration.
     pub fn new(cfg: MemoryModelConfig) -> MemoryModel {
-        let l2_sets = (cfg.l2_bytes / 64) as usize / cfg.l2_ways;
-        let l3_sets = (cfg.l3_bytes / 64) as usize / cfg.l3_ways;
+        // A flat model never touches its caches: build them with one set
+        // so they cost nothing and their stats read zero.
+        let sets = |bytes: u64, ways: usize| {
+            if cfg.flat {
+                1
+            } else {
+                ((bytes / 64) as usize / ways).next_power_of_two()
+            }
+        };
         MemoryModel {
-            l2: SetAssocCache::new(l2_sets.next_power_of_two(), cfg.l2_ways),
-            l3: SetAssocCache::new(l3_sets.next_power_of_two(), cfg.l3_ways),
+            l2: SetAssocCache::new(sets(cfg.l2_bytes, cfg.l2_ways), cfg.l2_ways),
+            l3: SetAssocCache::new(sets(cfg.l3_bytes, cfg.l3_ways), cfg.l3_ways),
             cfg,
             accesses: 0,
             total_cycles: 0,
@@ -180,6 +187,17 @@ mod tests {
         let a = PhysAddr::new(0x1000);
         assert_eq!(m.access(a), 200);
         assert_eq!(m.access(a), 200, "flat mode has no warm path");
+    }
+
+    #[test]
+    fn flat_model_builds_no_cache_sets() {
+        let mut m = MemoryModel::paper_default();
+        assert_eq!(m.l2.capacity(), 8);
+        assert_eq!(m.l3.capacity(), 16);
+        m.access_parallel(&[PhysAddr::new(0), PhysAddr::new(0x40)]);
+        assert_eq!(m.l2_stats(), CacheStats::default());
+        assert_eq!(m.l3_stats(), CacheStats::default());
+        assert_eq!(hierarchical().l2.capacity(), 8192, "512KB of 64B lines");
     }
 
     #[test]

@@ -16,8 +16,12 @@ echo "==> cargo doc --no-deps (deny warnings)"
 # on target/doc/mehpt_lab; library docs are the ones that matter.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# --workspace: bare `cargo test` runs only the root package's tests.
+cargo test -q --workspace
+
+echo "==> speedbench contract tests (output digests, replay fidelity)"
+cargo test --offline --manifest-path speedbench/Cargo.toml
 
 echo "==> mehpt-lab table1 --jobs 2 --quick (smoke)"
 ./target/release/mehpt-lab table1 --jobs 2 --quick --out target/lab-ci >/dev/null
