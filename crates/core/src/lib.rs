@@ -1,7 +1,10 @@
 //! ME-HPT: Memory-Efficient Hashed Page Tables — the paper's contribution.
 //!
 //! This crate implements the four techniques of *Memory-Efficient Hashed
-//! Page Tables* (HPCA 2023) on top of the ECPT substrate:
+//! Page Tables* (HPCA 2023) as a configuration of the ECPT crate's
+//! elastic-cuckoo engine ([`mehpt_ecpt::HptTable`]): the engine's storage
+//! backing is the L2P table, and [`MeHptConfig`] turns on in-place and
+//! per-way resizing.
 //!
 //! 1. **Logical-to-Physical (L2P) table** ([`L2pTable`]) — a small
 //!    MMU-resident indirection table (32 entries × 3 ways × 3 page sizes,
@@ -17,7 +20,7 @@
 //! 4. **Per-way resizing** — one way grows at a time, with weighted-random
 //!    insertion and a 2× balance gate (Figures 11, 12).
 //!
-//! [`MeHpt`] is the per-process page table; it implements
+//! [`MeHpt`] is the per-process page table (`Hpt<L2pTable>`); it implements
 //! [`HptView`](mehpt_ecpt::HptView), so the ECPT hardware walker times its
 //! walks unchanged (the L2P access hides behind the CWC probe,
 //! Section V-D).
@@ -45,10 +48,8 @@
 
 mod chunk;
 mod l2p;
-mod process;
 mod table;
 
 pub use chunk::ChunkSizePolicy;
 pub use l2p::{L2pFull, L2pTable};
-pub use process::MeHpt;
-pub use table::{MeHptConfig, MeHptStats, MeHptTable};
+pub use table::{MeHpt, MeHptConfig, MeHptTable};

@@ -1,17 +1,24 @@
-//! Differential test of the single-pass walk: on a random trace of 4KB and
-//! 2MB mappings, through upsizes, downsizes and mid-migration states, every
-//! timed walk returns exactly the functional translation, with cold, warm
-//! and long-lived CWCs, and probes exactly the slots `HptView::probe`
-//! names, across ME-HPT's chunk-size switch. It asserts with `assert_eq!`,
-//! so it holds in release builds too.
+//! Differential tests of the elastic-cuckoo engine under both designs, ECPT
+//! and ME-HPT. They assert with `assert_eq!`, so they hold in release
+//! builds too.
+//!
+//! * The single-pass walk: on a random trace of 4KB and 2MB mappings,
+//!   through upsizes, downsizes and mid-migration states, every timed walk
+//!   returns exactly the functional translation, with cold, warm and
+//!   long-lived CWCs, and probes exactly the slots `HptView::probe` names,
+//!   across ME-HPT's chunk-size switch.
+//! * The probe addresses: `probe` names the same slots as the per-way
+//!   computation it replaced (one byte-wise CRC per way, then the slot
+//!   address), for ECPT, in-place ME-HPT across a chunk switch, and
+//!   out-of-place ME-HPT, whose old storage is probed mid-migration.
 
-use mehpt_core::MeHpt;
-use mehpt_ecpt::{EcptWalker, HptView};
+use mehpt_core::{L2pTable, MeHptConfig};
+use mehpt_ecpt::{Backing, ClusterEntry, EcptConfig, EcptWalker, Hpt, HptTable, HptView};
 use mehpt_hash::ResizeKind;
 use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, GIB, PAGE_SIZES};
+use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, GIB, PAGE_SIZES};
 
 /// Walks addresses three ways and checks each walk against `translate`.
 struct Checker {
@@ -86,26 +93,28 @@ fn probe_va(rng: &mut Xoshiro256, page: Option<(VirtAddr, PageSize)>) -> VirtAdd
     }
 }
 
-fn resizing(hpt: &MeHpt) -> bool {
+fn resizing<B: Backing>(hpt: &Hpt<B>) -> bool {
     PAGE_SIZES
         .iter()
         .filter_map(|&ps| hpt.table(ps))
         .any(|t| t.is_resizing())
 }
 
-#[test]
-fn walks_match_translate_through_resizes() {
+/// Maps `maps` random pages through a default-configured page table of
+/// design `B`, checking walks every `period` maps, then unmaps 15 pages in
+/// 16, and returns the page table.
+fn walk_trace<B: Backing>(maps: u64, period: usize) -> Hpt<B> {
     let mut m = PhysMem::with_cost_model(4 * GIB, AllocCostModel::zero_cost());
-    let mut hpt = MeHpt::new(&mut m).unwrap();
+    let mut hpt = Hpt::<B>::new(&mut m).unwrap();
     let mut rng = Xoshiro256::seed_from_u64(0xd1ff);
     let mut checker = Checker::new();
     let mut mapped = Vec::new();
     let mut mid_resize = 0;
-    for i in 0..30_000u64 {
+    for i in 0..maps {
         let (va, ps) = random_page(&mut rng);
         hpt.map(va.vpn(ps), ps, Ppn(i), &mut m).unwrap();
         mapped.push((va, ps));
-        if i % 128 == 0 {
+        if (i as usize).is_multiple_of(period) {
             mid_resize += u32::from(resizing(&hpt));
             for k in 0..16 {
                 let page = (k % 2 == 0).then(|| mapped[rng.next_index(mapped.len())]);
@@ -118,7 +127,7 @@ fn walks_match_translate_through_resizes() {
         if i % 16 != 0 {
             hpt.unmap(va.vpn(ps), ps, &mut m);
         }
-        if i % 128 == 0 {
+        if i.is_multiple_of(period) {
             mid_resize += u32::from(resizing(&hpt));
             checker.check(&hpt, probe_va(&mut rng, Some((va, ps))));
             checker.check(&hpt, probe_va(&mut rng, None));
@@ -128,9 +137,7 @@ fn walks_match_translate_through_resizes() {
         checker.check(&hpt, probe_va(&mut rng, Some(page)));
     }
     assert!(mid_resize > 0, "no walk ran during a migration");
-    let t4k = hpt.table(PageSize::Base4K).unwrap();
-    assert!(t4k.stats().chunk_switches > 0, "no chunk-size switch");
-    let resizes = &t4k.stats().resizes;
+    let resizes = &hpt.table(PageSize::Base4K).unwrap().stats().resizes;
     assert!(
         resizes.len() >= 12,
         "too few 4KB resizes: {}",
@@ -140,4 +147,75 @@ fn walks_match_translate_through_resizes() {
         resizes.iter().any(|e| e.kind == ResizeKind::Downsize),
         "no 4KB downsize"
     );
+    hpt
+}
+
+#[test]
+fn walks_match_translate_through_resizes() {
+    walk_trace::<()>(12_000, 64);
+    let hpt = walk_trace::<L2pTable>(30_000, 128);
+    let t4k = hpt.table(PageSize::Base4K).unwrap();
+    assert!(t4k.stats().chunk_switches > 0, "no chunk-size switch");
+}
+
+/// Hashes a `u64` key byte by byte, as `Hasher::write` does, so the
+/// reference below bypasses the slicing-by-8 `write_u64`.
+struct Bytewise(u64);
+
+impl std::hash::Hash for Bytewise {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        h.write(&self.0.to_ne_bytes());
+    }
+}
+
+/// The per-way probe computation `probe` replaced: one byte-wise CRC per
+/// way, then the slot address.
+fn reference_probe<B: Backing>(t: &HptTable<B>, vpn: Vpn) -> Vec<PhysAddr> {
+    let tag = ClusterEntry::tag_of(vpn);
+    (0..t.way_sizes().len())
+        .map(|w| t.slot_addr(w, t.hash_family().hash(w, &Bytewise(tag))))
+        .collect()
+}
+
+/// Inserts `inserts` clusters into a fresh 4KB table, comparing `probe`
+/// with the reference (and with `lookup`) every 97 inserts.
+fn probe_trace<B: Backing>(cfg: B::Config, mut backing: B, inserts: u64) -> HptTable<B> {
+    let mut mem = PhysMem::with_cost_model(4 * GIB, AllocCostModel::zero_cost());
+    let mut t = HptTable::new(PageSize::Base4K, cfg, &mut mem, &mut backing).unwrap();
+    let mut out = Vec::new();
+    let mut mid_resize_checks = 0;
+    for i in 0..inserts {
+        t.insert(Vpn(i * 8 + i % 3), Ppn(i), &mut mem, &mut backing)
+            .unwrap();
+        if i % 97 != 0 {
+            continue;
+        }
+        mid_resize_checks += u32::from(t.is_resizing());
+        for probe in (0..i * 2).step_by(1 + i as usize / 16) {
+            let vpn = Vpn(probe * 4 + probe % 3);
+            out.clear();
+            assert_eq!(t.probe(vpn, &mut out), t.lookup(vpn), "{vpn:?} at {i}");
+            assert_eq!(out, reference_probe(&t, vpn), "{vpn:?} at {i}");
+        }
+    }
+    assert!(mid_resize_checks > 0, "never checked mid-resize");
+    t
+}
+
+#[test]
+fn probe_matches_per_way_reference_through_resizes() {
+    let ecpt = probe_trace(EcptConfig::default(), (), 20_000);
+    let resizes = ecpt.stats().resizes.len();
+    assert!(resizes >= 6, "too few resizes: {resizes}");
+    for in_place in [true, false] {
+        let cfg = MeHptConfig {
+            in_place,
+            ..MeHptConfig::default()
+        };
+        let t = probe_trace(cfg, L2pTable::paper_default(), 40_000);
+        // The out-of-place ablation covers `old_storage` probes instead.
+        if in_place {
+            assert!(t.stats().chunk_switches > 0, "never switched chunk size");
+        }
+    }
 }

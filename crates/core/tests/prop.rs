@@ -61,11 +61,10 @@ fn run_model(cfg: MeHptConfig, ops: &[Op]) {
 fn full_design_matches_hashmap() {
     check("full_design_matches_hashmap", 24, |g| {
         let ops = gen_ops(g, 1200);
-        // Tiny initial size and tiny L2P subtables so chunk switches and
-        // stealing trigger even with modest inputs.
+        // Tiny L2P subtables so chunk switches and stealing trigger even
+        // with modest inputs.
         run_model(
             MeHptConfig {
-                initial_entries_per_way: 128,
                 l2p_entries_per_subtable: 2,
                 chunk_policy: ChunkSizePolicy::new(vec![8 * KIB, 64 * KIB, 512 * KIB]),
                 ..MeHptConfig::default()

@@ -1,22 +1,29 @@
-//! Elastic Cuckoo Page Tables (ECPT) — the state-of-the-art HPT baseline.
+//! Elastic Cuckoo Page Tables (ECPT) — the state-of-the-art HPT baseline —
+//! and the elastic-cuckoo engine that ME-HPT shares with it.
 //!
 //! This crate reproduces the design of Skarlatos et al. (ASPLOS'20), which
 //! the paper uses as its baseline (Section II-B, Table III):
 //!
-//! * one [`EcptTable`] per page size (4KB / 2MB / 1GB), each a 3-way cuckoo
-//!   hash table of **clustered entries** — one 64-byte entry holds the
+//! * one table per page size (4KB / 2MB / 1GB), each a 3-way cuckoo hash
+//!   table of **clustered entries** — one 64-byte entry holds the
 //!   translations of 8 contiguous pages (Yaniv & Tsafrir's page-table-entry
 //!   clustering), keyed by `VPN >> 3`;
-//! * each way stored in **one contiguous physical-memory chunk** — the
-//!   memory-contiguity problem ME-HPT solves: a way can grow to 64MB, and on
-//!   a fragmented machine that allocation is slow or impossible;
-//! * **gradual out-of-place resizing** with per-way rehash pointers: upsizes
-//!   above 0.6 occupancy, downsizes below 0.2, entries migrated as inserts
-//!   arrive; old and new tables coexist during the migration;
-//! * **Cuckoo Walk Tables** ([`Ecpt`] keeps per-region page-size masks) and
-//!   **Cuckoo Walk Caches** (in [`EcptWalker`]) that tell the hardware
-//!   walker which page size's table to probe, keeping a walk at one
-//!   (parallel) memory access in the common case.
+//! * **gradual resizing** with per-way rehash pointers: upsizes above 0.6
+//!   occupancy, downsizes below 0.2, entries migrated as inserts arrive;
+//! * **Cuckoo Walk Tables** (kept by [`Hpt`]) and **Cuckoo Walk Caches**
+//!   (in [`EcptWalker`]) that tell the hardware walker which page size's
+//!   table to probe, keeping a walk at one (parallel) memory access in the
+//!   common case.
+//!
+//! The engine is [`HptTable`] (one page size) and [`Hpt`] (a process),
+//! generic over a [`Backing`]: where the ways' chunks come from, plus the
+//! few policies that differ between designs. The ECPT baseline is the
+//! backing `()` — [`Ecpt`] and [`EcptTable`]: each way is **one contiguous
+//! physical-memory chunk**, resized **out of place** and all ways at once.
+//! That is the memory-contiguity problem ME-HPT solves: a way can grow to
+//! 64MB, and on a fragmented machine that allocation is slow or impossible.
+//! ME-HPT (`mehpt_core`) is the same engine with L2P-registered chunks,
+//! in-place and per-way resizing.
 //!
 //! # Examples
 //!
@@ -45,7 +52,7 @@ mod walker;
 
 pub use cwt::CwtSet;
 pub use entry::{ClusterEntry, CLUSTER_PTES};
-pub use process::Ecpt;
-pub use table::{EcptConfig, EcptTable, InsertReport};
+pub use process::{Ecpt, Hpt};
+pub use table::{chunks_for, Backing, EcptConfig, EcptTable, HptStats, HptTable, InsertReport};
 pub use view::HptView;
 pub use walker::{EcptWalker, EcptWalkerConfig, HptWalkResult};

@@ -2,7 +2,7 @@ use mehpt_mem::{AllocError, PhysMem};
 use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, PAGE_SIZES};
 
 use crate::cwt::CwtSet;
-use crate::table::{EcptConfig, EcptTable, InsertReport};
+use crate::table::{Backing, HptTable, InsertReport};
 use crate::view::HptView;
 
 /// Bitmask bit for a page size (bit 0 = 4KB, bit 1 = 2MB, bit 2 = 1GB).
@@ -10,44 +10,58 @@ pub(crate) fn size_bit(ps: PageSize) -> u8 {
     1 << ps.index()
 }
 
-/// A process's full ECPT: one elastic cuckoo table per page size, plus the
-/// Cuckoo Walk Tables (CWTs).
+/// A process's hashed page table: one elastic cuckoo table per page size,
+/// the design's backing, and the Cuckoo Walk Tables (CWTs).
 ///
 /// The CWTs record, per virtual-memory region, which page sizes have
 /// mappings inside it: the PUD-CWT covers 1GB regions, the PMD-CWT 2MB
 /// regions. The hardware walker caches CWT entries in its Cuckoo Walk
 /// Caches and uses them to probe only the right page size's table
 /// (Section V-D, Figure 7).
+///
+/// [`Ecpt`] is the baseline (`Hpt<()>`); ME-HPT is `Hpt<L2pTable>`
+/// (`mehpt_core::MeHpt`).
 #[derive(Debug)]
-pub struct Ecpt {
+pub struct Hpt<B: Backing> {
     /// Per-page-size tables, created lazily on the first mapping of that
     /// size — an unused page size consumes no page-table memory, matching
     /// the paper's accounting (e.g. GUPS without THP only ever has 4KB
-    /// tables; Table I's 288MB is exactly 3 × (64+32)MB of 4KB ways).
-    tables: Vec<Option<EcptTable>>,
-    cfg: EcptConfig,
+    /// tables; Table I's 288MB is exactly 3 × (64+32)MB of 4KB ways), and
+    /// no L2P entries, which is what lets ME-HPT's 4KB subtable steal the
+    /// whole 1GB region and reach 64 entries (Section V-A; GUPS's 192
+    /// entries in Figure 14).
+    tables: Vec<Option<HptTable<B>>>,
+    cfg: B::Config,
+    backing: B,
     cwt: CwtSet,
 }
 
-impl Ecpt {
-    /// Creates the three per-page-size tables with default configuration.
+/// The ECPT baseline: per page size, an elastic cuckoo table whose ways are
+/// single contiguous chunks.
+pub type Ecpt = Hpt<()>;
+
+impl<B: Backing> Hpt<B> {
+    /// Creates the page table with the design's default configuration.
     ///
     /// # Errors
     ///
     /// Propagates allocation failure of the initial ways.
-    pub fn new(mem: &mut PhysMem) -> Result<Ecpt, AllocError> {
-        Ecpt::with_config(EcptConfig::default(), mem)
+    pub fn new(mem: &mut PhysMem) -> Result<Hpt<B>, AllocError> {
+        Hpt::with_config(B::Config::default(), mem)
     }
 
-    /// Creates the tables from an explicit per-table configuration.
+    /// Creates the page table from an explicit configuration (ablation
+    /// modes, custom chunk ladders, etc.). Tables are allocated on first
+    /// use.
     ///
     /// # Errors
     ///
     /// Propagates allocation failure of the initial ways.
-    pub fn with_config(cfg: EcptConfig, mem: &mut PhysMem) -> Result<Ecpt, AllocError> {
+    pub fn with_config(cfg: B::Config, mem: &mut PhysMem) -> Result<Hpt<B>, AllocError> {
         let _ = mem;
-        Ok(Ecpt {
+        Ok(Hpt {
             tables: vec![None, None, None],
+            backing: B::new(&cfg),
             cfg,
             cwt: CwtSet::new(),
         })
@@ -55,29 +69,22 @@ impl Ecpt {
 
     /// The table for one page size, if any page of that size was ever
     /// mapped.
-    pub fn table(&self, ps: PageSize) -> Option<&EcptTable> {
+    pub fn table(&self, ps: PageSize) -> Option<&HptTable<B>> {
         self.tables[ps.index()].as_ref()
     }
 
-    /// Returns the table for `ps`, creating it (initial 8KB ways) on first
-    /// use.
-    fn table_mut(&mut self, ps: PageSize, mem: &mut PhysMem) -> Result<&mut EcptTable, AllocError> {
-        let slot = &mut self.tables[ps.index()];
-        if slot.is_none() {
-            let table_cfg = EcptConfig {
-                seed: self.cfg.seed.wrapping_add(ps.index() as u64 * 0x9e37_79b9),
-                ..self.cfg.clone()
-            };
-            *slot = Some(EcptTable::with_config(table_cfg, mem)?);
-        }
-        Ok(slot.as_mut().expect("just created"))
+    /// The backing shared by the tables (ME-HPT's L2P table: entry usage,
+    /// Figure 14).
+    pub fn backing(&self) -> &B {
+        &self.backing
     }
 
-    /// Maps `vpn` (of size `ps`) to `ppn`.
+    /// Maps `vpn` (of size `ps`) to `ppn`, creating the `ps` table (initial
+    /// 8KB ways) on first use.
     ///
     /// # Errors
     ///
-    /// Fails when a table resize cannot allocate its contiguous ways.
+    /// Fails when a table cannot allocate the chunks it needs.
     pub fn map(
         &mut self,
         vpn: Vpn,
@@ -85,14 +92,20 @@ impl Ecpt {
         ppn: Ppn,
         mem: &mut PhysMem,
     ) -> Result<InsertReport, AllocError> {
-        let report = self.table_mut(ps, mem)?.insert(vpn, ppn, mem)?;
+        let slot = &mut self.tables[ps.index()];
+        if slot.is_none() {
+            *slot = Some(HptTable::new(ps, self.cfg.clone(), mem, &mut self.backing)?);
+        }
+        let table = slot.as_mut().expect("just created");
+        let report = table.insert(vpn, ppn, mem, &mut self.backing)?;
         self.cwt.note_map(vpn, ps);
         Ok(report)
     }
 
     /// Unmaps `vpn` (of size `ps`), returning the previous translation.
     pub fn unmap(&mut self, vpn: Vpn, ps: PageSize, mem: &mut PhysMem) -> Option<Ppn> {
-        let ppn = self.tables[ps.index()].as_mut()?.remove(vpn, mem)?;
+        let table = self.tables[ps.index()].as_mut()?;
+        let ppn = table.remove(vpn, mem, &mut self.backing)?;
         self.cwt.note_unmap(vpn, ps);
         Some(ppn)
     }
@@ -100,14 +113,10 @@ impl Ecpt {
     /// Functional translation (no timing): probes the tables largest page
     /// size first.
     pub fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {
-        for ps in PAGE_SIZES.iter().rev() {
-            if let Some(table) = &self.tables[ps.index()] {
-                if let Some(ppn) = table.lookup(va.vpn(*ps)) {
-                    return Some((ppn, *ps));
-                }
-            }
-        }
-        None
+        PAGE_SIZES.iter().rev().find_map(|&ps| {
+            let ppn = self.table(ps)?.lookup(va.vpn(ps))?;
+            Some((ppn, ps))
+        })
     }
 
     /// The PMD-CWT mask for the 2MB region containing `va` (bit 0 = 4KB
@@ -124,7 +133,7 @@ impl Ecpt {
 
     /// Total mapped pages across page sizes.
     pub fn pages(&self) -> u64 {
-        self.tables.iter().flatten().map(EcptTable::pages).sum()
+        self.tables.iter().flatten().map(HptTable::pages).sum()
     }
 
     /// Total page-table memory (including CWTs, modeled at 8 bytes per
@@ -134,44 +143,50 @@ impl Ecpt {
             .tables
             .iter()
             .flatten()
-            .map(EcptTable::memory_bytes)
+            .map(HptTable::memory_bytes)
             .sum();
         tables + 8 * self.cwt.entries() as u64
     }
 
-    /// The largest single way across the tables — the contiguity
-    /// requirement (Table I column 4, Figure 8).
-    pub fn max_way_bytes(&self) -> u64 {
+    /// The largest chunk any table ever allocated — the contiguity
+    /// requirement (Table I column 4, Figure 8): a whole way for ECPT, one
+    /// chunk for ME-HPT.
+    pub fn max_chunk_bytes(&self) -> u64 {
         self.tables
             .iter()
             .flatten()
-            .flat_map(|t| t.way_sizes())
+            .map(|t| t.stats().max_chunk_bytes)
             .max()
             .unwrap_or(0)
     }
 
+    /// L2P entries currently in use (Figure 14's metric; 0 for ECPT).
+    pub fn l2p_entries_used(&self) -> usize {
+        self.backing.l2p_entries()
+    }
+
     /// Releases all physical memory.
-    pub fn destroy(self, mem: &mut PhysMem) {
+    pub fn destroy(mut self, mem: &mut PhysMem) {
         for t in self.tables.into_iter().flatten() {
-            t.destroy(mem);
+            t.destroy(mem, &mut self.backing);
         }
     }
 }
 
-impl HptView for Ecpt {
+impl<B: Backing> HptView for Hpt<B> {
     fn pud_mask(&self, va: VirtAddr) -> Option<u8> {
-        Ecpt::pud_mask(self, va)
+        self.cwt.pud_mask(va)
     }
 
     fn pmd_mask(&self, va: VirtAddr) -> Option<u8> {
-        Ecpt::pmd_mask(self, va)
+        self.cwt.pmd_mask(va)
     }
 
     fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
-        self.tables[ps.index()].as_ref()?.probe(vpn, out)
+        self.table(ps)?.probe(vpn, out)
     }
 
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {
-        Ecpt::translate(self, va)
+        Hpt::translate(self, va)
     }
 }

@@ -2,9 +2,10 @@ use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
 
 /// What the hardware cuckoo walker needs from a hashed page table.
 ///
-/// Implemented by the ECPT baseline ([`Ecpt`](crate::Ecpt)) and by ME-HPT
-/// (`mehpt_core::MeHpt`), so the same [`EcptWalker`](crate::EcptWalker)
-/// hardware model times walks over both designs — which is faithful to the
+/// Implemented by [`Hpt`](crate::Hpt), so by the ECPT baseline
+/// ([`Ecpt`](crate::Ecpt)) and by ME-HPT (`mehpt_core::MeHpt`) alike, and
+/// the same [`EcptWalker`](crate::EcptWalker) hardware model times walks
+/// over both designs — which is faithful to the
 /// paper: ME-HPT reuses the ECPT walker and hides its extra L2P access
 /// behind the CWC probe (Section V-D).
 ///

@@ -18,10 +18,12 @@
 //!   (Zuo et al., OSDI'18), the only other hashing scheme with a form of
 //!   in-place resizing, used by the Section IX comparison benchmark.
 //!
-//! The page-table crates (`mehpt-ecpt`, `mehpt-core`) implement the same
-//! algorithms specialized for translation entries, physical-memory chunks
-//! and hardware walkers; this crate is the application-agnostic form with
-//! exhaustive unit and property tests of the algorithmic invariants.
+//! The page-table crates implement the same algorithms once more, as one
+//! engine specialized for translation entries and hardware walkers
+//! (`mehpt_ecpt::HptTable`) with two storage backings: contiguous ways for
+//! ECPT, L2P-registered chunks for ME-HPT (`mehpt-core`). This crate is the
+//! application-agnostic form with exhaustive unit and property tests of the
+//! algorithmic invariants.
 //!
 //! # Examples
 //!

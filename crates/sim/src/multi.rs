@@ -1,10 +1,12 @@
+use mehpt_core::L2pTable;
+use mehpt_ecpt::{Backing, EcptConfig};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
 use mehpt_types::rng::Xoshiro256;
 use mehpt_workloads::Workload;
 
 use crate::runner::ProcState;
-use crate::{SimConfig, SimReport};
+use crate::{PtKind, SimConfig, SimReport};
 
 /// Configuration of a multiprogrammed run.
 #[derive(Clone, Debug)]
@@ -71,15 +73,29 @@ impl MultiReport {
 /// Panics if `workloads` is empty or the initial page tables cannot be
 /// allocated.
 pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
+    match cfg.base.kind {
+        PtKind::MeHpt => {
+            let hpt = cfg.base.mehpt.clone();
+            run_multi_on::<L2pTable>(workloads, cfg, hpt)
+        }
+        PtKind::Radix | PtKind::Ecpt => run_multi_on::<()>(workloads, cfg, EcptConfig::default()),
+    }
+}
+
+fn run_multi_on<B: Backing>(
+    workloads: Vec<Workload>,
+    cfg: MultiConfig,
+    hpt: B::Config,
+) -> MultiReport {
     assert!(!workloads.is_empty(), "need at least one workload");
     let mut mem = PhysMem::new(cfg.base.mem_bytes);
     let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
     let _ballast = Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
     let mut tlb = TlbHierarchy::paper_default();
     let mut dram = MemoryModel::paper_default();
-    let mut procs: Vec<ProcState> = workloads
+    let mut procs: Vec<ProcState<B>> = workloads
         .into_iter()
-        .map(|wl| ProcState::new(wl, &cfg.base, &mut mem))
+        .map(|wl| ProcState::new(wl, &cfg.base, hpt.clone(), &mut mem))
         .collect();
 
     let mut switches = 0u64;

@@ -1,34 +1,31 @@
 use std::collections::{HashMap, HashSet};
 
-use mehpt_core::MeHpt;
-use mehpt_ecpt::{Ecpt, EcptWalker};
+use mehpt_core::L2pTable;
+use mehpt_ecpt::{Backing, EcptConfig, EcptWalker, Hpt};
 use mehpt_hash::ResizeKind;
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
 use mehpt_types::rng::Xoshiro256;
-use mehpt_types::{PageSize, Ppn, VirtAddr};
+use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
 use mehpt_workloads::{Region, Workload};
 
 use crate::{PtKind, SimConfig, SimReport};
 
-/// The page table under simulation, with its hardware walker.
-enum Pt {
+/// The page table under simulation, with its hardware walker: radix, or a
+/// hashed page table of design `B` (ECPT or ME-HPT).
+enum Pt<B: Backing> {
     Radix {
         table: RadixPageTable,
         walker: RadixWalker,
     },
-    Ecpt {
-        table: Ecpt,
-        walker: EcptWalker,
-    },
-    MeHpt {
-        table: MeHpt,
+    Hashed {
+        table: Hpt<B>,
         walker: EcptWalker,
     },
 }
 
-impl Pt {
+impl<B: Backing> Pt<B> {
     /// A timed walk; returns (cycles, memory accesses).
     fn walk(&mut self, va: VirtAddr, dram: &mut MemoryModel) -> (u64, u32) {
         match self {
@@ -36,11 +33,7 @@ impl Pt {
                 let r = walker.walk(table, va, dram);
                 (r.cycles, r.memory_accesses)
             }
-            Pt::Ecpt { table, walker } => {
-                let r = walker.walk(table, va, dram);
-                (r.cycles, r.memory_accesses)
-            }
-            Pt::MeHpt { table, walker } => {
+            Pt::Hashed { table, walker } => {
                 let r = walker.walk(table, va, dram);
                 (r.cycles, r.memory_accesses)
             }
@@ -65,19 +58,10 @@ impl Pt {
                 .map(vpn, ps, ppn, mem)
                 .map(|()| (0, 0))
                 .map_err(|e| e.to_string()),
-            Pt::Ecpt { table, walker } => {
+            Pt::Hashed { table, walker } => {
                 let masks = (table.pud_mask(va), table.pmd_mask(va));
                 let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
                 if masks != (table.pud_mask(va), table.pmd_mask(va)) {
-                    walker.invalidate_region(va);
-                }
-                Ok((report.kicks, report.migrated))
-            }
-            Pt::MeHpt { table, walker } => {
-                use mehpt_ecpt::HptView;
-                let masks = (HptView::pud_mask(table, va), HptView::pmd_mask(table, va));
-                let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
-                if masks != (HptView::pud_mask(table, va), HptView::pmd_mask(table, va)) {
                     walker.invalidate_region(va);
                 }
                 Ok((report.kicks, report.migrated))
@@ -102,11 +86,7 @@ impl Pt {
                 Ok(())
             }
             // `map` on an existing VPN updates the translation in place.
-            Pt::Ecpt { table, .. } => table
-                .map(vpn, ps, ppn, mem)
-                .map(drop)
-                .map_err(|e| e.to_string()),
-            Pt::MeHpt { table, .. } => table
+            Pt::Hashed { table, .. } => table
                 .map(vpn, ps, ppn, mem)
                 .map(drop)
                 .map_err(|e| e.to_string()),
@@ -116,15 +96,14 @@ impl Pt {
     fn flush_walker(&mut self) {
         match self {
             Pt::Radix { walker, .. } => walker.flush(),
-            Pt::Ecpt { walker, .. } | Pt::MeHpt { walker, .. } => walker.flush(),
+            Pt::Hashed { walker, .. } => walker.flush(),
         }
     }
 
     fn bytes(&self) -> u64 {
         match self {
             Pt::Radix { table, .. } => table.memory_bytes(),
-            Pt::Ecpt { table, .. } => table.memory_bytes(),
-            Pt::MeHpt { table, .. } => table.memory_bytes(),
+            Pt::Hashed { table, .. } => table.memory_bytes(),
         }
     }
 }
@@ -146,10 +125,11 @@ struct Counters {
 
 /// One simulated process: its page table, walker, OS bookkeeping and
 /// counters. Used directly by [`Simulator::run`] and round-robin by
-/// [`run_multi`](crate::run_multi).
-pub(crate) struct ProcState {
+/// [`run_multi`](crate::run_multi). `B` is the hashed page table's design;
+/// radix runs leave it at `()`.
+pub(crate) struct ProcState<B: Backing> {
     workload: Workload,
-    pt: Pt,
+    pt: Pt<B>,
     regions: Vec<Region>,
     huge_failed: HashSet<u64>,
     /// Owner of each data frame (start frame of the page's block), so
@@ -167,19 +147,22 @@ pub(crate) struct ProcState {
     done: bool,
 }
 
-impl ProcState {
-    pub(crate) fn new(workload: Workload, cfg: &SimConfig, mem: &mut PhysMem) -> ProcState {
+impl<B: Backing> ProcState<B> {
+    /// A process whose hashed page table, unless `cfg` asks for radix, is
+    /// design `B` configured by `hpt`.
+    pub(crate) fn new(
+        workload: Workload,
+        cfg: &SimConfig,
+        hpt: B::Config,
+        mem: &mut PhysMem,
+    ) -> ProcState<B> {
         let pt = match cfg.kind {
             PtKind::Radix => Pt::Radix {
                 table: RadixPageTable::new(mem).expect("initial radix root"),
                 walker: RadixWalker::paper_default(),
             },
-            PtKind::Ecpt => Pt::Ecpt {
-                table: Ecpt::new(mem).expect("ECPT process state"),
-                walker: EcptWalker::paper_default(),
-            },
-            PtKind::MeHpt => Pt::MeHpt {
-                table: MeHpt::with_config(cfg.mehpt.clone(), mem).expect("ME-HPT process state"),
+            PtKind::Ecpt | PtKind::MeHpt => Pt::Hashed {
+                table: Hpt::with_config(hpt, mem).expect("hashed page table process state"),
                 walker: EcptWalker::paper_default(),
             },
         };
@@ -209,8 +192,8 @@ impl ProcState {
 
     pub(crate) fn l2p_entries_used(&self) -> usize {
         match &self.pt {
-            Pt::MeHpt { table, .. } => table.l2p_entries_used(),
-            _ => 0,
+            Pt::Radix { .. } => 0,
+            Pt::Hashed { table, .. } => table.l2p_entries_used(),
         }
     }
 
@@ -373,7 +356,7 @@ impl ProcState {
             Pt::Radix { walker, .. } => {
                 (walker.walks(), walker.mean_cycles(), walker.mean_accesses())
             }
-            Pt::Ecpt { walker, .. } | Pt::MeHpt { walker, .. } => {
+            Pt::Hashed { walker, .. } => {
                 (walker.walks(), walker.mean_cycles(), walker.mean_accesses())
             }
         };
@@ -410,46 +393,21 @@ impl ProcState {
             data_bytes_nominal: self.workload.nominal_data_bytes(),
             aborted: self.aborted.clone(),
         };
-        match &self.pt {
-            Pt::Radix { .. } => {}
-            Pt::Ecpt { table, .. } => {
-                if let Some(t4k) = table.table(PageSize::Base4K) {
-                    report.way_sizes_4k = t4k.way_sizes();
-                    report.way_phys_4k = t4k.way_sizes(); // contiguous ways
-                    report.upsizes_per_way_4k = upsizes_per_way(t4k.resizes(), 3);
-                    report.moved_fraction_4k = if t4k.resizes().is_empty() { 0.0 } else { 1.0 };
-                }
-                if let Some(t2m) = table.table(PageSize::Huge2M) {
-                    report.upsizes_per_way_2m = upsizes_per_way(t2m.resizes(), 3);
-                }
-                for ps in mehpt_types::PAGE_SIZES {
-                    if let Some(t) = table.table(ps) {
-                        merge_hist(&mut report.kicks_histogram, t.kicks_histogram());
-                    }
-                }
+        if let Pt::Hashed { table, .. } = &self.pt {
+            if let Some(t4k) = table.table(PageSize::Base4K) {
+                report.way_sizes_4k = t4k.way_sizes();
+                report.way_phys_4k = t4k.way_phys_bytes();
+                report.upsizes_per_way_4k = upsizes_per_way(&t4k.stats().resizes, 3);
+                report.moved_fraction_4k = moved_fraction(&t4k.stats().resizes);
             }
-            Pt::MeHpt { table, .. } => {
-                if let Some(t4k) = table.table(PageSize::Base4K) {
-                    report.way_sizes_4k = t4k.way_sizes();
-                    report.way_phys_4k = t4k.way_phys_bytes();
-                    report.upsizes_per_way_4k = upsizes_per_way(&t4k.stats().resizes, 3);
-                    report.moved_fraction_4k = moved_fraction(&t4k.stats().resizes);
-                }
-                if let Some(t2m) = table.table(PageSize::Huge2M) {
-                    report.upsizes_per_way_2m = upsizes_per_way(&t2m.stats().resizes, 3);
-                }
-                for ps in mehpt_types::PAGE_SIZES {
-                    if let Some(t) = table.table(ps) {
-                        merge_hist(&mut report.kicks_histogram, &t.stats().kicks_histogram);
-                    }
-                }
-                report.l2p_entries_used = table.l2p_entries_used();
-                report.chunk_switches = mehpt_types::PAGE_SIZES
-                    .iter()
-                    .filter_map(|&ps| table.table(ps))
-                    .map(|t| t.stats().chunk_switches)
-                    .sum();
+            if let Some(t2m) = table.table(PageSize::Huge2M) {
+                report.upsizes_per_way_2m = upsizes_per_way(&t2m.stats().resizes, 3);
             }
+            for t in PAGE_SIZES.iter().filter_map(|&ps| table.table(ps)) {
+                merge_hist(&mut report.kicks_histogram, &t.stats().kicks_histogram);
+                report.chunk_switches += t.stats().chunk_switches;
+            }
+            report.l2p_entries_used = table.l2p_entries_used();
         }
         report
     }
@@ -468,12 +426,24 @@ impl Simulator {
     /// Panics if even the initial page table cannot be allocated (the
     /// configured memory is impossibly small).
     pub fn run(workload: Workload, cfg: SimConfig) -> SimReport {
+        match cfg.kind {
+            PtKind::MeHpt => {
+                let hpt = cfg.mehpt.clone();
+                Simulator::run_on::<L2pTable>(workload, cfg, hpt)
+            }
+            PtKind::Radix | PtKind::Ecpt => {
+                Simulator::run_on::<()>(workload, cfg, EcptConfig::default())
+            }
+        }
+    }
+
+    fn run_on<B: Backing>(workload: Workload, cfg: SimConfig, hpt: B::Config) -> SimReport {
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
         let _ballast = Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
         let mut tlb = TlbHierarchy::paper_default();
         let mut dram = MemoryModel::paper_default();
-        let mut proc = ProcState::new(workload, &cfg, &mut mem);
+        let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
         let limit = cfg.max_accesses.unwrap_or(u64::MAX);
         while proc.counters.accesses < limit && proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
         let mut report = proc.into_report(&cfg, &mem);
@@ -505,7 +475,7 @@ fn upsizes_per_way(events: &[mehpt_hash::ResizeEvent], ways: usize) -> Vec<u64> 
 }
 
 /// Mean moved fraction over upsize events (in-place upsizes sit near 0.5;
-/// chunk switches and out-of-place events are 1.0).
+/// chunk switches and out-of-place events, so all of ECPT's, are 1.0).
 fn moved_fraction(events: &[mehpt_hash::ResizeEvent]) -> f64 {
     let ups: Vec<f64> = events
         .iter()

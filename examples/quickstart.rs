@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "L2P entries in use:  {} of {}",
         pt.l2p_entries_used(),
-        pt.l2p().total_entries()
+        pt.backing().total_entries()
     );
     println!("page-table memory:   {}", ByteSize(pt.memory_bytes()));
     println!(
