@@ -1,13 +1,13 @@
-//! Shared harness for the benchmark targets that regenerate every table and
-//! figure of *Memory-Efficient Hashed Page Tables* (HPCA 2023).
+//! Shared harness for the benchmark targets that render experiments of
+//! *Memory-Efficient Hashed Page Tables* (HPCA 2023) outside the lab's
+//! presets: the ablation, context-switch, allocation-cost, level-hashing,
+//! five-level radix and multi-process studies, plus the `micro` host
+//! timings.
 //!
-//! The heavy lifting lives in the `mehpt-lab` crate: each paper table or
-//! figure is a [`Preset`] there, and the `[[bench]]` targets here
-//! (`table1`, `fig8` … `fig16`) are thin wrappers that run the matching
-//! preset on the lab's parallel, deterministic engine. Prefer the
-//! `mehpt-lab` binary directly — it adds `--jobs`, `--quick`, fragmentation
-//! sweeps and structured JSON/CSV reports; these targets exist so
-//! `cargo bench --bench fig9` keeps working.
+//! The paper's tables and figures themselves are `mehpt-lab` presets: run
+//! them with `mehpt-lab <preset>` (for example `mehpt-lab fig9 --quick`).
+//! The targets here that need simulated cells run them on the same lab
+//! engine through [`run_grid`].
 //!
 //! Environment knobs:
 //!
@@ -22,9 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mehpt_lab::cli::LabArgs;
 use mehpt_lab::engine::{run_cells, RunOptions};
-use mehpt_lab::{ExperimentGrid, LabReport, Preset, Tuning};
+use mehpt_lab::{ExperimentGrid, LabReport, Tuning};
 use mehpt_workloads::App;
 
 pub use mehpt_lab::fmt::{fmt_bytes, fmt_mb, geomean};
@@ -63,27 +62,6 @@ pub fn tuning() -> Tuning {
     }
 }
 
-/// Runs one lab preset with the environment's scale/jobs and returns its
-/// exit code (0 unless a cell panicked).
-pub fn run_preset(preset: Preset) -> i32 {
-    // Bench executables run with CWD = crates/bench; anchor the reports at
-    // the workspace target/ like a root `mehpt-lab` invocation would.
-    let mut out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    out.pop();
-    out.pop();
-    out.push("target");
-    out.push("lab");
-    let args = LabArgs {
-        presets: vec![preset],
-        jobs: jobs(),
-        seeds: seeds(),
-        tuning: tuning(),
-        out,
-        ..LabArgs::default()
-    };
-    mehpt_lab::cli::run(&args)
-}
-
 /// Expands and runs an ad-hoc grid on the lab engine (progress on stderr)
 /// and returns the assembled report. Used by the targets that need cells
 /// outside any preset (`ablation`, `ctx_switch`).
@@ -93,15 +71,14 @@ pub fn run_grid(name: &str, grid: &ExperimentGrid) -> LabReport {
     let opts = RunOptions {
         jobs: jobs(),
         seeds: seeds(),
-        retries: 0,
-        timeout: None,
+        ..RunOptions::default()
     };
     let cells = run_cells(&specs, &opts, &|p| {
         eprintln!(
             "[{:>3}/{}] {:>7}  {}",
             p.done,
             p.total,
-            p.status.label(),
+            p.result.status.label(),
             p.id
         );
     });

@@ -11,7 +11,9 @@
 //!   [`ResizeMode`] (**out-of-place** as in the ECPT baseline, or the
 //!   paper's **in-place** resizing that reuses the old table's memory) and
 //!   [`WaySizing`] (**all-way** doubling, or the paper's **per-way**
-//!   resizing with weighted-random insertion).
+//!   resizing with weighted-random insertion). Each way is one plain
+//!   `Vec`; the L2P-chunked storage of ME-HPT lives in the page-table
+//!   engine, not here.
 //! * [`HashFamily`] — the per-way CRC-based hash functions (Table III: CRC,
 //!   2-cycle latency), decorrelated with a nonlinear finalizer.
 //! * [`LevelHashTable`] — a faithful-enough Level Hashing implementation
@@ -21,9 +23,9 @@
 //! The page-table crates implement the same algorithms once more, as one
 //! engine specialized for translation entries and hardware walkers
 //! (`mehpt_ecpt::HptTable`) with two storage backings: contiguous ways for
-//! ECPT, L2P-registered chunks for ME-HPT (`mehpt-core`). This crate is the
-//! application-agnostic form with exhaustive unit and property tests of the
-//! algorithmic invariants.
+//! ECPT, chunks registered in `mehpt_core::L2pTable` for ME-HPT. This
+//! crate is the application-agnostic form with exhaustive unit and property
+//! tests of the algorithmic invariants.
 //!
 //! # Examples
 //!
@@ -46,14 +48,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chunked;
 mod config;
 mod crc;
 mod level;
 mod stats;
 mod table;
 
-pub use chunked::ChunkedVec;
 pub use config::{Config, ConfigError, ResizeMode, WaySizing};
 pub use crc::{crc64, Crc64Hasher, HashFamily};
 pub use level::{LevelHashTable, LevelStats};

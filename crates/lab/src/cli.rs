@@ -14,12 +14,10 @@
 //! **3** I/O or parse errors (an unreadable or corrupt report handed to
 //! `diff`).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-use mehpt_sim::SimReport;
-use mehpt_workloads::App;
 
 use crate::diff::{diff_texts, DiffOptions};
 use crate::engine::{self, Progress, RunOptions, WORKER_THREAD_PREFIX};
@@ -73,8 +71,7 @@ OPTIONS:
     --fault SPEC       deterministic fault injection: comma-separated
                        kind:selector rules, kind in {panic,hang,poison},
                        selector an id substring or @N (1-in-N identity
-                       hash); also read from MEHPT_FAULT when unset
-    --inject-panic APP panic inside APP's cells (tests panic isolation)
+                       hash); a kind* rule also fires on retries
     -h, --help         this text
 
 DIFF OPTIONS:
@@ -123,10 +120,8 @@ pub struct LabArgs {
     pub frag: Option<f64>,
     /// Report directory.
     pub out: PathBuf,
-    /// Fault-injection plan (`--fault` / `MEHPT_FAULT`).
+    /// Fault-injection plan (`--fault`).
     pub fault: Option<FaultPlan>,
-    /// App whose cells should panic (panic-isolation demo/testing).
-    pub inject_panic: Option<App>,
 }
 
 impl Default for LabArgs {
@@ -143,7 +138,6 @@ impl Default for LabArgs {
             frag: None,
             out: PathBuf::from("target/lab"),
             fault: None,
-            inject_panic: None,
         }
     }
 }
@@ -299,15 +293,6 @@ pub fn parse_args(args: &[String]) -> Result<LabArgs, String> {
                 out.tuning.timeout_secs = Some(secs);
             }
             "--fault" => out.fault = Some(FaultPlan::parse(value("--fault")?)?),
-            "--inject-panic" => {
-                let name = value("--inject-panic")?;
-                out.inject_panic = Some(
-                    App::all()
-                        .into_iter()
-                        .find(|a| a.name().eq_ignore_ascii_case(name))
-                        .ok_or_else(|| format!("unknown app: {name}"))?,
-                );
-            }
             name => match Preset::parse(name) {
                 Some(p) => {
                     if !out.presets.contains(&p) {
@@ -327,13 +312,6 @@ pub fn parse_args(args: &[String]) -> Result<LabArgs, String> {
     }
     if let Some(gb) = mem_gb {
         out.tuning.mem_bytes = gb * mehpt_types::GIB;
-    }
-    if out.fault.is_none() {
-        if let Ok(spec) = std::env::var("MEHPT_FAULT") {
-            if !spec.trim().is_empty() {
-                out.fault = Some(FaultPlan::parse(&spec)?);
-            }
-        }
     }
     if !out.list && out.presets.is_empty() {
         return Err("no preset given (try `mehpt-lab list`)".to_string());
@@ -432,12 +410,6 @@ pub fn run(args: &LabArgs) -> i32 {
             args.retries
         );
     }
-    let opts = RunOptions {
-        jobs: args.jobs,
-        seeds: args.seeds,
-        retries: args.retries,
-        timeout: timeout_secs.map(std::time::Duration::from_secs),
-    };
 
     // The crash-safety layer: every invocation writes a result journal as
     // replicates finish; `--resume` replays a previous one first. Journal
@@ -455,7 +427,7 @@ pub fn run(args: &LabArgs) -> i32 {
         })
         .collect();
     let journal_path = args.journal_path();
-    let mut preloaded: HashMap<(String, u32), RepResult> = HashMap::new();
+    let mut restored: HashMap<(String, u32), RepResult> = HashMap::new();
     let mut valid_len = 0u64;
     if args.resume {
         match journal::read(&journal_path) {
@@ -475,14 +447,14 @@ pub fn run(args: &LabArgs) -> i32 {
                     if rec.replicate < args.seeds.max(1)
                         && fingerprints.get(&rec.id) == Some(&rec.fingerprint)
                     {
-                        preloaded.insert((rec.id, rec.replicate), rec.result);
+                        restored.insert((rec.id, rec.replicate), rec.result);
                     }
                 }
                 valid_len = recovered.valid_len;
                 eprintln!(
                     "mehpt-lab: restored {} replicate(s) from journal ({} discarded)",
-                    preloaded.len(),
-                    total - preloaded.len()
+                    restored.len(),
+                    total - restored.len()
                 );
             }
             Err(e) => eprintln!(
@@ -494,11 +466,12 @@ pub fn run(args: &LabArgs) -> i32 {
     if let Some(dir) = journal_path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    let mut writer = match if args.resume {
+    let opened = if args.resume {
         JournalWriter::resume(&journal_path, valid_len)
     } else {
         JournalWriter::create(&journal_path)
-    } {
+    };
+    let writer = RefCell::new(match opened {
         Ok(w) => Some(w),
         Err(e) => {
             eprintln!(
@@ -507,57 +480,40 @@ pub fn run(args: &LabArgs) -> i32 {
             );
             None
         }
-    };
+    });
 
+    // Each freshly finished replicate is printed, then journaled before
+    // the sweep moves on; restored replicates never come through here.
     let progress = |p: Progress| {
-        let mut err = std::io::stderr().lock();
         let _ = writeln!(
-            err,
+            std::io::stderr().lock(),
             "[{:>3}/{}] {:>7}  {}  ({} ms)",
             p.done,
             p.total,
-            p.status.label(),
+            p.result.status.label(),
             p.id,
-            p.wall_millis
+            p.result.wall_millis
         );
-    };
-    let fault = args.fault.as_ref();
-    let mut on_fresh = |spec: &CellSpec, rep: &RepResult| {
+        let mut writer = writer.borrow_mut();
         if let Some(w) = writer.as_mut() {
-            let id = spec.id();
+            let id = p.spec.id();
             let fp = fingerprints.get(&id).copied().unwrap_or_default();
-            if let Err(e) = w.append(&id, rep.replicate, fp, rep) {
+            if let Err(e) = w.append(&id, p.result.replicate, fp, p.result) {
                 eprintln!("mehpt-lab: journal append failed: {e}; disabling the journal");
-                writer = None;
+                *writer = None;
             }
         }
     };
-    let results = match args.inject_panic {
-        None => engine::run_cells_persisted(
-            &union,
-            &opts,
-            fault,
-            engine::simulate_cell,
-            &progress,
-            &preloaded,
-            &mut on_fresh,
-        ),
-        Some(app) => engine::run_cells_persisted(
-            &union,
-            &opts,
-            fault,
-            move |spec: &CellSpec| -> SimReport {
-                if spec.app == app {
-                    panic!("injected panic in cell {}", spec.id());
-                }
-                engine::simulate_cell(spec)
-            },
-            &progress,
-            &preloaded,
-            &mut on_fresh,
-        ),
+    let opts = RunOptions {
+        jobs: args.jobs,
+        seeds: args.seeds,
+        retries: args.retries,
+        timeout,
+        fault: args.fault.clone(),
+        restored,
     };
-    if let Some(w) = writer.as_mut() {
+    let results = engine::run_cells(&union, &opts, &progress);
+    if let Some(w) = writer.borrow_mut().as_mut() {
         if let Err(e) = w.sync() {
             eprintln!("mehpt-lab: journal sync failed: {e}");
         }
@@ -663,6 +619,7 @@ pub fn mute_worker_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mehpt_workloads::App;
 
     fn parse(args: &[&str]) -> Result<LabArgs, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -698,7 +655,6 @@ mod tests {
         assert!(parse(&["fig99"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["table1", "--frag", "1.5"]).is_err());
-        assert!(parse(&["--inject-panic", "nosuch", "table1"]).is_err());
     }
 
     #[test]
@@ -723,12 +679,6 @@ mod tests {
         assert_eq!(b.journal_path(), PathBuf::from("/tmp/lab/sweep.journal"));
         assert!(parse(&["fig7", "--retries"]).is_err());
         assert!(parse(&["fig7", "--journal"]).is_err());
-    }
-
-    #[test]
-    fn inject_panic_parses_an_app() {
-        let a = parse(&["table1", "--inject-panic", "gups"]).unwrap();
-        assert_eq!(a.inject_panic, Some(App::Gups));
     }
 
     #[test]
@@ -876,13 +826,11 @@ mod tests {
             ..Tuning::quick()
         };
         let plan = FaultPlan::parse("panic:gups").unwrap();
-        let cells = engine::run_cells_injected(
-            &grid.expand(&t),
-            &RunOptions::with_jobs(2),
-            Some(&plan),
-            engine::simulate_cell,
-            &|_| {},
-        );
+        let opts = RunOptions {
+            fault: Some(plan.clone()),
+            ..RunOptions::with_jobs(2)
+        };
+        let cells = engine::run_cells(&grid.expand(&t), &opts, &|_| {});
         let report = LabReport {
             preset: "t".into(),
             scale: t.scale,

@@ -18,10 +18,8 @@
 //! drift. Cells that *failed* (panicked or timed out) on either side carry
 //! no comparable metrics; their statuses are still compared, but their
 //! fields are skipped and counted ([`DiffReport::cells_skipped`]) instead
-//! of flagged as missing. The comparison reads schema v3 reports, and
-//! falls back transparently to v2 (same per-cell shape, no failure
-//! records) and to the flat v1 `metrics` block for reports written before
-//! the replication axis existed.
+//! of flagged as missing. Every field is read from the per-cell `stats`
+//! block, which schema v2, v3 and v4 reports share.
 
 use std::fmt::Write as _;
 
@@ -161,27 +159,11 @@ impl<'a> CellView<'a> {
         })
     }
 
-    /// The (mean, ci95) of one stat field. Prefers the v2 `stats` block;
-    /// falls back to deriving the value from the flat v1 `metrics` block
-    /// (ci 0.0 — single-seed reports have no band).
+    /// The (mean, ci95) of one stat field, read from the cell's `stats`
+    /// block (`null` when no replicate produced metrics).
     fn field(&self, name: &str) -> Option<(f64, f64)> {
-        if let Some(stats) = self.cell.get("stats").filter(|s| !matches!(s, Json::Null)) {
-            let f = stats.get(name)?;
-            return Some((f.get("mean")?.as_f64()?, f.get("ci95")?.as_f64()?));
-        }
-        let metrics = self.cell.get("metrics")?;
-        if matches!(metrics, Json::Null) {
-            return None;
-        }
-        let value = match name {
-            "cycles_per_access" => {
-                let cycles = metrics.get("total_cycles")?.as_f64()?;
-                let accesses = metrics.get("accesses")?.as_f64()?;
-                cycles / accesses.max(1.0)
-            }
-            _ => metrics.get(name)?.as_f64()?,
-        };
-        Some((value, 0.0))
+        let f = self.cell.get("stats")?.get(name)?;
+        Some((f.get("mean")?.as_f64()?, f.get("ci95")?.as_f64()?))
     }
 }
 
@@ -423,23 +405,6 @@ mod tests {
             ("failed", "timed_out")
         );
         assert_eq!(d.cells_skipped, 1);
-    }
-
-    #[test]
-    fn v1_metrics_fallback_compares_flat_fields() {
-        let v1 = |cycles: u64| {
-            format!(
-                "{{\"cells\": [{{\"id\": \"c\", \"status\": \"ok\", \"metrics\": \
-                 {{\"accesses\": 100, \"total_cycles\": {cycles}, \"tlb_miss_rate\": 0.5, \
-                 \"mean_walk_cycles\": 30.0, \"faults\": 1, \"pt_peak_bytes\": 4096, \
-                 \"pt_final_bytes\": 4096, \"pt_max_contiguous\": 4096}}}}]}}"
-            )
-        };
-        let d = diff_texts(&v1(1000), &v1(1000), &DiffOptions::default()).unwrap();
-        assert!(d.clean());
-        let d = diff_texts(&v1(1000), &v1(2000), &DiffOptions::default()).unwrap();
-        assert!(d.drifts.iter().any(|x| x.field == "total_cycles"));
-        assert!(d.drifts.iter().any(|x| x.field == "cycles_per_access"));
     }
 
     #[test]

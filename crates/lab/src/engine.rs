@@ -53,22 +53,22 @@
 //!
 //! # Fault injection
 //!
-//! [`run_cells_injected`] consults an optional [`FaultPlan`] before every
-//! unit and makes targeted units panic, hang or return poisoned metrics —
-//! deterministically, keyed to the cell identity and an identity-derived
-//! replicate — which is how the isolation guarantees above are tested
-//! rather than merely claimed. Plans interact with retry: a plain rule is
-//! a transient fault (attempt 0 only), a `kind*` rule a persistent one
-//! that exhausts the retry budget. See [`crate::fault`].
+//! With [`RunOptions::fault`] set, the engine consults the [`FaultPlan`]
+//! before every unit and makes targeted units panic, hang or return
+//! poisoned metrics — deterministically, keyed to the cell identity and an
+//! identity-derived replicate — which is how the isolation guarantees
+//! above are tested rather than merely claimed. Plans interact with retry:
+//! a plain rule is a transient fault (attempt 0 only), a `kind*` rule a
+//! persistent one that exhausts the retry budget. See [`crate::fault`].
 //!
 //! # Crash-safe resume
 //!
-//! [`run_cells_persisted`] is the journal-aware entry point: replicates
-//! already present in `preloaded` (replayed from a
+//! Replicates in [`RunOptions::restored`] (replayed from a
 //! [`crate::journal`] result journal) are installed without running
-//! anything, and every freshly finalized replicate is handed to the
-//! `on_fresh` callback — on the collector thread, in completion order —
-//! so the caller can append it to the journal before the sweep moves on.
+//! anything. Every *freshly* finalized replicate, and only those, is
+//! delivered through [`Progress`] — on the calling thread, in completion
+//! order — so the caller can append it to the journal before the sweep
+//! moves on.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,29 +91,33 @@ pub const WORKER_THREAD_PREFIX: &str = "mehpt-lab-worker";
 /// (also the poll interval before the first unit starts).
 const MONITOR_POLL: Duration = Duration::from_millis(25);
 
-/// A progress event, streamed to the caller as cells complete.
+/// A progress event: one freshly finished replicate.
 ///
-/// Events arrive in *completion* order, which depends on scheduling; only
-/// the human-facing progress stream sees them, never the report.
+/// Fires exactly once per replicate the engine ran (after its last
+/// attempt), on the calling thread, and never for a replicate installed
+/// from [`RunOptions::restored`]. Events arrive in *completion* order,
+/// which depends on scheduling, so they feed the human-facing progress
+/// stream and the result journal, never the report.
 #[derive(Clone, Debug)]
-pub struct Progress {
+pub struct Progress<'a> {
     /// Work units (cell replicates) finished so far (including this one
-    /// and any replicates preloaded from a journal).
+    /// and any restored replicates).
     pub done: usize,
     /// Total work units in the sweep (`cells × seeds`).
     pub total: usize,
     /// The finished cell's identity (suffixed `#rN` for replicates > 0).
     pub id: String,
-    /// The finished replicate's status ([`CellStatus::TimedOut`] when the
-    /// watchdog abandoned it).
-    pub status: CellStatus,
-    /// Wall-clock milliseconds the replicate took across its attempts
-    /// (the configured deadline for timed-out ones).
-    pub wall_millis: u64,
+    /// The finished cell.
+    pub spec: &'a CellSpec,
+    /// The finished replicate, exactly as it enters the cell's
+    /// [`CellResult`]. Its status is [`CellStatus::TimedOut`] when the
+    /// watchdog abandoned it; its `wall_millis` spans every attempt (the
+    /// configured deadline for timed-out ones).
+    pub result: &'a RepResult,
 }
 
 /// Engine options.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Worker threads. `0` means [`std::thread::available_parallelism`].
     pub jobs: usize,
@@ -127,6 +131,14 @@ pub struct RunOptions {
     /// Per-unit watchdog deadline. `None` (the default) disables the
     /// watchdog: a hung cell stalls the sweep, exactly as before.
     pub timeout: Option<Duration>,
+    /// Fault-injection plan consulted before every attempt. `None` (the
+    /// default) runs every cell body as is.
+    pub fault: Option<FaultPlan>,
+    /// Replicates already finished, keyed by `(cell id, replicate index)`:
+    /// they are installed without running anything. Because they came
+    /// from the same deterministic engine, a resumed sweep's
+    /// [`CellResult`]s are identical to an uninterrupted run's.
+    pub restored: HashMap<(String, u32), RepResult>,
 }
 
 impl Default for RunOptions {
@@ -136,6 +148,8 @@ impl Default for RunOptions {
             seeds: 1,
             retries: 0,
             timeout: None,
+            fault: None,
+            restored: HashMap::new(),
         }
     }
 }
@@ -175,29 +189,13 @@ pub fn simulate_cell(spec: &CellSpec) -> SimReport {
     Simulator::run(spec.workload(), spec.sim_config())
 }
 
-/// Runs every cell on a pool of `opts.jobs` workers using the real
-/// simulator. See [`run_cells_with`].
+/// [`run_cells_with`] on the real simulator.
 pub fn run_cells(
     specs: &[CellSpec],
     opts: &RunOptions,
-    progress: &(dyn Fn(Progress) + Sync),
+    progress: &dyn Fn(Progress),
 ) -> Vec<CellResult> {
     run_cells_with(specs, opts, simulate_cell, progress)
-}
-
-/// Runs every cell (× `opts.seeds` replicates) on a pool of `opts.jobs`
-/// workers with a caller-supplied cell body, and returns results in spec
-/// order. Equivalent to [`run_cells_injected`] with no fault plan.
-pub fn run_cells_with<F>(
-    specs: &[CellSpec],
-    opts: &RunOptions,
-    runner: F,
-    progress: &(dyn Fn(Progress) + Sync),
-) -> Vec<CellResult>
-where
-    F: Fn(&CellSpec) -> SimReport + Send + Sync + 'static,
-{
-    run_cells_injected(specs, opts, None, runner, progress)
 }
 
 /// Per-unit scheduling state shared between the collector/monitor and the
@@ -207,7 +205,7 @@ struct UnitState {
     /// Start instant and attempt index of the currently running attempt
     /// (`None` = not started, finished, or abandoned).
     running: Option<(Instant, u32)>,
-    /// Finalized (or preloaded from a journal): workers skip this unit.
+    /// Finalized (or restored from a journal): workers skip this unit.
     done: bool,
 }
 
@@ -226,8 +224,9 @@ struct Shared<F> {
     state: Mutex<Vec<UnitState>>,
 }
 
-/// Runs every cell (× replicates) with an optional [`FaultPlan`] injected
-/// between the engine and the cell body.
+/// Runs every cell (× `opts.seeds` replicates) on a pool of `opts.jobs`
+/// workers with a caller-supplied cell body, and returns results in spec
+/// order. This is the lab's one engine entry point.
 ///
 /// The body runs under `catch_unwind`: a panic fails that replicate
 /// (status [`CellStatus::Failed`], the panic message as `error`) and the
@@ -240,44 +239,14 @@ struct Shared<F> {
 /// failed/timed-out attempts are deterministically re-run. Replicates of
 /// one cell are independent work units; their outcomes fold into the
 /// cell's [`CellResult`] with order-invariant mean/min/max/CI aggregation.
-pub fn run_cells_injected<F>(
+/// [`RunOptions::fault`] injects faults between the engine and the body,
+/// and [`RunOptions::restored`] replicates are installed without running.
+/// `progress` sees every freshly finished replicate (see [`Progress`]).
+pub fn run_cells_with<F>(
     specs: &[CellSpec],
     opts: &RunOptions,
-    fault: Option<&FaultPlan>,
     runner: F,
-    progress: &(dyn Fn(Progress) + Sync),
-) -> Vec<CellResult>
-where
-    F: Fn(&CellSpec) -> SimReport + Send + Sync + 'static,
-{
-    run_cells_persisted(
-        specs,
-        opts,
-        fault,
-        runner,
-        progress,
-        &HashMap::new(),
-        &mut |_, _| {},
-    )
-}
-
-/// [`run_cells_injected`] plus the journal hooks: `preloaded` replicates
-/// (keyed by `(cell id, replicate index)`) are installed without running
-/// anything, and every *freshly* finalized replicate is passed to
-/// `on_fresh` (on the collector thread, in completion order) so the
-/// caller can journal it before the sweep moves on. With an empty
-/// `preloaded` map and a no-op `on_fresh` this is exactly
-/// [`run_cells_injected`] — and because preloaded results came from the
-/// same deterministic engine, a resumed sweep's [`CellResult`]s are
-/// identical to an uninterrupted run's.
-pub fn run_cells_persisted<F>(
-    specs: &[CellSpec],
-    opts: &RunOptions,
-    fault: Option<&FaultPlan>,
-    runner: F,
-    progress: &(dyn Fn(Progress) + Sync),
-    preloaded: &HashMap<(String, u32), RepResult>,
-    on_fresh: &mut dyn FnMut(&CellSpec, &RepResult),
+    progress: &dyn Fn(Progress),
 ) -> Vec<CellResult>
 where
     F: Fn(&CellSpec) -> SimReport + Send + Sync + 'static,
@@ -291,11 +260,11 @@ where
         (0..specs.len()).map(|_| vec![None; seeds]).collect();
     let mut state = vec![UnitState::default(); units];
     let mut filled = 0usize;
-    if !preloaded.is_empty() {
+    if !opts.restored.is_empty() {
         for (ci, spec) in specs.iter().enumerate() {
             let id = spec.id();
             for r in 0..seeds {
-                if let Some(rep) = preloaded.get(&(id.clone(), r as u32)) {
+                if let Some(rep) = opts.restored.get(&(id.clone(), r as u32)) {
                     slots[ci][r] = Some(rep.clone());
                     state[ci * seeds + r].done = true;
                     filled += 1;
@@ -310,7 +279,7 @@ where
         units,
         next: AtomicUsize::new(0),
         runner,
-        fault: fault.cloned(),
+        fault: opts.fault.clone(),
         pending_retries: Mutex::new(Vec::new()),
         state: Mutex::new(state),
     });
@@ -424,10 +393,9 @@ where
                 done: filled,
                 total: units,
                 id,
-                status: final_rep.status,
-                wall_millis: final_rep.wall_millis,
+                spec: &specs[cell],
+                result: &final_rep,
             });
-            on_fresh(&specs[cell], &final_rep);
             slots[cell][rep as usize] = Some(final_rep);
         }
     }
@@ -468,7 +436,7 @@ where
         {
             let mut state = shared.state.lock().unwrap();
             if state[u].done {
-                // Preloaded from a journal: nothing to run.
+                // Restored from a journal: nothing to run.
                 continue;
             }
             state[u].running = Some((Instant::now(), attempt));
@@ -759,6 +727,7 @@ mod tests {
                 seeds: 2,
                 retries: 0,
                 timeout: Some(Duration::from_millis(120)),
+                ..RunOptions::default()
             };
             run_cells_with(&specs, &opts, stall, &|_| {})
         };
@@ -893,6 +862,7 @@ mod tests {
                 seeds: 2,
                 retries: 2,
                 timeout: None,
+                ..RunOptions::default()
             };
             run_cells_with(&specs, &opts, flaky, &|_| {})
         };
@@ -968,41 +938,43 @@ mod tests {
     }
 
     #[test]
-    fn preloaded_results_short_circuit_and_fresh_ones_stream_out() {
+    fn restored_results_short_circuit_and_fresh_ones_stream_out() {
+        use std::cell::RefCell;
         let specs = specs();
         let opts = RunOptions {
             seeds: 2,
             ..RunOptions::with_jobs(4)
         };
-        let full = run_cells_injected(&specs, &opts, None, fake_sim, &|_| {});
+        let full = run_cells_with(&specs, &opts, fake_sim, &|_| {});
 
-        // Preload roughly half the units from the full run's results.
-        let mut preloaded = HashMap::new();
+        // Restore roughly half the units from the full run's results.
+        let mut restored = HashMap::new();
         for (ci, cell) in full.iter().enumerate() {
             for rep in &cell.replicates {
                 if (ci + rep.replicate as usize) % 2 == 0 {
-                    preloaded.insert((cell.spec.id(), rep.replicate), rep.clone());
+                    restored.insert((cell.spec.id(), rep.replicate), rep.clone());
                 }
             }
         }
-        let preloaded_count = preloaded.len();
-        assert!(preloaded_count > 0);
+        let restored_count = restored.len();
+        assert!(restored_count > 0);
 
-        let mut fresh = Vec::new();
-        let resumed = run_cells_persisted(
+        let fresh = RefCell::new(Vec::new());
+        let resumed = run_cells_with(
             &specs,
-            &opts,
-            None,
+            &RunOptions {
+                restored: restored.clone(),
+                ..opts.clone()
+            },
             fake_sim,
-            &|_| {},
-            &preloaded,
-            &mut |spec, rep| fresh.push((spec.id(), rep.replicate)),
+            &|p| fresh.borrow_mut().push((p.spec.id(), p.result.replicate)),
         );
-        assert_eq!(fresh.len(), 2 * specs.len() - preloaded_count);
+        let fresh = fresh.into_inner();
+        assert_eq!(fresh.len(), 2 * specs.len() - restored_count);
         for (id, r) in &fresh {
             assert!(
-                !preloaded.contains_key(&(id.clone(), *r)),
-                "{id}#r{r} was preloaded yet ran again"
+                !restored.contains_key(&(id.clone(), *r)),
+                "{id}#r{r} was restored yet ran again"
             );
         }
         // The resumed sweep reproduces the uninterrupted run exactly.
@@ -1013,27 +985,111 @@ mod tests {
             assert_eq!(a.stats, b.stats);
         }
 
-        // Preloading *everything* runs nothing at all.
+        // Restoring *everything* runs nothing at all.
         let mut all = HashMap::new();
         for cell in &full {
             for rep in &cell.replicates {
                 all.insert((cell.spec.id(), rep.replicate), rep.clone());
             }
         }
-        let mut ran = 0usize;
-        let replayed = run_cells_persisted(
+        let ran = RefCell::new(0usize);
+        let replayed = run_cells_with(
             &specs,
-            &opts,
-            None,
+            &RunOptions {
+                restored: all,
+                ..opts
+            },
             |spec: &CellSpec| -> SimReport { panic!("nothing should run, tried {}", spec.id()) },
-            &|_| {},
-            &all,
-            &mut |_, _| ran += 1,
+            &|_| *ran.borrow_mut() += 1,
         );
-        assert_eq!(ran, 0);
+        assert_eq!(ran.into_inner(), 0);
         for (a, b) in full.iter().zip(&replayed) {
             assert_eq!(a.status, b.status);
             assert_eq!(a.metrics, b.metrics);
+        }
+    }
+
+    #[test]
+    fn progress_delivers_each_fresh_replicate_once_as_it_lands_in_the_result() {
+        // The contract the result journal relies on: with some replicates
+        // restored and others retried, progress fires exactly once per
+        // freshly finished replicate (after its last attempt), never for a
+        // restored one, and hands over the very record the sweep returns.
+        use std::cell::RefCell;
+        let specs = specs();
+        let first_seeds = attempt0_seeds(&specs, 2);
+        let flaky = move |spec: &CellSpec| -> SimReport {
+            // Gups fails attempt 0 and recovers on the retry seed.
+            if spec.app == App::Gups && first_seeds.contains(&spec.seed) {
+                panic!("transient failure in {}", spec.id());
+            }
+            fake_sim(spec)
+        };
+        let opts = RunOptions {
+            seeds: 2,
+            retries: 1,
+            ..RunOptions::with_jobs(3)
+        };
+        let full = run_cells_with(&specs, &opts, flaky.clone(), &|_| {});
+
+        // Restore replicate 0 of every third cell, GUPS cells included.
+        let mut restored = HashMap::new();
+        for cell in full.iter().step_by(3) {
+            let rep = &cell.replicates[0];
+            restored.insert((cell.spec.id(), rep.replicate), rep.clone());
+        }
+        assert!(restored.keys().any(|(id, _)| id.starts_with("GUPS")));
+
+        let delivered = RefCell::new(Vec::new());
+        let resumed = run_cells_with(
+            &specs,
+            &RunOptions {
+                restored: restored.clone(),
+                ..opts
+            },
+            flaky,
+            &|p| {
+                delivered
+                    .borrow_mut()
+                    .push((p.spec.id(), p.result.clone(), p.done, p.total))
+            },
+        );
+        let delivered = delivered.into_inner();
+        let units = 2 * specs.len();
+        assert_eq!(delivered.len(), units - restored.len());
+        let mut keys = std::collections::HashSet::new();
+        for (i, (id, rep, done, total)) in delivered.iter().enumerate() {
+            assert!(
+                keys.insert((id.clone(), rep.replicate)),
+                "{id}#r{}: twice",
+                rep.replicate
+            );
+            assert!(!restored.contains_key(&(id.clone(), rep.replicate)));
+            assert_eq!(*total, units);
+            assert_eq!(*done, restored.len() + i + 1);
+            let cell = resumed.iter().find(|c| &c.spec.id() == id).unwrap();
+            assert_eq!(
+                rep, &cell.replicates[rep.replicate as usize],
+                "{id}#r{}: the delivered record is the returned one",
+                rep.replicate
+            );
+        }
+        // Retried replicates are delivered once, with the full history.
+        let retried: Vec<_> = delivered
+            .iter()
+            .filter(|(_, r, _, _)| r.attempts.len() == 2)
+            .collect();
+        assert!(!retried.is_empty());
+        assert!(retried.iter().all(|(id, _, _, _)| id.starts_with("GUPS")));
+        // Outcomes match the uninterrupted run (wall time aside).
+        let outcome = |r: &RepResult| RepResult {
+            wall_millis: 0,
+            ..r.clone()
+        };
+        for (a, b) in full.iter().zip(&resumed) {
+            let a: Vec<_> = a.replicates.iter().map(outcome).collect();
+            let b: Vec<_> = b.replicates.iter().map(outcome).collect();
+            assert_eq!(a, b);
         }
     }
 

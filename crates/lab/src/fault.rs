@@ -4,9 +4,9 @@
 //! reproducible way, which turns the engine's isolation guarantees (panic
 //! containment, watchdog recovery, order-invariant aggregation over
 //! partial failures) into testable assertions instead of prose. A plan is
-//! parsed from a spec string (`--fault <spec>` or the `MEHPT_FAULT`
-//! environment variable) and consulted by the engine before every work
-//! unit:
+//! parsed from a `--fault <spec>` string, carried in
+//! [`crate::engine::RunOptions::fault`] and consulted by the engine before
+//! every work unit:
 //!
 //! * which **cells** a rule hits is decided by the rule's selector
 //!   (substring of the cell identity, or a 1-in-N identity-hash modulus);

@@ -71,9 +71,7 @@ pub mod report;
 pub mod stats;
 
 pub use diff::{DiffOptions, DiffReport};
-pub use engine::{
-    run_cells, run_cells_injected, run_cells_persisted, run_cells_with, Progress, RunOptions,
-};
+pub use engine::{run_cells, run_cells_with, Progress, RunOptions};
 pub use fault::{FaultKind, FaultPlan};
 pub use grid::{CellSpec, ExperimentGrid, FmfiAxis, Tuning, Variant};
 pub use journal::{JournalRecord, JournalWriter, Recovered, JOURNAL_FORMAT_VERSION};

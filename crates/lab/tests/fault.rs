@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use mehpt_lab::engine::{run_cells_injected, RunOptions};
+use mehpt_lab::engine::{run_cells_with, RunOptions};
 use mehpt_lab::fault::{FaultKind, FaultPlan};
 use mehpt_lab::grid::{CellSpec, ExperimentGrid, Tuning};
 use mehpt_lab::report::{CellResult, CellStatus, LabReport};
@@ -87,8 +87,10 @@ fn run_retrying(
         seeds,
         retries,
         timeout,
+        fault: fault.cloned(),
+        ..RunOptions::default()
     };
-    run_cells_injected(&specs(), &opts, fault, fake_sim, &|_| {})
+    run_cells_with(&specs(), &opts, fake_sim, &|_| {})
 }
 
 fn run(jobs: usize, seeds: u32, fault: Option<&FaultPlan>) -> Vec<CellResult> {

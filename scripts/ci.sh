@@ -20,6 +20,11 @@ echo "==> cargo test -q --workspace"
 # --workspace: bare `cargo test` runs only the root package's tests.
 cargo test -q --workspace
 
+echo "==> cargo bench --workspace --no-run (every bench target builds)"
+# `cargo test` does not compile crates/bench/benches/*, so an engine API
+# change could otherwise break a bench target unnoticed.
+cargo bench --workspace --no-run --offline --quiet
+
 echo "==> speedbench contract tests (output digests, replay fidelity)"
 cargo test --offline --manifest-path speedbench/Cargo.toml
 
