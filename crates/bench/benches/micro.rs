@@ -9,13 +9,14 @@
 
 use std::time::Instant;
 
-use mehpt_core::MeHpt;
-use mehpt_ecpt::{Ecpt, EcptWalker};
+use mehpt_core::{L2pTable, MeHpt};
+use mehpt_ecpt::{Backing, Ecpt, EcptWalker, Hpt, CLUSTER_PTES};
 use mehpt_hash::{Config, ElasticCuckooTable, ResizeMode, WaySizing};
 use mehpt_mem::{AllocCostModel, AllocTag, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::MemoryModel;
-use mehpt_types::{PageSize, Ppn, Vpn, GIB, MIB};
+use mehpt_types::rng::Xoshiro256;
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn, GIB, MIB};
 
 const BATCHES: usize = 9;
 
@@ -162,6 +163,38 @@ fn bench_walks() {
             Vpn(i * 7).base_addr(PageSize::Base4K),
             &mut dram,
         ));
+    });
+
+    bench_gups_walk::<()>("  ecpt/gups_150k");
+    bench_gups_walk::<L2pTable>("  mehpt/gups_150k");
+}
+
+/// Walks a GUPS-sized table: 150K single-page clusters, one page at a
+/// random offset in each of 150K consecutive clusters as in a GUPS cell at
+/// scale 0.1, walked in random order. The ways outgrow the host's caches
+/// as in a full GUPS run, which the 50K-page strided cases above never do.
+fn bench_gups_walk<B: Backing>(name: &str) {
+    const PAGES: usize = 150_000;
+    let mut rng = Xoshiro256::seed_from_u64(0x6075);
+    let mut m = mem();
+    let mut hpt = Hpt::<B>::new(&mut m).unwrap();
+    let base = VirtAddr::new(0x1000_0000_0000).vpn(PageSize::Base4K).0;
+    let mut vpns: Vec<Vpn> = (0..PAGES as u64)
+        .map(|c| Vpn(base + c * CLUSTER_PTES as u64 + rng.next_below(CLUSTER_PTES as u64)))
+        .collect();
+    for (i, &vpn) in vpns.iter().enumerate() {
+        hpt.map(vpn, PageSize::Base4K, Ppn(i as u64), &mut m)
+            .unwrap();
+    }
+    for i in (1..vpns.len()).rev() {
+        vpns.swap(i, rng.next_index(i + 1));
+    }
+    let mut walker = EcptWalker::paper_default();
+    let mut dram = MemoryModel::paper_default();
+    let mut i = 0;
+    bench(name, 100_000, move || {
+        i = (i + 1) % PAGES;
+        std::hint::black_box(walker.walk(&hpt, vpns[i].base_addr(PageSize::Base4K), &mut dram));
     });
 }
 

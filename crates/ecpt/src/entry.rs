@@ -14,6 +14,13 @@ pub const CLUSTER_PTES: usize = 8;
 /// 64-byte line — which is why sizing math throughout uses
 /// [`ClusterEntry::BYTES`] = 64).
 ///
+/// That 64-byte line is the *modeled* layout: slot addresses, way and chunk
+/// sizes all count 64 bytes per entry. On the host, a table way stores its
+/// entries split in two parallel arrays, a `u64` tag per slot and a row of
+/// [`CLUSTER_PTES`] PTEs per slot, so a walk compares 8-byte tags and
+/// reads a PTE row only on a match. A `ClusterEntry` value is how an entry
+/// moves between slots.
+///
 /// # Examples
 ///
 /// ```
@@ -74,34 +81,29 @@ impl ClusterEntry {
     /// Panics in debug builds if `vpn` belongs to a different cluster.
     pub fn get(&self, vpn: Vpn) -> Option<Ppn> {
         debug_assert!(self.covers(vpn));
-        match self.ptes[Self::slot_of(vpn)] {
-            0 => None,
-            raw => Some(Ppn(raw - 1)),
-        }
+        pte_get(&self.ptes, vpn)
     }
 
     /// Writes the translation for `vpn`; returns the previous one.
     pub fn set(&mut self, vpn: Vpn, ppn: Ppn) -> Option<Ppn> {
         debug_assert!(self.covers(vpn));
-        let slot = &mut self.ptes[Self::slot_of(vpn)];
-        let prev = match *slot {
-            0 => None,
-            raw => Some(Ppn(raw - 1)),
-        };
-        *slot = ppn.0 + 1;
-        prev
+        pte_set(&mut self.ptes, vpn, ppn)
     }
 
     /// Invalidates the translation for `vpn`; returns it.
     pub fn clear(&mut self, vpn: Vpn) -> Option<Ppn> {
         debug_assert!(self.covers(vpn));
-        let slot = &mut self.ptes[Self::slot_of(vpn)];
-        let prev = match *slot {
-            0 => None,
-            raw => Some(Ppn(raw - 1)),
-        };
-        *slot = 0;
-        prev
+        pte_clear(&mut self.ptes, vpn)
+    }
+
+    /// An entry from its tag and PTE row.
+    pub(crate) fn from_parts(tag: u64, ptes: [u64; CLUSTER_PTES]) -> ClusterEntry {
+        ClusterEntry { tag, ptes }
+    }
+
+    /// The entry's PTE row.
+    pub(crate) fn ptes(&self) -> &[u64; CLUSTER_PTES] {
+        &self.ptes
     }
 
     /// The number of valid translations in the cluster.
@@ -113,6 +115,31 @@ impl ClusterEntry {
     pub fn is_empty(&self) -> bool {
         self.valid_count() == 0
     }
+}
+
+// A PTE row holds `0` for an invalid translation, otherwise `ppn + 1`.
+
+/// Reads `vpn`'s translation from its cluster's PTE row.
+#[inline]
+pub(crate) fn pte_get(row: &[u64; CLUSTER_PTES], vpn: Vpn) -> Option<Ppn> {
+    row[ClusterEntry::slot_of(vpn)].checked_sub(1).map(Ppn)
+}
+
+/// Writes `vpn`'s translation into its cluster's PTE row; returns the
+/// previous one.
+#[inline]
+pub(crate) fn pte_set(row: &mut [u64; CLUSTER_PTES], vpn: Vpn, ppn: Ppn) -> Option<Ppn> {
+    let prev = pte_get(row, vpn);
+    row[ClusterEntry::slot_of(vpn)] = ppn.0 + 1;
+    prev
+}
+
+/// Invalidates `vpn`'s translation in its cluster's PTE row; returns it.
+#[inline]
+pub(crate) fn pte_clear(row: &mut [u64; CLUSTER_PTES], vpn: Vpn) -> Option<Ppn> {
+    let prev = pte_get(row, vpn);
+    row[ClusterEntry::slot_of(vpn)] = 0;
+    prev
 }
 
 #[cfg(test)]

@@ -42,21 +42,24 @@ pub type Ecpt = Hpt<()>;
 
 impl<B: Backing> Hpt<B> {
     /// Creates the page table with the design's default configuration.
+    /// It allocates nothing: each page size's table is created on the
+    /// first mapping of that size.
     ///
     /// # Errors
     ///
-    /// Propagates allocation failure of the initial ways.
+    /// Never fails today; the `Result` keeps callers unchanged should
+    /// creation ever allocate. [`Hpt::map`] reports allocation failures.
     pub fn new(mem: &mut PhysMem) -> Result<Hpt<B>, AllocError> {
         Hpt::with_config(B::Config::default(), mem)
     }
 
     /// Creates the page table from an explicit configuration (ablation
     /// modes, custom chunk ladders, etc.). Tables are allocated on first
-    /// use.
+    /// use, so this allocates nothing.
     ///
     /// # Errors
     ///
-    /// Propagates allocation failure of the initial ways.
+    /// Never fails today, like [`Hpt::new`].
     pub fn with_config(cfg: B::Config, mem: &mut PhysMem) -> Result<Hpt<B>, AllocError> {
         let _ = mem;
         Ok(Hpt {
@@ -98,7 +101,10 @@ impl<B: Backing> Hpt<B> {
         }
         let table = slot.as_mut().expect("just created");
         let report = table.insert(vpn, ppn, mem, &mut self.backing)?;
-        self.cwt.note_map(vpn, ps);
+        // A rewrite of an existing translation adds no CWT reference.
+        if report.added {
+            self.cwt.note_map(vpn, ps);
+        }
         Ok(report)
     }
 

@@ -6,7 +6,7 @@ use mehpt_mem::{AllocError, AllocTag, Chunk, PhysMem};
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, PhysAddr, Ppn, Vpn};
 
-use crate::entry::ClusterEntry;
+use crate::entry::{pte_clear, pte_get, pte_set, ClusterEntry, CLUSTER_PTES};
 
 /// The elastic-cuckoo knobs of one per-page-size table, shared by ECPT and
 /// ME-HPT.
@@ -54,6 +54,9 @@ pub struct InsertReport {
     pub migrated: u32,
     /// Whether this insert triggered a resize.
     pub started_resize: bool,
+    /// Whether the insert added a translation; `false` when it rewrote the
+    /// PPN of one already mapped.
+    pub added: bool,
 }
 
 /// What sets one hashed-page-table design apart on the shared engine
@@ -196,9 +199,16 @@ fn alloc_chunks(mem: &mut PhysMem, n: usize, bytes: u64) -> Result<Vec<Chunk>, A
 
 /// One way's physical storage: a flat logical array of cluster entries
 /// over equal, power-of-two chunks (one chunk for an ECPT way).
+///
+/// On the host the entries are two parallel arrays, so a probe reads 8-byte
+/// tags and touches a PTE row only when its tag matches. The model still
+/// sees one 64-byte line per slot ([`ClusterEntry::BYTES`]).
 #[derive(Debug)]
 struct Storage {
-    slots: Vec<Option<ClusterEntry>>,
+    /// Per slot: 0 when empty, otherwise the cluster's tag + 1.
+    tags: Vec<u64>,
+    /// Per slot: the cluster's PTEs; meaningful only under a nonzero tag.
+    ptes: Vec<[u64; CLUSTER_PTES]>,
     chunks: Vec<Chunk>,
     /// log2 of the entries per chunk.
     shift: u32,
@@ -214,7 +224,8 @@ impl Storage {
     fn alloc(mem: &mut PhysMem, len: usize, chunk_bytes: u64) -> Result<Storage, AllocError> {
         debug_assert!(chunk_bytes.is_power_of_two());
         Ok(Storage {
-            slots: vec![None; len],
+            tags: vec![0; len],
+            ptes: vec![[0; CLUSTER_PTES]; len],
             chunks: alloc_chunks(mem, chunks_for(len, chunk_bytes), chunk_bytes)?,
             shift: (chunk_bytes / ClusterEntry::BYTES).trailing_zeros(),
         })
@@ -222,6 +233,46 @@ impl Storage {
 
     fn chunk_bytes(&self) -> u64 {
         ClusterEntry::BYTES << self.shift
+    }
+
+    /// The PTE row of slot `idx` if it holds the cluster stored under
+    /// `key` (a tag + 1).
+    #[inline]
+    fn row(&self, idx: usize, key: u64) -> Option<&[u64; CLUSTER_PTES]> {
+        (self.tags[idx] == key).then(|| &self.ptes[idx])
+    }
+
+    #[inline]
+    fn row_mut(&mut self, idx: usize, key: u64) -> Option<&mut [u64; CLUSTER_PTES]> {
+        (self.tags[idx] == key).then(|| &mut self.ptes[idx])
+    }
+
+    /// Takes the cluster out of slot `idx`, leaving it empty.
+    #[inline]
+    fn take(&mut self, idx: usize) -> Option<ClusterEntry> {
+        match mem::take(&mut self.tags[idx]) {
+            0 => None,
+            key => Some(ClusterEntry::from_parts(key - 1, self.ptes[idx])),
+        }
+    }
+
+    /// Stores `entry` in slot `idx`; returns the cluster it displaced.
+    #[inline]
+    fn replace(&mut self, idx: usize, entry: ClusterEntry) -> Option<ClusterEntry> {
+        let prev = self.take(idx);
+        self.tags[idx] = entry.tag() + 1;
+        self.ptes[idx] = *entry.ptes();
+        prev
+    }
+
+    /// Grows or shrinks the slot arrays to `len` slots; new slots are empty.
+    fn set_len(&mut self, len: usize) {
+        self.tags.resize(len, 0);
+        self.ptes.resize(len, [0; CLUSTER_PTES]);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tags.iter().all(|&t| t == 0)
     }
 
     /// The physical address of logical entry `idx` — the L2P translation:
@@ -290,41 +341,26 @@ impl Way {
         }
     }
 
+    /// The current storage, or the old one during an out-of-place resize.
     #[inline]
-    fn slot_mut(&mut self, in_old: bool, idx: usize) -> &mut Option<ClusterEntry> {
-        if in_old {
-            &mut self
-                .old_storage
-                .as_mut()
-                .expect("an old-table slot implies an out-of-place resize")
-                .slots[idx]
-        } else {
-            &mut self.storage.slots[idx]
-        }
-    }
-
-    #[inline]
-    fn slot(&self, in_old: bool, idx: usize) -> &Option<ClusterEntry> {
-        if in_old {
-            &self
-                .old_storage
-                .as_ref()
-                .expect("an old-table slot implies an out-of-place resize")
-                .slots[idx]
-        } else {
-            &self.storage.slots[idx]
-        }
-    }
-
-    #[inline]
-    fn addr(&self, in_old: bool, idx: usize) -> PhysAddr {
+    fn storage(&self, in_old: bool) -> &Storage {
         if in_old {
             self.old_storage
                 .as_ref()
                 .expect("an old-table slot implies an out-of-place resize")
-                .addr(idx)
         } else {
-            self.storage.addr(idx)
+            &self.storage
+        }
+    }
+
+    #[inline]
+    fn storage_mut(&mut self, in_old: bool) -> &mut Storage {
+        if in_old {
+            self.old_storage
+                .as_mut()
+                .expect("an old-table slot implies an out-of-place resize")
+        } else {
+            &mut self.storage
         }
     }
 
@@ -548,7 +584,7 @@ impl<B: Backing> HptTable<B> {
     /// selects, honoring the way's rehash pointer.
     pub fn slot_addr(&self, way: usize, h: u64) -> PhysAddr {
         let (in_old, idx) = self.ways[way].locate(h);
-        self.ways[way].addr(in_old, idx)
+        self.ways[way].storage(in_old).addr(idx)
     }
 
     /// Functional lookup (no timing).
@@ -556,10 +592,8 @@ impl<B: Backing> HptTable<B> {
         let tag = ClusterEntry::tag_of(vpn);
         for (w, way) in self.ways.iter().enumerate() {
             let (in_old, idx) = way.locate(self.family.hash(w, &tag));
-            if let Some(cluster) = way.slot(in_old, idx) {
-                if cluster.tag() == tag {
-                    return cluster.get(vpn);
-                }
+            if let Some(row) = way.storage(in_old).row(idx, tag + 1) {
+                return pte_get(row, vpn);
             }
         }
         None
@@ -577,18 +611,17 @@ impl<B: Backing> HptTable<B> {
         let mut hit = None;
         for (w, way) in self.ways.iter().enumerate() {
             let (in_old, idx) = way.locate(self.family.hash(w, &tag));
-            out.push(way.addr(in_old, idx));
-            match way.slot(in_old, idx) {
-                Some(cluster) if hit.is_none() && cluster.tag() == tag => {
-                    hit = Some(cluster.get(vpn));
-                }
-                _ => {}
+            let storage = way.storage(in_old);
+            out.push(storage.addr(idx));
+            if hit.is_none() {
+                hit = storage.row(idx, tag + 1).map(|row| pte_get(row, vpn));
             }
         }
         hit.flatten()
     }
 
-    /// Inserts (or updates) the translation `vpn → ppn`.
+    /// Inserts (or updates) the translation `vpn → ppn`;
+    /// [`InsertReport::added`] tells the two apart.
     ///
     /// # Errors
     ///
@@ -608,13 +641,10 @@ impl<B: Backing> HptTable<B> {
         for w in 0..self.ways.len() {
             let h = self.family.hash(w, &tag);
             let (in_old, idx) = self.ways[w].locate(h);
-            if let Some(cluster) = self.ways[w].slot_mut(in_old, idx).as_mut() {
-                if cluster.tag() == tag {
-                    if cluster.set(vpn, ppn).is_none() {
-                        self.pages += 1;
-                    }
-                    return Ok(report);
-                }
+            if let Some(row) = self.ways[w].storage_mut(in_old).row_mut(idx, tag + 1) {
+                report.added = pte_set(row, vpn, ppn).is_none();
+                self.pages += u64::from(report.added);
+                return Ok(report);
             }
         }
         // A new cluster is needed: resize bookkeeping first.
@@ -624,6 +654,7 @@ impl<B: Backing> HptTable<B> {
         let mut cluster = ClusterEntry::new(tag);
         cluster.set(vpn, ppn);
         report.kicks = self.place(way, cluster, mem, backing)? as u32;
+        report.added = true;
         self.clusters += 1;
         self.pages += 1;
         self.stats.record_kicks(report.kicks as usize);
@@ -639,20 +670,18 @@ impl<B: Backing> HptTable<B> {
         for w in 0..self.ways.len() {
             let h = self.family.hash(w, &tag);
             let (in_old, idx) = self.ways[w].locate(h);
-            let slot = self.ways[w].slot_mut(in_old, idx);
-            if let Some(cluster) = slot.as_mut() {
-                if cluster.tag() == tag {
-                    let ppn = cluster.clear(vpn)?;
-                    self.pages -= 1;
-                    if cluster.is_empty() {
-                        *slot = None;
-                        self.ways[w].occupied -= 1;
-                        self.clusters -= 1;
-                    }
-                    let _ = self.maybe_resize(mem, backing);
-                    self.migration_step(mem, backing);
-                    return Some(ppn);
+            let storage = self.ways[w].storage_mut(in_old);
+            if let Some(row) = storage.row_mut(idx, tag + 1) {
+                let ppn = pte_clear(row, vpn)?;
+                self.pages -= 1;
+                if row.iter().all(|&p| p == 0) {
+                    storage.tags[idx] = 0;
+                    self.ways[w].occupied -= 1;
+                    self.clusters -= 1;
                 }
+                let _ = self.maybe_resize(mem, backing);
+                self.migration_step(mem, backing);
+                return Some(ppn);
             }
         }
         None
@@ -745,7 +774,7 @@ impl<B: Backing> HptTable<B> {
         loop {
             let h = self.family.hash(way, &entry.tag());
             let (in_old, idx) = self.ways[way].locate(h);
-            let Some(evicted) = self.ways[way].slot_mut(in_old, idx).replace(entry) else {
+            let Some(evicted) = self.ways[way].storage_mut(in_old).replace(idx, entry) else {
                 self.ways[way].occupied += 1;
                 return Ok(kicks);
             };
@@ -773,7 +802,7 @@ impl<B: Backing> HptTable<B> {
         loop {
             let h = self.family.hash(way, &entry.tag());
             let (in_old, idx) = self.ways[way].locate(h);
-            let Some(evicted) = self.ways[way].slot_mut(in_old, idx).replace(entry) else {
+            let Some(evicted) = self.ways[way].storage_mut(in_old).replace(idx, entry) else {
                 self.ways[way].occupied += 1;
                 return kicks;
             };
@@ -897,7 +926,7 @@ impl<B: Backing> HptTable<B> {
                     backing.register(w, ps, c);
                     storage.chunks.push(c);
                 }
-                storage.slots.resize(new_len, None);
+                storage.set_len(new_len);
             }
         } else {
             // Old and new chunks are held at once, so an L2P subtable may
@@ -942,10 +971,10 @@ impl<B: Backing> HptTable<B> {
         // Allocate before freeing; register once the old chunks are gone.
         let new = Storage::alloc(mem, new_len, chunk_bytes)?;
         let way = &mut self.ways[w];
-        let old = mem::replace(&mut way.storage, new);
+        let mut old = mem::replace(&mut way.storage, new);
         way.logical_len = new_len;
         way.occupied = 0;
-        let entries: Vec<ClusterEntry> = old.slots.iter().flatten().copied().collect();
+        let entries: Vec<ClusterEntry> = (0..old.tags.len()).filter_map(|i| old.take(i)).collect();
         old.release(mem, backing, w, self.ps);
         self.ways[w].storage.register(backing, w, self.ps);
         let moved = entries.len() as u64;
@@ -1003,12 +1032,7 @@ impl<B: Backing> HptTable<B> {
         let idx = r.rehash_ptr;
         r.rehash_ptr += 1;
         let in_place = r.in_place;
-        let taken = if in_place {
-            way.storage.slots[idx].take()
-        } else {
-            way.old_storage.as_mut().expect("out-of-place resize").slots[idx].take()
-        };
-        let Some(cluster) = taken else {
+        let Some(cluster) = way.storage_mut(!in_place).take(idx) else {
             return 0;
         };
         self.stats.entries_migrated += 1;
@@ -1026,7 +1050,7 @@ impl<B: Backing> HptTable<B> {
         }
         // The entry stays in way `w`. On a conflict it displaces the
         // occupant, which is cuckooed into a different way (Section IV-C).
-        match way.storage.slots[new_idx].replace(cluster) {
+        match way.storage.replace(new_idx, cluster) {
             None => self.stats.record_kicks(0),
             Some(victim) => {
                 way.occupied -= 1;
@@ -1044,17 +1068,18 @@ impl<B: Backing> HptTable<B> {
         let way = &mut self.ways[w];
         let r = way.resize.take().expect("resize must be active");
         if let Some(old) = way.old_storage.take() {
-            debug_assert!(old.slots.iter().all(Option::is_none));
+            debug_assert!(old.is_empty());
             old.release(mem, backing, w, self.ps);
         } else if r.kind == ResizeKind::Downsize {
             let new_len = way.logical_len;
             let storage = &mut way.storage;
             debug_assert!(
-                storage.slots[new_len..].iter().all(Option::is_none),
+                storage.tags[new_len..].iter().all(|&t| t == 0),
                 "upper half must be empty after downsize migration"
             );
-            storage.slots.truncate(new_len);
-            storage.slots.shrink_to_fit();
+            storage.set_len(new_len);
+            storage.tags.shrink_to_fit();
+            storage.ptes.shrink_to_fit();
             let keep = chunks_for(new_len, storage.chunk_bytes());
             while storage.chunks.len() > keep {
                 let c = storage.chunks.pop().expect("more chunks than kept");
@@ -1071,5 +1096,172 @@ impl<B: Backing> HptTable<B> {
             kept: r.kept,
         });
         self.note_bytes();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mehpt_mem::AllocCostModel;
+    use mehpt_types::MIB;
+
+    fn mem() -> PhysMem {
+        PhysMem::with_cost_model(256 * MIB, AllocCostModel::zero_cost())
+    }
+
+    /// ECPT's policies with in-place resizing on 4KB chunks, so the engine's
+    /// in-place paths run without ME-HPT's L2P table.
+    struct InPlace;
+
+    impl Backing for InPlace {
+        type Config = EcptConfig;
+
+        fn new(_cfg: &EcptConfig) -> InPlace {
+            InPlace
+        }
+
+        fn base(cfg: &EcptConfig) -> &EcptConfig {
+            cfg
+        }
+
+        fn in_place(_cfg: &EcptConfig) -> bool {
+            true
+        }
+
+        fn seeds(seed: u64, _ps: PageSize) -> (u64, u64) {
+            (seed, !seed)
+        }
+
+        fn first_chunk(_cfg: &EcptConfig, _len: usize) -> u64 {
+            4096
+        }
+
+        fn resize_chunk(
+            &self,
+            _: &EcptConfig,
+            _: usize,
+            _: PageSize,
+            current: u64,
+            _: usize,
+        ) -> Option<u64> {
+            Some(current)
+        }
+
+        fn switch_chunk(_cfg: &EcptConfig, current: u64, _len: usize) -> u64 {
+            current
+        }
+
+        fn room(&self, _way: usize, _ps: PageSize) -> usize {
+            usize::MAX
+        }
+
+        fn register(&mut self, _way: usize, _ps: PageSize, _chunk: Chunk) {}
+
+        fn unregister(&mut self, _way: usize, _ps: PageSize, _chunk: Chunk) {}
+    }
+
+    fn table<B: Backing<Config = EcptConfig>>(m: &mut PhysMem, b: &mut B) -> HptTable<B> {
+        HptTable::new(PageSize::Base4K, EcptConfig::default(), m, b).unwrap()
+    }
+
+    /// The `(way, slot)` holding `vpn`'s cluster.
+    fn slot_of<B: Backing>(t: &HptTable<B>, vpn: Vpn) -> (usize, usize) {
+        let key = ClusterEntry::tag_of(vpn) + 1;
+        (0..t.ways.len())
+            .find_map(|w| {
+                let idx = t.ways[w].storage.tags.iter().position(|&k| k == key)?;
+                Some((w, idx))
+            })
+            .expect("the cluster is stored")
+    }
+
+    #[test]
+    fn an_emptied_cluster_frees_its_slot_for_another_tag() {
+        let (mut m, mut b) = (mem(), ());
+        let mut t = table(&mut m, &mut b);
+        let vpn = Vpn(0x4_2000);
+        t.insert(vpn, Ppn(1), &mut m, &mut b).unwrap();
+        t.insert(Vpn(vpn.0 + 1), Ppn(2), &mut m, &mut b).unwrap();
+        let (w, idx) = slot_of(&t, vpn);
+        t.remove(vpn, &mut m, &mut b);
+        assert_eq!(t.ways[w].storage.tags[idx], ClusterEntry::tag_of(vpn) + 1);
+        t.remove(Vpn(vpn.0 + 1), &mut m, &mut b);
+        assert_eq!(
+            t.ways[w].storage.tags[idx], 0,
+            "the last PTE frees the slot"
+        );
+        assert_eq!((t.clusters(), t.ways[w].occupied), (0, 0));
+        // Another cluster that hashes to the freed slot lands there without
+        // a kick and reads back its own PTEs, none of the old ones.
+        let len = t.ways[w].logical_len;
+        let other = (0..)
+            .map(|i| ClusterEntry::tag_of(vpn) + 1 + i)
+            .find(|tag| t.family.hash(w, tag) as usize & (len - 1) == idx)
+            .unwrap();
+        let other_vpn = Vpn(other * CLUSTER_PTES as u64 + 3);
+        let mut entry = ClusterEntry::new(other);
+        entry.set(other_vpn, Ppn(9));
+        assert_eq!(t.place(w, entry, &mut m, &mut b).unwrap(), 0);
+        assert_eq!(t.ways[w].storage.tags[idx], other + 1);
+        assert_eq!(t.lookup(other_vpn), Some(Ppn(9)));
+        assert_eq!(t.lookup(Vpn(other * CLUSTER_PTES as u64)), None);
+        assert_eq!(t.lookup(vpn), None);
+    }
+
+    #[test]
+    fn ppn_zero_round_trips() {
+        let (mut m, mut b) = (mem(), ());
+        let mut t = table(&mut m, &mut b);
+        let (a, c) = (Vpn(0x100), Vpn(0x101));
+        assert!(t.insert(a, Ppn(0), &mut m, &mut b).unwrap().added);
+        assert!(t.insert(c, Ppn(0), &mut m, &mut b).unwrap().added);
+        assert_eq!(t.lookup(a), Some(Ppn(0)));
+        let mut addrs = Vec::new();
+        assert_eq!(t.probe(c, &mut addrs), Some(Ppn(0)));
+        assert_eq!(addrs.len(), 3, "one slot address per way");
+        assert_eq!(t.remove(a, &mut m, &mut b), Some(Ppn(0)));
+        assert_eq!(t.clusters(), 1, "a PPN-0 PTE keeps its cluster");
+        assert_eq!(t.lookup(c), Some(Ppn(0)));
+        assert_eq!(t.remove(c, &mut m, &mut b), Some(Ppn(0)));
+        assert_eq!((t.clusters(), t.pages()), (0, 0));
+    }
+
+    fn downsize_leaves_consistent_ways<B: Backing<Config = EcptConfig>>(mut b: B) {
+        let mut m = mem();
+        let mut t = table(&mut m, &mut b);
+        // One cluster per page, enough to upsize every way a few times.
+        let vpn = |i: u64| Vpn(i * 8 * 7);
+        for i in 0..3000 {
+            t.insert(vpn(i), Ppn(i), &mut m, &mut b).unwrap();
+        }
+        for i in 40..3000 {
+            assert_eq!(t.remove(vpn(i), &mut m, &mut b), Some(Ppn(i)));
+        }
+        t.finish_all_resizes(&mut m, &mut b);
+        let downsizes = t.stats().resizes.iter();
+        assert!(downsizes.filter(|e| e.kind == ResizeKind::Downsize).count() > 0);
+        for way in &t.ways {
+            assert!(way.old_storage.is_none() && way.resize.is_none());
+            let s = &way.storage;
+            assert_eq!(s.tags.len(), way.logical_len);
+            assert_eq!(s.ptes.len(), way.logical_len);
+            assert_eq!(s.tags.iter().filter(|&&k| k != 0).count(), way.occupied);
+            assert_eq!(s.chunks.len(), chunks_for(way.logical_len, s.chunk_bytes()));
+        }
+        for i in 0..40 {
+            assert_eq!(t.lookup(vpn(i)), Some(Ppn(i)));
+        }
+        assert_eq!(t.lookup(vpn(40)), None);
+        t.destroy(&mut m, &mut b);
+    }
+
+    #[test]
+    fn out_of_place_downsize_leaves_consistent_ways() {
+        downsize_leaves_consistent_ways(());
+    }
+
+    #[test]
+    fn in_place_downsize_leaves_consistent_ways() {
+        downsize_leaves_consistent_ways(InPlace);
     }
 }

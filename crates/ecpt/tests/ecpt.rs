@@ -351,3 +351,25 @@ fn custom_config_is_respected() {
     assert_eq!(t.way_sizes().len(), 4);
     assert_eq!(t.capacity(), 1024);
 }
+
+#[test]
+fn remap_then_unmap_leaves_no_cwt_entry() {
+    let mut m = mem(GIB);
+    let mut ecpt = Ecpt::new(&mut m).unwrap();
+    let va = VirtAddr::new(0x7000_2000);
+    let vpn = va.vpn(PageSize::Base4K);
+    assert!(
+        ecpt.map(vpn, PageSize::Base4K, Ppn(1), &mut m)
+            .unwrap()
+            .added
+    );
+    // A compaction-style remap rewrites the PPN in place.
+    let remap = ecpt.map(vpn, PageSize::Base4K, Ppn(2), &mut m).unwrap();
+    assert!(!remap.added);
+    assert_eq!(ecpt.translate(va), Some((Ppn(2), PageSize::Base4K)));
+    assert_eq!(ecpt.unmap(vpn, PageSize::Base4K, &mut m), Some(Ppn(2)));
+    assert_eq!(ecpt.pmd_mask(va), None);
+    assert_eq!(ecpt.pud_mask(va), None);
+    let tables = ecpt.table(PageSize::Base4K).unwrap().memory_bytes();
+    assert_eq!(ecpt.memory_bytes(), tables, "no CWT bytes left");
+}

@@ -1,4 +1,4 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use mehpt_core::L2pTable;
 use mehpt_ecpt::{Backing, EcptConfig, EcptWalker, Hpt};
@@ -26,16 +26,16 @@ enum Pt<B: Backing> {
 }
 
 impl<B: Backing> Pt<B> {
-    /// A timed walk; returns (cycles, memory accesses).
-    fn walk(&mut self, va: VirtAddr, dram: &mut MemoryModel) -> (u64, u32) {
+    /// A timed walk; returns its cycles and the walker's translation.
+    fn walk(&mut self, va: VirtAddr, dram: &mut MemoryModel) -> (u64, Option<(Ppn, PageSize)>) {
         match self {
             Pt::Radix { table, walker } => {
                 let r = walker.walk(table, va, dram);
-                (r.cycles, r.memory_accesses)
+                (r.cycles, r.translation)
             }
             Pt::Hashed { table, walker } => {
                 let r = walker.walk(table, va, dram);
-                (r.cycles, r.memory_accesses)
+                (r.cycles, r.translation)
             }
         }
     }
@@ -108,6 +108,67 @@ impl<B: Backing> Pt<B> {
     }
 }
 
+/// The OS's record of one 2MB virtual region.
+#[derive(Default)]
+struct OsRegion {
+    /// Bit `i` is set when the region's 4KB page `i` is mapped.
+    pages_4k: [u64; 8],
+    /// A 2MB page maps the region.
+    huge: bool,
+    /// A 2MB allocation for the region failed, so it stays on 4KB pages.
+    huge_failed: bool,
+}
+
+/// The OS's own view of what is mapped, keyed by 2MB region (`va >> 21`):
+/// one entry per region the process touched, so a sparse trace costs one
+/// small entry per mapped page at worst. The keys derive from trace
+/// addresses, so the map keeps std's SipHash.
+#[derive(Default)]
+struct OsMap {
+    regions: HashMap<u64, OsRegion>,
+}
+
+impl OsMap {
+    /// The page size mapping `va`, checking 4KB pages before 2MB pages.
+    #[inline]
+    fn lookup(&self, va: VirtAddr) -> Option<PageSize> {
+        let r = self.regions.get(&(va.0 >> 21))?;
+        let page = (va.0 >> 12) as usize & 511;
+        if r.pages_4k[page / 64] & (1 << (page % 64)) != 0 {
+            Some(PageSize::Base4K)
+        } else if r.huge {
+            Some(PageSize::Huge2M)
+        } else {
+            None
+        }
+    }
+
+    /// Records that `va`'s page of size `ps` (4KB or 2MB) is mapped.
+    fn insert(&mut self, va: VirtAddr, ps: PageSize) {
+        let r = self.regions.entry(va.0 >> 21).or_default();
+        match ps {
+            PageSize::Base4K => {
+                let page = (va.0 >> 12) as usize & 511;
+                r.pages_4k[page / 64] |= 1 << (page % 64);
+            }
+            PageSize::Huge2M => r.huge = true,
+            PageSize::Giant1G => unreachable!("the OS maps no 1GB pages"),
+        }
+    }
+
+    /// Whether a 2MB allocation for `va`'s region failed before.
+    fn huge_failed(&self, va: VirtAddr) -> bool {
+        self.regions
+            .get(&(va.0 >> 21))
+            .is_some_and(|r| r.huge_failed)
+    }
+
+    /// Keeps `va`'s region on 4KB pages from now on.
+    fn note_huge_failed(&mut self, va: VirtAddr) {
+        self.regions.entry(va.0 >> 21).or_default().huge_failed = true;
+    }
+}
+
 #[derive(Default)]
 struct Counters {
     accesses: u64,
@@ -131,14 +192,12 @@ pub(crate) struct ProcState<B: Backing> {
     workload: Workload,
     pt: Pt<B>,
     regions: Vec<Region>,
-    huge_failed: HashSet<u64>,
     /// Owner of each data frame (start frame of the page's block), so
     /// compaction-driven page migrations can be applied to the page table
     /// and TLB.
     frame_owner: HashMap<u64, (VirtAddr, PageSize)>,
-    /// The OS's own view of what is mapped, at 4KB and 2MB granularity.
-    mapped_4k: HashSet<u64>,
-    mapped_2m: HashSet<u64>,
+    /// What the OS has mapped, by 2MB region.
+    os: OsMap,
     /// One-entry translation micro-cache (mappings are only ever added in
     /// these traces, so entries never go stale; remaps keep the page size).
     last: Option<(u64, PageSize)>,
@@ -171,10 +230,8 @@ impl<B: Backing> ProcState<B> {
             workload,
             pt,
             regions,
-            huge_failed: HashSet::new(),
             frame_owner: HashMap::new(),
-            mapped_4k: HashSet::new(),
-            mapped_2m: HashSet::new(),
+            os: OsMap::default(),
             last: None,
             counters: Counters::default(),
             aborted: None,
@@ -221,9 +278,7 @@ impl<B: Backing> ProcState<B> {
         let page4k = va.0 >> 12;
         let mapped = match self.last {
             Some((p, ps)) if p == page4k => Some(ps),
-            _ if self.mapped_4k.contains(&page4k) => Some(PageSize::Base4K),
-            _ if self.mapped_2m.contains(&(va.0 >> 21)) => Some(PageSize::Huge2M),
-            _ => None,
+            _ => self.os.lookup(va),
         };
         if let Some(ps) = mapped {
             self.last = Some((page4k, ps));
@@ -231,7 +286,12 @@ impl<B: Backing> ProcState<B> {
             c.translation += out.cycles();
             c.total += out.cycles();
             if out.is_miss() {
-                let (wc, _) = self.pt.walk(va, dram);
+                let (wc, walked) = self.pt.walk(va, dram);
+                debug_assert_eq!(
+                    walked.map(|(_, wps)| wps),
+                    Some(ps),
+                    "the walk for {va:?} disagrees with the OS's mapping"
+                );
                 c.translation += wc;
                 c.total += wc;
                 tlb.fill(va.vpn(ps), ps);
@@ -242,7 +302,8 @@ impl<B: Backing> ProcState<B> {
         // ---- page fault ----
         c.faults += 1;
         let out = tlb.lookup(va, PageSize::Base4K);
-        let (wc, _) = self.pt.walk(va, dram); // the walk that faults
+        let (wc, walked) = self.pt.walk(va, dram); // the walk that faults
+        debug_assert_eq!(walked, None, "the walk for unmapped {va:?} found a page");
         c.translation += out.cycles() + wc;
         c.total += out.cycles() + wc;
         c.total += cfg.page_fault_cycles;
@@ -256,7 +317,7 @@ impl<B: Backing> ProcState<B> {
                 .find(|r| r.contains(va))
                 .is_some_and(|r| r.thp_eligible);
         let mut chosen: Option<(PageSize, Ppn)> = None;
-        if thp_ok && !self.huge_failed.contains(&(va.0 >> 21)) {
+        if thp_ok && !self.os.huge_failed(va) {
             match mem.alloc(PageSize::Huge2M.bytes(), AllocTag::Data) {
                 Ok(chunk) => {
                     chosen = Some((
@@ -267,7 +328,7 @@ impl<B: Backing> ProcState<B> {
                 Err(_) => {
                     // Fall back to 4KB for this region permanently, like a
                     // failed khugepaged attempt.
-                    self.huge_failed.insert(va.0 >> 21);
+                    self.os.note_huge_failed(va);
                 }
             }
         }
@@ -304,16 +365,11 @@ impl<B: Backing> ProcState<B> {
             }
         }
         match ps {
-            PageSize::Base4K => {
-                c.pages_4k += 1;
-                self.mapped_4k.insert(page4k);
-            }
-            PageSize::Huge2M => {
-                c.pages_2m += 1;
-                self.mapped_2m.insert(va.0 >> 21);
-            }
+            PageSize::Base4K => c.pages_4k += 1,
+            PageSize::Huge2M => c.pages_2m += 1,
             PageSize::Giant1G => {}
         }
+        self.os.insert(va, ps);
         self.frame_owner
             .insert((ppn.0 << ps.shift()) >> 12, (va.page_base(ps), ps));
         // Compaction (triggered by this fault's data or page-table
@@ -615,6 +671,94 @@ mod tests {
             "ME-HPT must survive: {:?}",
             mehpt.aborted
         );
+    }
+
+    #[test]
+    fn os_map_splits_pages_at_the_2mb_boundary() {
+        let mut os = OsMap::default();
+        let page = |n: u64| VirtAddr::new(0x4000_0000 + (n << 12));
+        os.insert(page(511), PageSize::Base4K);
+        assert_eq!(os.lookup(page(511)), Some(PageSize::Base4K));
+        assert_eq!(os.lookup(page(512)), None, "next region");
+        assert_eq!(os.lookup(page(510)), None, "same region, other page");
+        os.insert(page(512), PageSize::Base4K);
+        assert_eq!(os.lookup(page(512)), Some(PageSize::Base4K));
+        assert_eq!(os.regions.len(), 2);
+        // Any byte of a mapped page finds it.
+        assert_eq!(
+            os.lookup(VirtAddr::new(page(511).0 + 0xfff)),
+            Some(PageSize::Base4K)
+        );
+    }
+
+    #[test]
+    fn os_map_finds_4k_before_2m_in_a_region() {
+        let mut os = OsMap::default();
+        let va = VirtAddr::new(0x20_0000 + 0x3000);
+        os.insert(va, PageSize::Base4K);
+        os.insert(va, PageSize::Huge2M);
+        assert_eq!(os.lookup(va), Some(PageSize::Base4K));
+        assert_eq!(
+            os.lookup(VirtAddr::new(0x20_0000)),
+            Some(PageSize::Huge2M),
+            "other pages of the region are on the 2MB page"
+        );
+        assert_eq!(os.lookup(VirtAddr::new(0x40_0000)), None);
+    }
+
+    #[test]
+    fn os_map_huge_failed_is_per_region() {
+        let mut os = OsMap::default();
+        let a = VirtAddr::new(0x60_0000);
+        os.note_huge_failed(a);
+        assert!(os.huge_failed(a));
+        assert!(os.huge_failed(VirtAddr::new(0x7f_ffff)));
+        assert!(!os.huge_failed(VirtAddr::new(0x40_0000)));
+        assert!(!os.huge_failed(VirtAddr::new(0x80_0000)));
+        assert_eq!(os.lookup(a), None, "a failed 2MB attempt maps nothing");
+    }
+
+    /// Runs `app` under THP with the TLB flushed before every access, so
+    /// every access to a mapped page walks (2MB pages too) and the step's
+    /// debug checks compare each walk with the OS's map. Then walks every
+    /// page the OS mapped and checks the translation's page size.
+    fn walk_every_access<B: Backing>(app: App, kind: PtKind, hpt: B::Config) {
+        let mut cfg = SimConfig::paper(kind, true);
+        cfg.mem_bytes = 2 * mehpt_types::GIB;
+        let mut mem = PhysMem::new(cfg.mem_bytes);
+        let mut tlb = TlbHierarchy::paper_default();
+        let mut dram = MemoryModel::paper_default();
+        let mut proc = ProcState::<B>::new(tiny(app), &cfg, hpt, &mut mem);
+        for _ in 0..100_000 {
+            tlb.flush();
+            if !proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {
+                break;
+            }
+        }
+        let c = &proc.counters;
+        assert!(c.pages_4k > 0 && c.pages_2m > 0, "{kind:?}: mixed sizes");
+        assert!(c.accesses > 2 * c.faults, "{kind:?}: mapped pages walk");
+        let mut checked = [0; 2];
+        for &region in proc.os.regions.keys() {
+            for page in 0..512u64 {
+                let va = VirtAddr::new((region << 21) | (page << 12));
+                let Some(ps) = proc.os.lookup(va) else {
+                    continue;
+                };
+                let walked = proc.pt.walk(va, &mut dram).1;
+                assert_eq!(walked.map(|(_, wps)| wps), Some(ps), "{kind:?} {va:?}");
+                checked[ps.index()] += 1;
+            }
+        }
+        assert!(checked[0] > 0 && checked[1] > 0, "{kind:?}: {checked:?}");
+    }
+
+    #[test]
+    fn walks_return_the_os_mapping() {
+        walk_every_access::<()>(App::Mummer, PtKind::Radix, EcptConfig::default());
+        walk_every_access::<()>(App::Mummer, PtKind::Ecpt, EcptConfig::default());
+        let mehpt = SimConfig::paper(PtKind::MeHpt, true).mehpt;
+        walk_every_access::<L2pTable>(App::Mummer, PtKind::MeHpt, mehpt);
     }
 
     #[test]

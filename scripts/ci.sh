@@ -49,6 +49,19 @@ rm -f "$sb_log"
 echo "==> mehpt-lab table1 --jobs 2 --quick (smoke)"
 ./target/release/mehpt-lab table1 --jobs 2 --quick --out target/lab-ci >/dev/null
 
+echo "==> checked build: every --quick cell with debug assertions on"
+# An optimised build with debug assertions, in its own target dir, runs the
+# walker's translate() cross-check and the runner's check that every timed
+# walk returns the OS's mapping over the cells of every paper preset. A
+# failed check panics its cell, and the sweep exits 1.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo build --release --quiet \
+    --target-dir target/checked --bin mehpt-lab
+if ! ./target/checked/release/mehpt-lab all --jobs 2 --quick \
+    --out target/lab-ci-checked >/dev/null; then
+    grep -h '"error"' target/lab-ci-checked/*/report.json | sort -u | head >&2
+    exit 1
+fi
+
 echo "==> determinism: --jobs 1 and --jobs 4 must emit identical reports"
 ./target/release/mehpt-lab run --preset fig7 --seeds 3 --jobs 1 --quick \
     --max-accesses 20000 --out target/lab-ci-j1 >/dev/null 2>&1
