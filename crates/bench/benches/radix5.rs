@@ -50,9 +50,12 @@ fn main() {
         let mut hpt = MeHpt::new(&mut mh).unwrap();
         for (i, &vpn) in vpns.iter().enumerate() {
             let ppn = Ppn(i as u64);
-            let _ = pt4.map(vpn, PageSize::Base4K, ppn, &mut m4);
-            let _ = pt5.map(vpn, PageSize::Base4K, ppn, &mut m5);
-            let _ = hpt.map(vpn, PageSize::Base4K, ppn, &mut mh);
+            pt4.map(vpn, PageSize::Base4K, ppn, &mut m4)
+                .expect("4-level radix map");
+            pt5.map(vpn, PageSize::Base4K, ppn, &mut m5)
+                .expect("5-level radix map");
+            hpt.map(vpn, PageSize::Base4K, ppn, &mut mh)
+                .expect("ME-HPT map");
         }
         // Random lookups with realistic cache behaviour.
         let mut w4 = RadixWalker::paper_default();

@@ -2,9 +2,10 @@
 //!
 //! This crate implements the four techniques of *Memory-Efficient Hashed
 //! Page Tables* (HPCA 2023) as a configuration of the ECPT crate's
-//! elastic-cuckoo engine ([`mehpt_ecpt::HptTable`]): the engine's storage
-//! backing is the L2P table, and [`MeHptConfig`] turns on in-place and
-//! per-way resizing.
+//! page-table engine ([`mehpt_ecpt::HptTable`]), which runs the workspace's
+//! one elastic-cuckoo core (`mehpt_hash::ElasticCuckoo`): the engine's
+//! storage backing is the L2P table, and [`MeHptConfig`] turns on in-place
+//! and per-way resizing (`ResizeMode::InPlace`, `WaySizing::PerWay`).
 //!
 //! 1. **Logical-to-Physical (L2P) table** ([`L2pTable`]) — a small
 //!    MMU-resident indirection table (32 entries × 3 ways × 3 page sizes,

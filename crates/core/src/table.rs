@@ -1,4 +1,5 @@
-use mehpt_ecpt::{chunks_for, Backing, EcptConfig, Hpt, HptTable};
+use mehpt_ecpt::{chunks_for, Backing, CuckooConfig, Hpt, HptTable};
+use mehpt_hash::{Config, ResizeMode, WaySizing};
 use mehpt_mem::Chunk;
 use mehpt_types::PageSize;
 
@@ -9,19 +10,20 @@ use crate::l2p::L2pTable;
 /// techniques.
 ///
 /// The defaults are the full ME-HPT design of the paper (Table III plus all
-/// four techniques). The `in_place` and `per_way` switches exist for the
-/// ablation experiments of Figure 10: turning one off reverts that
-/// dimension to the ECPT baseline behaviour while keeping chunked storage.
+/// four techniques). The `resize_mode` and `sizing` switches exist for the
+/// ablation experiments of Figure 10: setting one to the ECPT baseline's
+/// value (out-of-place, all-way) reverts that dimension while keeping
+/// chunked storage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeHptConfig {
     /// The elastic-cuckoo knobs shared with the ECPT baseline (128 × 64B =
     /// the paper's 8KB starting way).
-    pub base: EcptConfig,
-    /// In-place resizing (Section IV-C). Off = out-of-place (baseline).
-    pub in_place: bool,
-    /// Per-way resizing with weighted insertion (Section IV-D). Off =
-    /// all-way resizing (baseline).
-    pub per_way: bool,
+    pub base: CuckooConfig,
+    /// In-place resizing (Section IV-C), or out-of-place (baseline).
+    pub resize_mode: ResizeMode,
+    /// Per-way resizing with weighted insertion (Section IV-D), or all-way
+    /// resizing (baseline).
+    pub sizing: WaySizing,
     /// The chunk-size ladder (Section IV-B).
     pub chunk_policy: ChunkSizePolicy,
     /// L2P entries per (way, page size) subtable (32 in the paper).
@@ -31,12 +33,12 @@ pub struct MeHptConfig {
 impl Default for MeHptConfig {
     fn default() -> MeHptConfig {
         MeHptConfig {
-            base: EcptConfig {
+            base: CuckooConfig {
                 seed: 0x3e_87,
-                ..EcptConfig::default()
+                ..CuckooConfig::default()
             },
-            in_place: true,
-            per_way: true,
+            resize_mode: ResizeMode::InPlace,
+            sizing: WaySizing::PerWay,
             chunk_policy: ChunkSizePolicy::paper_default(),
             l2p_entries_per_subtable: 32,
         }
@@ -101,16 +103,12 @@ impl Backing for L2pTable {
         L2pTable::new(cfg.base.ways, cfg.l2p_entries_per_subtable)
     }
 
-    fn base(cfg: &MeHptConfig) -> &EcptConfig {
-        &cfg.base
-    }
-
-    fn in_place(cfg: &MeHptConfig) -> bool {
-        cfg.in_place
-    }
-
-    fn per_way(cfg: &MeHptConfig) -> bool {
-        cfg.per_way
+    fn table(cfg: &MeHptConfig) -> Config {
+        Config {
+            base: cfg.base.clone(),
+            resize_mode: cfg.resize_mode,
+            sizing: cfg.sizing,
+        }
     }
 
     fn seeds(seed: u64, ps: PageSize) -> (u64, u64) {
@@ -329,13 +327,13 @@ mod tests {
 
     #[test]
     fn ablation_out_of_place_uses_more_memory() {
-        let run = |in_place: bool| {
+        let run = |resize_mode| {
             let (mut mem, mut l2p) = setup();
             // All-way sizing isolates the in-place effect: with per-way
             // resizing only one way resizes at a time, muting the contrast.
             let cfg = MeHptConfig {
-                in_place,
-                per_way: false,
+                resize_mode,
+                sizing: WaySizing::AllWay,
                 ..MeHptConfig::default()
             };
             let mut t = MeHptTable::new(PageSize::Base4K, cfg, &mut mem, &mut l2p).unwrap();
@@ -344,8 +342,8 @@ mod tests {
             }
             t.stats().peak_bytes
         };
-        let inplace = run(true);
-        let oop = run(false);
+        let inplace = run(ResizeMode::InPlace);
+        let oop = run(ResizeMode::OutOfPlace);
         assert!(
             (inplace as f64) < 0.8 * oop as f64,
             "in-place peak {inplace} not clearly below out-of-place {oop}"

@@ -13,8 +13,8 @@
 //!   out-of-place ME-HPT, whose old storage is probed mid-migration.
 
 use mehpt_core::{L2pTable, MeHptConfig};
-use mehpt_ecpt::{Backing, ClusterEntry, EcptConfig, EcptWalker, Hpt, HptTable, HptView};
-use mehpt_hash::ResizeKind;
+use mehpt_ecpt::{Backing, ClusterEntry, CuckooConfig, EcptWalker, Hpt, HptTable, HptView};
+use mehpt_hash::{ResizeKind, ResizeMode};
 use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
@@ -204,17 +204,17 @@ fn probe_trace<B: Backing>(cfg: B::Config, mut backing: B, inserts: u64) -> HptT
 
 #[test]
 fn probe_matches_per_way_reference_through_resizes() {
-    let ecpt = probe_trace(EcptConfig::default(), (), 20_000);
+    let ecpt = probe_trace(CuckooConfig::default(), (), 20_000);
     let resizes = ecpt.stats().resizes.len();
     assert!(resizes >= 6, "too few resizes: {resizes}");
-    for in_place in [true, false] {
+    for resize_mode in [ResizeMode::InPlace, ResizeMode::OutOfPlace] {
         let cfg = MeHptConfig {
-            in_place,
+            resize_mode,
             ..MeHptConfig::default()
         };
         let t = probe_trace(cfg, L2pTable::paper_default(), 40_000);
         // The out-of-place ablation covers `old_storage` probes instead.
-        if in_place {
+        if resize_mode == ResizeMode::InPlace {
             assert!(t.stats().chunk_switches > 0, "never switched chunk size");
         }
     }

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 
 use mehpt_core::{ChunkSizePolicy, MeHpt, MeHptConfig};
+use mehpt_hash::{ResizeMode, WaySizing};
 use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_types::proptest_lite::{check, Gen};
 use mehpt_types::{PageSize, Ppn, Vpn, GIB, KIB};
@@ -80,7 +81,7 @@ fn ablation_out_of_place_matches_hashmap() {
         let ops = gen_ops(g, 1000);
         run_model(
             MeHptConfig {
-                in_place: false,
+                resize_mode: ResizeMode::OutOfPlace,
                 l2p_entries_per_subtable: 4,
                 chunk_policy: ChunkSizePolicy::new(vec![8 * KIB, 64 * KIB, 512 * KIB]),
                 ..MeHptConfig::default()
@@ -96,7 +97,7 @@ fn ablation_all_way_matches_hashmap() {
         let ops = gen_ops(g, 1000);
         run_model(
             MeHptConfig {
-                per_way: false,
+                sizing: WaySizing::AllWay,
                 l2p_entries_per_subtable: 2,
                 chunk_policy: ChunkSizePolicy::new(vec![8 * KIB, 64 * KIB, 512 * KIB]),
                 ..MeHptConfig::default()

@@ -1,5 +1,5 @@
 //! Elastic Cuckoo Page Tables (ECPT) — the state-of-the-art HPT baseline —
-//! and the elastic-cuckoo engine that ME-HPT shares with it.
+//! and the page-table engine that ME-HPT shares with it.
 //!
 //! This crate reproduces the design of Skarlatos et al. (ASPLOS'20), which
 //! the paper uses as its baseline (Section II-B, Table III):
@@ -17,7 +17,11 @@
 //!
 //! The engine is [`HptTable`] (one page size) and [`Hpt`] (a process),
 //! generic over a [`Backing`]: where the ways' chunks come from, plus the
-//! few policies that differ between designs. The ECPT baseline is the
+//! few policies that differ between designs. `HptTable` runs the
+//! workspace's one elastic-cuckoo core, `mehpt_hash::ElasticCuckoo`, over
+//! ways of clustered entries (a tag array plus PTE rows over physical-memory
+//! chunks); the library's `mehpt_hash::ElasticCuckooTable` runs the same
+//! core over `Vec` ways. The ECPT baseline is the
 //! backing `()` — [`Ecpt`] and [`EcptTable`]: each way is **one contiguous
 //! physical-memory chunk**, resized **out of place** and all ways at once.
 //! That is the memory-contiguity problem ME-HPT solves: a way can grow to
@@ -52,7 +56,8 @@ mod walker;
 
 pub use cwt::CwtSet;
 pub use entry::{ClusterEntry, CLUSTER_PTES};
+pub use mehpt_hash::{CuckooConfig, InsertReport};
 pub use process::{Ecpt, Hpt};
-pub use table::{chunks_for, Backing, EcptConfig, EcptTable, HptStats, HptTable, InsertReport};
+pub use table::{chunks_for, Backing, EcptTable, HptTable};
 pub use view::HptView;
 pub use walker::{EcptWalker, EcptWalkerConfig, HptWalkResult};

@@ -1,8 +1,9 @@
+use mehpt_hash::InsertReport;
 use mehpt_mem::{AllocError, PhysMem};
 use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, PAGE_SIZES};
 
 use crate::cwt::CwtSet;
-use crate::table::{Backing, HptTable, InsertReport};
+use crate::table::{Backing, HptTable};
 use crate::view::HptView;
 
 /// Bitmask bit for a page size (bit 0 = 4KB, bit 1 = 2MB, bit 2 = 1GB).

@@ -1,7 +1,7 @@
 //! Integration tests of the ECPT baseline: table mechanics, contiguity
 //! behaviour, walker timing and the fragmentation failure mode.
 
-use mehpt_ecpt::{ClusterEntry, Ecpt, EcptConfig, EcptTable, EcptWalker};
+use mehpt_ecpt::{ClusterEntry, CuckooConfig, Ecpt, EcptTable, EcptWalker};
 use mehpt_mem::{AllocCostModel, AllocError, AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
@@ -13,7 +13,7 @@ fn mem(bytes: u64) -> PhysMem {
 
 /// A default-configured 4KB ECPT table.
 fn table(m: &mut PhysMem) -> EcptTable {
-    EcptTable::new(PageSize::Base4K, EcptConfig::default(), m, &mut ()).unwrap()
+    EcptTable::new(PageSize::Base4K, CuckooConfig::default(), m, &mut ()).unwrap()
 }
 
 #[test]
@@ -142,9 +142,9 @@ fn failed_upsize_keeps_every_mapping() {
 #[test]
 fn kick_limit_upsizes_every_way() {
     let mut m = mem(GIB);
-    let cfg = EcptConfig {
+    let cfg = CuckooConfig {
         max_kicks: 2,
-        ..EcptConfig::default()
+        ..CuckooConfig::default()
     };
     let mut t = EcptTable::new(PageSize::Base4K, cfg, &mut m, &mut ()).unwrap();
     for i in 0..5_000u64 {
@@ -342,10 +342,10 @@ fn cluster_entry_is_cache_line_sized_in_the_model() {
 #[test]
 fn custom_config_is_respected() {
     let mut m = mem(GIB);
-    let cfg = EcptConfig {
+    let cfg = CuckooConfig {
         ways: 4,
         initial_entries_per_way: 256,
-        ..EcptConfig::default()
+        ..CuckooConfig::default()
     };
     let t = EcptTable::new(PageSize::Base4K, cfg, &mut m, &mut ()).unwrap();
     assert_eq!(t.way_sizes().len(), 4);

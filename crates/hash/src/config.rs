@@ -1,92 +1,48 @@
 use core::fmt;
 
-/// How a table (or way) grows and shrinks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ResizeMode {
-    /// The ECPT baseline (Section II-B): allocate a fresh table of the new
-    /// size and gradually migrate entries; old and new coexist until the
-    /// migration finishes, so peak memory is `old + new`.
-    #[default]
-    OutOfPlace,
-    /// The paper's contribution (Section IV-C): the new table shares the
-    /// old table's memory. Upsizing consumes one extra bit of the same hash
-    /// key, so each migrated entry either stays in place or moves to the
-    /// same offset in the new upper half; peak memory is `max(old, new)`.
-    InPlace,
-}
-
-/// Which ways participate in a resize.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WaySizing {
-    /// The ECPT baseline: all W ways double (or halve) together.
-    #[default]
-    AllWay,
-    /// The paper's per-way resizing (Section IV-D): one way resizes at a
-    /// time, gated so no way grows beyond double another, with
-    /// weighted-random insertion proportional to per-way free slots.
-    PerWay,
-}
-
-/// Configuration of an [`ElasticCuckooTable`](crate::ElasticCuckooTable).
+/// The elastic-cuckoo knobs every table in the workspace shares: the
+/// library's [`ElasticCuckooTable`](crate::ElasticCuckooTable), ECPT's
+/// per-page-size tables (whose whole configuration this is) and ME-HPT's.
 ///
-/// The defaults are the paper's parameters (Table III): 3 ways, 128 initial
-/// entries per way, upsize above 0.6 occupancy, downsize below 0.2.
+/// Defaults are Table III's parameters: 3 ways of 128 entries (8KB per way
+/// of 64-byte page-table entries), upsize above 0.6 occupancy, downsize
+/// below 0.2.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Config {
+pub struct CuckooConfig {
     /// Number of ways (hash functions). At least 2.
     pub ways: usize,
     /// Entries per way at creation (a power of two). Also the floor below
     /// which downsizing stops.
     pub initial_entries_per_way: usize,
-    /// Occupancy fraction above which an upsize is triggered.
+    /// Occupancy fraction that triggers an upsize.
     pub upsize_threshold: f64,
-    /// Occupancy fraction below which a downsize is triggered.
+    /// Occupancy fraction that triggers a downsize.
     pub downsize_threshold: f64,
-    /// Out-of-place (ECPT baseline) or in-place (ME-HPT) resizing.
-    pub resize_mode: ResizeMode,
-    /// All-way (ECPT baseline) or per-way (ME-HPT) resizing.
-    pub sizing: WaySizing,
     /// Entries migrated from each resizing way per insert ("the OS uses the
     /// opportunity to rehash one element"; 2 guarantees a resize finishes
     /// before the next one triggers).
     pub migrate_per_insert: usize,
-    /// Maximum cuckoo kicks before an insert forces an upsize.
+    /// Cuckoo kicks before an insert forces an upsize.
     pub max_kicks: usize,
-    /// Seed for the hash family and the random way choice.
+    /// Seed for the hash functions and the random way choice.
     pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Config {
-        Config {
+impl Default for CuckooConfig {
+    fn default() -> CuckooConfig {
+        CuckooConfig {
             ways: 3,
             initial_entries_per_way: 128,
             upsize_threshold: 0.6,
             downsize_threshold: 0.2,
-            resize_mode: ResizeMode::OutOfPlace,
-            sizing: WaySizing::AllWay,
             migrate_per_insert: 2,
-            max_kicks: 32,
-            seed: 0xec97,
+            max_kicks: 128,
+            seed: 0xec9_7ab1e,
         }
     }
 }
 
-impl Config {
-    /// The ECPT-baseline configuration: out-of-place, all-way resizing.
-    pub fn ecpt_baseline() -> Config {
-        Config::default()
-    }
-
-    /// The ME-HPT configuration: in-place, per-way resizing.
-    pub fn mehpt() -> Config {
-        Config {
-            resize_mode: ResizeMode::InPlace,
-            sizing: WaySizing::PerWay,
-            ..Config::default()
-        }
-    }
-
+impl CuckooConfig {
     /// Validates the configuration.
     ///
     /// # Errors
@@ -117,7 +73,65 @@ impl Config {
     }
 }
 
-/// An invalid [`Config`].
+/// How a table (or way) grows and shrinks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum ResizeMode {
+    /// The ECPT baseline (Section II-B): allocate a fresh table of the new
+    /// size and gradually migrate entries; old and new coexist until the
+    /// migration finishes, so peak memory is `old + new`.
+    #[default]
+    OutOfPlace,
+    /// The paper's contribution (Section IV-C): the new table shares the
+    /// old table's memory. Upsizing consumes one extra bit of the same hash
+    /// key, so each migrated entry either stays in place or moves to the
+    /// same offset in the new upper half; peak memory is `max(old, new)`.
+    InPlace,
+}
+
+/// Which ways participate in a resize.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum WaySizing {
+    /// The ECPT baseline: all W ways double (or halve) together.
+    #[default]
+    AllWay,
+    /// The paper's per-way resizing (Section IV-D): one way resizes at a
+    /// time, gated so no way grows beyond double another, with
+    /// weighted-random insertion proportional to per-way free slots.
+    PerWay,
+}
+
+/// Configuration of the elastic-cuckoo core and of an
+/// [`ElasticCuckooTable`](crate::ElasticCuckooTable): the shared knobs plus
+/// the two resize techniques.
+///
+/// The default is the ECPT baseline: out-of-place, all-way resizing.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Config {
+    /// The shared knobs.
+    pub base: CuckooConfig,
+    /// Out-of-place (ECPT baseline) or in-place (ME-HPT) resizing.
+    pub resize_mode: ResizeMode,
+    /// All-way (ECPT baseline) or per-way (ME-HPT) resizing.
+    pub sizing: WaySizing,
+}
+
+impl Config {
+    /// The ECPT-baseline configuration: out-of-place, all-way resizing.
+    pub fn ecpt_baseline() -> Config {
+        Config::default()
+    }
+
+    /// The ME-HPT configuration: in-place, per-way resizing.
+    pub fn mehpt() -> Config {
+        Config {
+            resize_mode: ResizeMode::InPlace,
+            sizing: WaySizing::PerWay,
+            ..Config::default()
+        }
+    }
+}
+
+/// An invalid [`CuckooConfig`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
     /// Cuckoo hashing needs at least two ways.
@@ -164,7 +178,7 @@ mod tests {
 
     #[test]
     fn default_is_valid_and_matches_table_iii() {
-        let c = Config::default();
+        let c = CuckooConfig::default();
         c.validate().unwrap();
         assert_eq!(c.ways, 3);
         assert_eq!(c.initial_entries_per_way, 128);
@@ -184,9 +198,9 @@ mod tests {
 
     #[test]
     fn validation_catches_errors() {
-        let mut c = Config {
+        let mut c = CuckooConfig {
             ways: 1,
-            ..Config::default()
+            ..CuckooConfig::default()
         };
         assert_eq!(c.validate(), Err(ConfigError::TooFewWays(1)));
         c.ways = 3;

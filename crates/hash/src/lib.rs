@@ -5,27 +5,29 @@
 //! cases, beyond HPTs": set-associative directories, memory indices and
 //! key-value stores. This crate is that generic library:
 //!
-//! * [`ElasticCuckooTable`] — a W-way cuckoo hash table that resizes
-//!   gradually while serving operations (Elastic Cuckoo Hashing, the ECPT
-//!   substrate), with configurable
+//! * [`ElasticCuckoo`] — the workspace's only elastic-cuckoo core: a
+//!   W-way cuckoo table that resizes gradually while serving operations
+//!   (Elastic Cuckoo Hashing, the ECPT substrate), with configurable
 //!   [`ResizeMode`] (**out-of-place** as in the ECPT baseline, or the
 //!   paper's **in-place** resizing that reuses the old table's memory) and
 //!   [`WaySizing`] (**all-way** doubling, or the paper's **per-way**
-//!   resizing with weighted-random insertion). Each way is one plain
-//!   `Vec`; the L2P-chunked storage of ME-HPT lives in the page-table
-//!   engine, not here.
+//!   resizing with weighted-random insertion). It is generic over a
+//!   [`Slots`] store per way and the [`Alloc`] context its mutating calls
+//!   pass through.
+//! * [`ElasticCuckooTable`] — the application-agnostic table on that core:
+//!   `Vec` ways of `(K, V)` slots, allocated by the global allocator.
 //! * [`HashFamily`] — the per-way CRC-based hash functions (Table III: CRC,
 //!   2-cycle latency), decorrelated with a nonlinear finalizer.
 //! * [`LevelHashTable`] — a faithful-enough Level Hashing implementation
 //!   (Zuo et al., OSDI'18), the only other hashing scheme with a form of
 //!   in-place resizing, used by the Section IX comparison benchmark.
 //!
-//! The page-table crates implement the same algorithms once more, as one
-//! engine specialized for translation entries and hardware walkers
-//! (`mehpt_ecpt::HptTable`) with two storage backings: contiguous ways for
-//! ECPT, chunks registered in `mehpt_core::L2pTable` for ME-HPT. This
-//! crate is the application-agnostic form with exhaustive unit and property
-//! tests of the algorithmic invariants.
+//! The page-table engine (`mehpt_ecpt::HptTable`, for ECPT and ME-HPT) is
+//! the core's other user: its slot store is a tag array plus PTE rows over
+//! physical-memory chunks, and its allocation context is the simulated
+//! physical memory plus the design's backing (contiguous ways for ECPT,
+//! chunks registered in `mehpt_core::L2pTable` for ME-HPT). Both tables
+//! share [`CuckooConfig`], [`TableStats`] and [`InsertReport`].
 //!
 //! # Examples
 //!
@@ -50,12 +52,14 @@
 
 mod config;
 mod crc;
+mod elastic;
 mod level;
 mod stats;
 mod table;
 
-pub use config::{Config, ConfigError, ResizeMode, WaySizing};
+pub use config::{Config, ConfigError, CuckooConfig, ResizeMode, WaySizing};
 pub use crc::{crc64, Crc64Hasher, HashFamily};
+pub use elastic::{Alloc, ElasticCuckoo, InsertReport, Slots, Way};
 pub use level::{LevelHashTable, LevelStats};
 pub use stats::{ResizeEvent, ResizeKind, TableStats};
 pub use table::ElasticCuckooTable;

@@ -38,39 +38,37 @@ impl ResizeEvent {
     }
 }
 
-/// Statistics collected by an
-/// [`ElasticCuckooTable`](crate::ElasticCuckooTable).
+/// Statistics of an elastic cuckoo table: the library's
+/// [`ElasticCuckooTable`](crate::ElasticCuckooTable) and the page-table
+/// engine's per-page-size tables alike.
 #[derive(Clone, Debug, Default)]
 pub struct TableStats {
+    /// Completed resizes, in order (Figures 11 and 13 derive from these).
+    pub resizes: Vec<ResizeEvent>,
     /// Histogram of cuckoo re-insertions: `kicks_histogram[n]` counts the
     /// inserts/rehashes that needed exactly `n` re-insertions (Figure 16).
     pub kicks_histogram: Vec<u64>,
-    /// Completed resizes, in order.
-    pub resizes: Vec<ResizeEvent>,
-    /// Bytes currently occupied by the table arrays.
-    pub current_bytes: u64,
-    /// High-water mark of `current_bytes` (out-of-place resizing pushes
-    /// this to `old + new`; in-place resizing keeps it at `max(old, new)`).
+    /// Entries migrated by gradual resizing and chunk-size switches.
+    pub entries_migrated: u64,
+    /// Chunk-size switches performed (the only out-of-place resizes in the
+    /// full ME-HPT design; the paper observes at most one per run).
+    pub chunk_switches: u64,
+    /// High-water mark of the table's memory in bytes (out-of-place
+    /// resizing pushes this to `old + new`; in-place resizing keeps it at
+    /// `max(old, new)`).
     pub peak_bytes: u64,
-    /// Largest single contiguous array ever allocated (one way).
-    pub max_contiguous_bytes: u64,
-    /// Total inserts served.
-    pub inserts: u64,
-    /// Total removes served.
-    pub removes: u64,
+    /// The largest chunk ever allocated — the contiguity requirement
+    /// (Figure 8). A library way and an ECPT way are one chunk each.
+    pub max_chunk_bytes: u64,
 }
 
 impl TableStats {
+    #[inline]
     pub(crate) fn record_kicks(&mut self, kicks: usize) {
         if self.kicks_histogram.len() <= kicks {
             self.kicks_histogram.resize(kicks + 1, 0);
         }
         self.kicks_histogram[kicks] += 1;
-    }
-
-    pub(crate) fn set_bytes(&mut self, current: u64) {
-        self.current_bytes = current;
-        self.peak_bytes = self.peak_bytes.max(current);
     }
 
     /// Number of upsizes completed by each way.
@@ -137,15 +135,6 @@ mod tests {
         s.record_kicks(0);
         assert_eq!(s.kicks_histogram, vec![2, 0, 0, 1]);
         assert!((s.mean_kicks() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peak_bytes_is_monotone() {
-        let mut s = TableStats::default();
-        s.set_bytes(100);
-        s.set_bytes(50);
-        assert_eq!(s.current_bytes, 50);
-        assert_eq!(s.peak_bytes, 100);
     }
 
     #[test]

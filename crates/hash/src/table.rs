@@ -1,116 +1,91 @@
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::mem;
 
-use mehpt_types::rng::Xoshiro256;
+use crate::elastic::{Alloc, ElasticCuckoo, Slots};
+use crate::stats::TableStats;
+use crate::{Config, HashFamily};
 
-use crate::stats::{ResizeEvent, ResizeKind, TableStats};
-use crate::{Config, HashFamily, ResizeMode, WaySizing};
+/// A library way: one contiguous `Vec` of `(K, V)` slots.
+type KvSlots<K, V> = Vec<Option<(K, V)>>;
 
-type Slot<K, V> = Option<(K, V)>;
+impl<K: Hash, V> Slots for KvSlots<K, V> {
+    type Entry = (K, V);
 
-/// Where a hash key resolves within a way, given its resize state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    /// Index into the way's current (live/new) array.
-    Cur(usize),
-    /// Index into the way's old array (out-of-place resize only).
-    Old(usize),
-}
-
-/// The in-flight resize of one way.
-#[derive(Clone, Debug)]
-struct Resize {
-    old_len: usize,
-    rehash_ptr: usize,
-    kind: ResizeKind,
-    mode: ResizeMode,
-    moved: u64,
-    kept: u64,
-}
-
-#[derive(Clone, Debug)]
-struct Way<K, V> {
-    /// The current array. For an out-of-place resize this is the *new*
-    /// table; for an in-place upsize it is the grown array; for an in-place
-    /// downsize it is still the old-sized array until migration completes.
-    slots: Vec<Slot<K, V>>,
-    /// The old table during an out-of-place resize; empty otherwise.
-    old_slots: Vec<Slot<K, V>>,
-    /// The logical capacity in entries (what occupancy is measured against).
-    logical_len: usize,
-    resize: Option<Resize>,
-    occupied: usize,
-}
-
-impl<K, V> Way<K, V> {
-    fn new(len: usize) -> Way<K, V> {
-        Way {
-            slots: (0..len).map(|_| None).collect(),
-            old_slots: Vec::new(),
-            logical_len: len,
-            resize: None,
-            occupied: 0,
-        }
+    fn hash(family: &HashFamily, way: usize, entry: &(K, V)) -> u64 {
+        family.hash(way, &entry.0)
     }
 
-    /// Resolves hash key `h` to a slot location, honoring the paper's
-    /// rehash-pointer rule: keys whose old-table index is at or above the
-    /// rehash pointer are still in the live region of the old table;
-    /// below it, the key lives in the new table (indexed with one more or
-    /// one fewer bit of the same hash value).
-    fn locate(&self, h: u64) -> Loc {
-        match &self.resize {
-            None => Loc::Cur(h as usize & (self.logical_len - 1)),
-            Some(r) => {
-                let old_idx = h as usize & (r.old_len - 1);
-                if old_idx >= r.rehash_ptr {
-                    match r.mode {
-                        ResizeMode::OutOfPlace => Loc::Old(old_idx),
-                        ResizeMode::InPlace => Loc::Cur(old_idx),
-                    }
-                } else {
-                    Loc::Cur(h as usize & (self.logical_len - 1))
-                }
-            }
-        }
+    fn take(&mut self, idx: usize) -> Option<(K, V)> {
+        self[idx].take()
     }
 
-    fn slot(&self, loc: Loc) -> &Slot<K, V> {
-        match loc {
-            Loc::Cur(i) => &self.slots[i],
-            Loc::Old(i) => &self.old_slots[i],
-        }
+    fn replace(&mut self, idx: usize, entry: (K, V)) -> Option<(K, V)> {
+        self[idx].replace(entry)
     }
 
-    fn slot_mut(&mut self, loc: Loc) -> &mut Slot<K, V> {
-        match loc {
-            Loc::Cur(i) => &mut self.slots[i],
-            Loc::Old(i) => &mut self.old_slots[i],
-        }
+    fn is_free(&self, idx: usize) -> bool {
+        self[idx].is_none()
     }
 
-    fn physical_bytes(&self, slot_bytes: usize) -> u64 {
-        ((self.slots.len() + self.old_slots.len()) * slot_bytes) as u64
+    fn slot_count(&self) -> usize {
+        self.len()
     }
 
-    fn is_resizing(&self) -> bool {
-        self.resize.is_some()
+    fn bytes(&self) -> u64 {
+        (self.len() * mem::size_of::<Option<(K, V)>>()) as u64
+    }
+
+    fn chunk_bytes(&self) -> u64 {
+        self.bytes()
     }
 }
 
-/// A W-way elastic cuckoo hash table.
+/// The library's allocation context: the global allocator, which always
+/// has room.
+impl<K: Hash, V> Alloc<KvSlots<K, V>> for () {
+    type Error = Infallible;
+
+    fn grow(
+        &mut self,
+        _: usize,
+        slots: &mut KvSlots<K, V>,
+        len: usize,
+    ) -> Result<bool, Infallible> {
+        slots.resize_with(len, || None);
+        Ok(true)
+    }
+
+    fn resized(
+        &mut self,
+        _: usize,
+        _: &KvSlots<K, V>,
+        len: usize,
+    ) -> Result<Option<KvSlots<K, V>>, Infallible> {
+        Ok(Some((0..len).map(|_| None).collect()))
+    }
+
+    fn shrink(&mut self, _: usize, slots: &mut KvSlots<K, V>, len: usize) {
+        slots.truncate(len);
+        slots.shrink_to_fit();
+    }
+}
+
+/// A W-way elastic cuckoo hash table: the workspace's elastic-cuckoo core
+/// ([`ElasticCuckoo`]) over `Vec` ways of `(K, V)` slots.
 ///
 /// This is Elastic Cuckoo Hashing (the substrate of ECPT, Section II-B)
 /// extended with the paper's two memory-reduction techniques in their
-/// generic form:
+/// generic form (Section VIII):
 ///
-/// * **in-place resizing** ([`ResizeMode::InPlace`], Section IV-C) — the new
-///   table shares the old table's memory; upsizing indexes with one extra
-///   hash-key bit, so ≈50% of migrated entries do not move at all;
-/// * **per-way resizing** ([`WaySizing::PerWay`], Section IV-D) — one way
-///   resizes at a time, with weighted-random insertion proportional to
-///   per-way free slots and a balance gate that keeps every way within 2× of
-///   every other.
+/// * **in-place resizing** ([`ResizeMode::InPlace`](crate::ResizeMode),
+///   Section IV-C) — the new table shares the old table's memory; upsizing
+///   indexes with one extra hash-key bit, so ≈50% of migrated entries do
+///   not move at all;
+/// * **per-way resizing** ([`WaySizing::PerWay`](crate::WaySizing),
+///   Section IV-D) — one way resizes at a time, with weighted-random
+///   insertion proportional to per-way free slots and a balance gate that
+///   keeps every way within 2× of every other.
 ///
 /// Resizing is *gradual*: each insert (or remove) migrates a bounded number
 /// of entries, so no operation ever stops the world. Lookups always probe
@@ -129,126 +104,87 @@ impl<K, V> Way<K, V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ElasticCuckooTable<K, V> {
-    ways: Vec<Way<K, V>>,
-    family: HashFamily,
-    cfg: Config,
-    rng: Xoshiro256,
-    len: usize,
-    stats: TableStats,
+    core: ElasticCuckoo<KvSlots<K, V>>,
 }
 
 impl<K: Hash + Eq, V> ElasticCuckooTable<K, V> {
-    /// Creates an empty table from a validated configuration.
+    /// Creates an empty table from a validated configuration. Its hash
+    /// functions derive from the configured seed, its way choices from the
+    /// seed `^ 0xc0ff_ee00`.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid; use [`Config::validate`] to
-    /// check fallibly first.
+    /// Panics if the configuration is invalid; use
+    /// [`CuckooConfig::validate`](crate::CuckooConfig::validate) to check
+    /// fallibly first.
     pub fn new(cfg: Config) -> ElasticCuckooTable<K, V> {
-        if let Err(e) = cfg.validate() {
+        if let Err(e) = cfg.base.validate() {
             panic!("invalid ElasticCuckooTable config: {e}");
         }
-        let ways = (0..cfg.ways)
-            .map(|_| Way::new(cfg.initial_entries_per_way))
+        let base = &cfg.base;
+        let len = base.initial_entries_per_way;
+        let ways = (0..base.ways)
+            .map(|_| (0..len).map(|_| None).collect())
             .collect();
-        let family = HashFamily::new(cfg.ways, cfg.seed);
-        let rng = Xoshiro256::seed_from_u64(cfg.seed ^ 0xc0ff_ee00);
-        let mut table = ElasticCuckooTable {
-            ways,
-            family,
-            cfg,
-            rng,
-            len: 0,
-            stats: TableStats::default(),
-        };
-        table.refresh_bytes();
-        let initial: u64 = (table.slot_bytes() * table.cfg.initial_entries_per_way) as u64;
-        table.stats.max_contiguous_bytes = initial;
-        table
-    }
-
-    fn slot_bytes(&self) -> usize {
-        mem::size_of::<Slot<K, V>>()
+        let seed = base.seed;
+        ElasticCuckooTable {
+            core: ElasticCuckoo::new(cfg, ways, seed, seed ^ 0xc0ff_ee00),
+        }
     }
 
     /// The number of live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.core.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.core.is_empty()
     }
 
     /// Total logical capacity in entries across ways.
     pub fn capacity(&self) -> usize {
-        self.ways.iter().map(|w| w.logical_len).sum()
+        self.core.capacity()
     }
 
     /// The logical capacity of each way, in entries.
     pub fn way_capacities(&self) -> Vec<usize> {
-        self.ways.iter().map(|w| w.logical_len).collect()
-    }
-
-    /// The number of live entries in each way.
-    pub fn way_occupancies(&self) -> Vec<usize> {
-        self.ways.iter().map(|w| w.occupied).collect()
+        self.core.ways().iter().map(|w| w.capacity()).collect()
     }
 
     /// Current occupancy as a fraction of capacity.
     pub fn load_factor(&self) -> f64 {
-        self.len as f64 / self.capacity() as f64
-    }
-
-    /// Whether any way has a resize in flight.
-    pub fn is_resizing(&self) -> bool {
-        self.ways.iter().any(Way::is_resizing)
+        self.len() as f64 / self.capacity() as f64
     }
 
     /// Collected statistics (resize events, kick histogram, memory marks).
     pub fn stats(&self) -> &TableStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Bytes currently occupied by the table arrays.
     pub fn memory_bytes(&self) -> u64 {
-        let sb = self.slot_bytes();
-        self.ways.iter().map(|w| w.physical_bytes(sb)).sum()
+        self.core.memory_bytes()
+    }
+
+    /// The `(way, in_old_table, index)` of `key`'s slot.
+    fn find(&self, key: &K) -> Option<(usize, bool, usize)> {
+        self.core
+            .find(key, |s, i| matches!(&s[i], Some((k, _)) if k == key))
     }
 
     /// Looks up `key`, probing each way once.
     pub fn get(&self, key: &K) -> Option<&V> {
-        for way in 0..self.ways.len() {
-            let h = self.family.hash(way, key);
-            let loc = self.ways[way].locate(h);
-            if let Some((k, v)) = self.ways[way].slot(loc).as_ref() {
-                if k == key {
-                    return Some(v);
-                }
-            }
-        }
-        None
+        let (w, in_old, idx) = self.find(key)?;
+        let slot = &self.core.ways()[w].slots(in_old)[idx];
+        slot.as_ref().map(|(_, v)| v)
     }
 
     /// Looks up `key` and returns a mutable reference to its value.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        for way in 0..self.ways.len() {
-            let h = self.family.hash(way, key);
-            let loc = self.ways[way].locate(h);
-            if let Some((k, _)) = self.ways[way].slot(loc).as_ref() {
-                if k == key {
-                    let (_, v) = self.ways[way].slot_mut(loc).as_mut().unwrap();
-                    return Some(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        let (w, in_old, idx) = self.find(key)?;
+        let slot = &mut self.core.ways_mut()[w].slots_mut(in_old)[idx];
+        slot.as_mut().map(|(_, v)| v)
     }
 
     /// Inserts `key → value`; returns the previous value if the key was
@@ -259,16 +195,10 @@ impl<K: Hash + Eq, V> ElasticCuckooTable<K, V> {
     /// behalf of any in-flight resize, exactly like the OS piggybacking
     /// rehashes on page-table inserts in the paper.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.stats.inserts += 1;
         if let Some(v) = self.get_mut(&key) {
             return Some(mem::replace(v, value));
         }
-        self.maybe_trigger_resizes(1);
-        self.migration_step();
-        let start_way = self.choose_insert_way();
-        let kicks = self.place(start_way, key, value);
-        self.len += 1;
-        self.stats.record_kicks(kicks);
+        let Ok(_) = self.core.insert((key, value), &mut ());
         None
     }
 
@@ -277,388 +207,32 @@ impl<K: Hash + Eq, V> ElasticCuckooTable<K, V> {
     /// Removes also advance in-flight migrations and may trigger a
     /// downsize.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.stats.removes += 1;
-        let mut found = None;
-        for way in 0..self.ways.len() {
-            let h = self.family.hash(way, key);
-            let loc = self.ways[way].locate(h);
-            if let Some((k, _)) = self.ways[way].slot(loc).as_ref() {
-                if k == key {
-                    let (_, v) = self.ways[way].slot_mut(loc).take().unwrap();
-                    self.ways[way].occupied -= 1;
-                    self.len -= 1;
-                    found = Some(v);
-                    break;
-                }
-            }
-        }
-        if found.is_some() {
-            self.maybe_trigger_resizes(0);
-            self.migration_step();
-        }
-        found
+        let (w, in_old, idx) = self.find(key)?;
+        let (_, v) = self.core.vacate(w, in_old, idx)?;
+        self.core.after_remove(&mut ());
+        Some(v)
     }
 
     /// Iterates over all live entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.ways.iter().flat_map(|w| {
-            w.slots
-                .iter()
-                .chain(w.old_slots.iter())
-                .filter_map(|s| s.as_ref().map(|(k, v)| (k, v)))
-        })
-    }
-
-    // ---- insertion and cuckoo displacement ----
-
-    /// Chooses the way a fresh insert starts in.
-    fn choose_insert_way(&mut self) -> usize {
-        match self.cfg.sizing {
-            WaySizing::AllWay => self.rng.next_index(self.ways.len()),
-            WaySizing::PerWay => {
-                // Weighted random insertion (Section IV-D): weight i is the
-                // way's free-slot count, forced to zero when the way is
-                // already larger than another way and at its upsize
-                // threshold.
-                let min_len = self.ways.iter().map(|w| w.logical_len).min().unwrap();
-                let weights: Vec<u64> = self
-                    .ways
-                    .iter()
-                    .map(|w| {
-                        let free = w.logical_len.saturating_sub(w.occupied) as u64;
-                        let at_threshold =
-                            w.occupied as f64 >= self.cfg.upsize_threshold * w.logical_len as f64;
-                        if w.logical_len > min_len && at_threshold {
-                            0
-                        } else {
-                            free
-                        }
-                    })
-                    .collect();
-                let total: u64 = weights.iter().sum();
-                if total == 0 {
-                    return self.rng.next_index(self.ways.len());
-                }
-                let mut r = self.rng.next_below(total);
-                for (i, w) in weights.iter().enumerate() {
-                    if r < *w {
-                        return i;
-                    }
-                    r -= w;
-                }
-                unreachable!("weighted choice must land in a bucket")
-            }
-        }
-    }
-
-    /// Places an entry starting at `way`, cuckoo-kicking as needed.
-    /// Returns the number of re-insertions (kicks) performed.
-    fn place(&mut self, way: usize, key: K, value: V) -> usize {
-        let mut way = way;
-        let mut entry = (key, value);
-        let mut kicks = 0;
-        let mut forced_upsizes = 0;
-        loop {
-            let h = self.family.hash(way, &entry.0);
-            let loc = self.ways[way].locate(h);
-            let slot = self.ways[way].slot_mut(loc);
-            match slot {
-                None => {
-                    *slot = Some(entry);
-                    self.ways[way].occupied += 1;
-                    return kicks;
-                }
-                Some(_) => {
-                    // Evict the occupant and retry it in a different way.
-                    let victim = mem::replace(slot, Some(entry)).unwrap();
-                    entry = victim;
-                    kicks += 1;
-                    if kicks % self.cfg.max_kicks == 0 {
-                        forced_upsizes += 1;
-                        assert!(
-                            forced_upsizes < 16,
-                            "cuckoo insertion cannot converge; table pathologically full"
-                        );
-                        self.force_upsize();
-                    }
-                    way = self.other_way(way);
-                }
-            }
-        }
-    }
-
-    /// A uniformly random way different from `not`.
-    fn other_way(&mut self, not: usize) -> usize {
-        let pick = self.rng.next_index(self.ways.len() - 1);
-        if pick >= not {
-            pick + 1
-        } else {
-            pick
-        }
-    }
-
-    // ---- resize triggering ----
-
-    fn maybe_trigger_resizes(&mut self, about_to_insert: usize) {
-        match self.cfg.sizing {
-            WaySizing::AllWay => {
-                if self.ways.iter().any(Way::is_resizing) {
-                    return;
-                }
-                let cap = self.capacity();
-                let len = self.len + about_to_insert;
-                if len as f64 > self.cfg.upsize_threshold * cap as f64 {
-                    for w in 0..self.ways.len() {
-                        self.start_resize(w, ResizeKind::Upsize);
-                    }
-                } else if (len as f64) < self.cfg.downsize_threshold * cap as f64
-                    && self.ways[0].logical_len > self.cfg.initial_entries_per_way
-                {
-                    for w in 0..self.ways.len() {
-                        self.start_resize(w, ResizeKind::Downsize);
-                    }
-                }
-            }
-            WaySizing::PerWay => {
-                // One way at a time.
-                if self.ways.iter().any(Way::is_resizing) {
-                    return;
-                }
-                let lens: Vec<usize> = self.ways.iter().map(|w| w.logical_len).collect();
-                let min_len = *lens.iter().min().unwrap();
-                let max_len = *lens.iter().max().unwrap();
-                for w in 0..self.ways.len() {
-                    let way = &self.ways[w];
-                    let up =
-                        way.occupied as f64 >= self.cfg.upsize_threshold * way.logical_len as f64;
-                    // The candidate way must not already be larger than
-                    // another way (upsize) or smaller than another
-                    // (downsize) — Section IV-D's balance gate.
-                    if up && way.logical_len <= min_len {
-                        self.start_resize(w, ResizeKind::Upsize);
-                        return;
-                    }
-                    let down = (way.occupied as f64)
-                        < self.cfg.downsize_threshold * way.logical_len as f64;
-                    if down
-                        && way.logical_len >= max_len
-                        && way.logical_len > self.cfg.initial_entries_per_way
-                    {
-                        self.start_resize(w, ResizeKind::Downsize);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Starts an upsize immediately (kick-overflow pressure valve).
-    fn force_upsize(&mut self) {
-        match self.cfg.sizing {
-            WaySizing::AllWay => {
-                for w in 0..self.ways.len() {
-                    self.finish_resize_now(w);
-                }
-                for w in 0..self.ways.len() {
-                    self.start_resize(w, ResizeKind::Upsize);
-                }
-            }
-            WaySizing::PerWay => {
-                // Grow the fullest among the smallest ways.
-                let min_len = self.ways.iter().map(|w| w.logical_len).min().unwrap();
-                let w = (0..self.ways.len())
-                    .filter(|&w| self.ways[w].logical_len == min_len)
-                    .max_by_key(|&w| self.ways[w].occupied)
-                    .unwrap();
-                self.finish_resize_now(w);
-                self.start_resize(w, ResizeKind::Upsize);
-            }
-        }
-    }
-
-    fn start_resize(&mut self, w: usize, kind: ResizeKind) {
-        debug_assert!(!self.ways[w].is_resizing());
-        let old_len = self.ways[w].logical_len;
-        let new_len = match kind {
-            ResizeKind::Upsize => old_len * 2,
-            ResizeKind::Downsize => old_len / 2,
-        };
-        let mode = self.cfg.resize_mode;
-        {
-            let way = &mut self.ways[w];
-            match (mode, kind) {
-                (ResizeMode::InPlace, ResizeKind::Upsize) => {
-                    // The old table becomes the lower half of the new one.
-                    way.slots.resize_with(new_len, || None);
-                }
-                (ResizeMode::InPlace, ResizeKind::Downsize) => {
-                    // The array shrinks only after migration completes.
-                }
-                (ResizeMode::OutOfPlace, _) => {
-                    let new: Vec<Slot<K, V>> = (0..new_len).map(|_| None).collect();
-                    way.old_slots = mem::replace(&mut way.slots, new);
-                }
-            }
-            way.logical_len = new_len;
-            way.resize = Some(Resize {
-                old_len,
-                rehash_ptr: 0,
-                kind,
-                mode,
-                moved: 0,
-                kept: 0,
-            });
-        }
-        // A new contiguous array was (conceptually) allocated for
-        // out-of-place resizes and — in this flat-array model — for in-place
-        // upsizes too; the chunked page-table implementation in
-        // `mehpt-core` is what removes the contiguity requirement.
-        let contiguous = (new_len * self.slot_bytes()) as u64;
-        if matches!(mode, ResizeMode::OutOfPlace) {
-            self.stats.max_contiguous_bytes = self.stats.max_contiguous_bytes.max(contiguous);
-        }
-        self.refresh_bytes();
-    }
-
-    // ---- migration ----
-
-    /// Advances every in-flight resize by the configured migration quota.
-    fn migration_step(&mut self) {
-        for w in 0..self.ways.len() {
-            for _ in 0..self.cfg.migrate_per_insert {
-                if !self.ways[w].is_resizing() {
-                    break;
-                }
-                self.migrate_one(w);
-            }
-        }
-    }
-
-    /// Synchronously completes an in-flight resize of way `w`.
-    fn finish_resize_now(&mut self, w: usize) {
-        while self.ways[w].is_resizing() {
-            self.migrate_one(w);
-        }
-    }
-
-    /// Migrates the entry under way `w`'s rehash pointer, finishing the
-    /// resize when the pointer reaches the end of the old table.
-    fn migrate_one(&mut self, w: usize) {
-        let Some(r) = self.ways[w].resize.as_mut() else {
-            return;
-        };
-        if r.rehash_ptr >= r.old_len {
-            self.complete_resize(w);
-            return;
-        }
-        let idx = r.rehash_ptr;
-        r.rehash_ptr += 1;
-        let mode = r.mode;
-        let taken = match mode {
-            ResizeMode::OutOfPlace => self.ways[w].old_slots[idx].take(),
-            ResizeMode::InPlace => self.ways[w].slots[idx].take(),
-        };
-        let Some((k, v)) = taken else {
-            return;
-        };
-        // Re-home the entry in the new table of the same way (paper: "takes
-        // the element pointed to by Pi, inserts it into way i of the new
-        // HPT").
-        let h = self.family.hash(w, &k);
-        let new_idx = h as usize & (self.ways[w].logical_len - 1);
-        let stays = matches!(mode, ResizeMode::InPlace) && new_idx == idx;
-        {
-            let r = self.ways[w].resize.as_mut().unwrap();
-            if stays {
-                r.kept += 1;
-            } else {
-                r.moved += 1;
-            }
-        }
-        let dst = &mut self.ways[w].slots[new_idx];
-        match dst {
-            None => {
-                *dst = Some((k, v));
-                // occupancy of the way is unchanged: same way, new region.
-                self.stats.record_kicks(0);
-            }
-            Some(_) => {
-                // Slot taken (an entry inserted during resizing, or — in a
-                // downsize — a not-yet-migrated live entry). Our entry
-                // claims the slot; the occupant is cuckooed into a
-                // different way, per Section IV-C.
-                let victim = mem::replace(dst, Some((k, v))).unwrap();
-                self.ways[w].occupied -= 1;
-                let other = self.other_way(w);
-                let kicks = self.place(other, victim.0, victim.1);
-                self.stats.record_kicks(kicks + 1);
-            }
-        }
-    }
-
-    /// Finalizes a completed migration: reclaims the old table and records
-    /// the resize event.
-    fn complete_resize(&mut self, w: usize) {
-        let r = self.ways[w].resize.take().expect("resize must be active");
-        debug_assert!(r.rehash_ptr >= r.old_len);
-        match (r.mode, r.kind) {
-            (ResizeMode::OutOfPlace, _) => {
-                debug_assert!(
-                    self.ways[w].old_slots.iter().all(Option::is_none),
-                    "old table must be fully migrated"
-                );
-                self.ways[w].old_slots = Vec::new();
-            }
-            (ResizeMode::InPlace, ResizeKind::Downsize) => {
-                let new_len = self.ways[w].logical_len;
-                debug_assert!(
-                    self.ways[w].slots[new_len..].iter().all(Option::is_none),
-                    "upper half must be empty after downsize migration"
-                );
-                self.ways[w].slots.truncate(new_len);
-                self.ways[w].slots.shrink_to_fit();
-            }
-            (ResizeMode::InPlace, ResizeKind::Upsize) => {}
-        }
-        self.stats.resizes.push(ResizeEvent {
-            way: w,
-            kind: r.kind,
-            from_entries: r.old_len,
-            to_entries: self.ways[w].logical_len,
-            moved: r.moved,
-            kept: r.kept,
-        });
-        self.refresh_bytes();
-    }
-
-    fn refresh_bytes(&mut self) {
-        let sb = self.slot_bytes();
-        let bytes = self.ways.iter().map(|w| w.physical_bytes(sb)).sum();
-        self.stats.set_bytes(bytes);
+        self.core
+            .ways()
+            .iter()
+            .flat_map(|w| w.tables())
+            .flat_map(|s| s.iter().filter_map(|e| e.as_ref().map(|(k, v)| (k, v))))
     }
 
     /// Checks structural invariants; test helper.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let counted: usize = self.ways.iter().map(|w| w.occupied).sum();
-        assert_eq!(counted, self.len, "per-way occupancy does not sum to len");
-        let physical = self.iter().count();
-        assert_eq!(physical, self.len, "physical entries do not match len");
-        for way in &self.ways {
-            assert!(way.logical_len.is_power_of_two());
-            if let Some(r) = &way.resize {
-                assert!(r.rehash_ptr <= r.old_len);
-            } else {
-                assert!(way.old_slots.is_empty());
-                assert_eq!(way.slots.len(), way.logical_len);
-            }
-        }
+        self.core.check_invariants();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CuckooConfig, ResizeMode, WaySizing};
 
     fn configs() -> Vec<(&'static str, Config)> {
         vec![
@@ -826,7 +400,7 @@ mod tests {
         let mut t = ElasticCuckooTable::new(Config::mehpt());
         for i in 0..100_000u64 {
             t.insert(i, ());
-            let resizing = t.ways.iter().filter(|w| w.is_resizing()).count();
+            let resizing = t.core.ways().iter().filter(|w| w.is_resizing()).count();
             assert!(resizing <= 1, "{resizing} ways resizing at once");
         }
     }
@@ -837,9 +411,9 @@ mod tests {
         let mut saw_full_resize = false;
         for i in 0..10_000u64 {
             t.insert(i, ());
-            let resizing = t.ways.iter().filter(|w| w.is_resizing()).count();
+            let resizing = t.core.ways().iter().filter(|w| w.is_resizing()).count();
             if resizing > 0 {
-                assert_eq!(resizing, t.ways.len(), "all ways must resize together");
+                assert_eq!(resizing, 3, "all ways must resize together");
                 saw_full_resize = true;
             }
         }
@@ -914,10 +488,28 @@ mod tests {
     }
 
     #[test]
+    fn peak_bytes_is_monotone() {
+        let mut t = ElasticCuckooTable::new(Config::ecpt_baseline());
+        let mut peak = t.memory_bytes();
+        for i in 0..5_000u64 {
+            t.insert(i, ());
+            peak = peak.max(t.memory_bytes());
+        }
+        for i in 0..5_000u64 {
+            t.remove(&i);
+        }
+        assert!(t.memory_bytes() < peak, "downsizes must free memory");
+        assert_eq!(t.stats().peak_bytes, peak);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid ElasticCuckooTable config")]
     fn invalid_config_panics() {
         let _ = ElasticCuckooTable::<u64, ()>::new(Config {
-            ways: 1,
+            base: CuckooConfig {
+                ways: 1,
+                ..CuckooConfig::default()
+            },
             ..Config::default()
         });
     }

@@ -7,7 +7,8 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use mehpt_hash::{
-    crc64, Config, Crc64Hasher, ElasticCuckooTable, LevelHashTable, ResizeMode, WaySizing,
+    crc64, Config, Crc64Hasher, CuckooConfig, ElasticCuckooTable, LevelHashTable, ResizeMode,
+    WaySizing,
 };
 use mehpt_types::proptest_lite::{check, Gen};
 
@@ -36,8 +37,10 @@ fn config(mode: ResizeMode, sizing: WaySizing) -> Config {
         sizing,
         // Small initial table so resizes happen constantly under the
         // harness's modest input sizes.
-        initial_entries_per_way: 8,
-        ..Config::default()
+        base: CuckooConfig {
+            initial_entries_per_way: 8,
+            ..CuckooConfig::default()
+        },
     }
 }
 

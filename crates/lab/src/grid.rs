@@ -10,6 +10,7 @@
 //! sweeps.
 
 use mehpt_core::{ChunkSizePolicy, MeHptConfig};
+use mehpt_hash::{ResizeMode, WaySizing};
 use mehpt_sim::{PtKind, SimConfig};
 use mehpt_types::rng::splitmix64;
 use mehpt_types::GIB;
@@ -61,16 +62,16 @@ impl Variant {
         match self {
             Variant::Full => base,
             Variant::NoInPlace => MeHptConfig {
-                in_place: false,
+                resize_mode: ResizeMode::OutOfPlace,
                 ..base
             },
             Variant::NoPerWay => MeHptConfig {
-                per_way: false,
+                sizing: WaySizing::AllWay,
                 ..base
             },
             Variant::Neither => MeHptConfig {
-                in_place: false,
-                per_way: false,
+                resize_mode: ResizeMode::OutOfPlace,
+                sizing: WaySizing::AllWay,
                 ..base
             },
             Variant::Fixed1Mb => MeHptConfig {
@@ -371,9 +372,12 @@ mod tests {
 
     #[test]
     fn variants_toggle_the_right_switches() {
-        assert!(!Variant::NoInPlace.config().in_place);
-        assert!(Variant::NoInPlace.config().per_way);
-        assert!(!Variant::Neither.config().per_way);
+        assert_eq!(
+            Variant::NoInPlace.config().resize_mode,
+            ResizeMode::OutOfPlace
+        );
+        assert_eq!(Variant::NoInPlace.config().sizing, WaySizing::PerWay);
+        assert_eq!(Variant::Neither.config().sizing, WaySizing::AllWay);
         assert_eq!(Variant::Fixed1Mb.config().chunk_policy.first(), 1 << 20);
         for v in [
             Variant::Full,

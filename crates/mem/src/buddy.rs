@@ -1,7 +1,5 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::{bytes_of_order, FRAME_BYTES};
-
 /// The largest block order the allocator manages (order 16 = 256MB).
 ///
 /// Large enough for the biggest allocation the paper ever performs (a 64MB
@@ -243,17 +241,6 @@ impl BuddyAllocator {
             }
         }
     }
-}
-
-/// Formats a block order as a byte size for diagnostics.
-pub(crate) fn order_bytes_label(order: u8) -> String {
-    mehpt_types::ByteSize(bytes_of_order(order)).to_string()
-}
-
-#[allow(dead_code)]
-fn _unused(_: &str) {
-    let _ = order_bytes_label(0);
-    let _ = FRAME_BYTES;
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub struct SimConfig {
     /// Page-table organization under test.
     pub kind: PtKind,
     /// ME-HPT configuration (used when `kind == PtKind::MeHpt`; the
-    /// ablation benchmarks toggle its `in_place`/`per_way` switches).
+    /// ablation benchmarks toggle its `resize_mode`/`sizing` switches).
     pub mehpt: MeHptConfig,
     /// Whether the OS backs THP-eligible regions with 2MB pages.
     pub thp: bool,

@@ -1,5 +1,5 @@
 use mehpt_core::L2pTable;
-use mehpt_ecpt::{Backing, EcptConfig};
+use mehpt_ecpt::{Backing, CuckooConfig};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
 use mehpt_types::rng::Xoshiro256;
@@ -78,7 +78,7 @@ pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
             let hpt = cfg.base.mehpt.clone();
             run_multi_on::<L2pTable>(workloads, cfg, hpt)
         }
-        PtKind::Radix | PtKind::Ecpt => run_multi_on::<()>(workloads, cfg, EcptConfig::default()),
+        PtKind::Radix | PtKind::Ecpt => run_multi_on::<()>(workloads, cfg, CuckooConfig::default()),
     }
 }
 

@@ -1,8 +1,7 @@
 use std::collections::HashMap;
 
 use mehpt_core::L2pTable;
-use mehpt_ecpt::{Backing, EcptConfig, EcptWalker, Hpt};
-use mehpt_hash::ResizeKind;
+use mehpt_ecpt::{Backing, CuckooConfig, EcptWalker, Hpt};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
@@ -156,11 +155,13 @@ impl OsMap {
         }
     }
 
-    /// Whether a 2MB allocation for `va`'s region failed before.
-    fn huge_failed(&self, va: VirtAddr) -> bool {
+    /// Whether `va`'s region must stay on 4KB pages: a 2MB allocation for
+    /// it failed before, or 4KB pages already map part of it (a 2MB page
+    /// would overlap them).
+    fn huge_blocked(&self, va: VirtAddr) -> bool {
         self.regions
             .get(&(va.0 >> 21))
-            .is_some_and(|r| r.huge_failed)
+            .is_some_and(|r| r.huge_failed || r.pages_4k != [0; 8])
     }
 
     /// Keeps `va`'s region on 4KB pages from now on.
@@ -317,7 +318,7 @@ impl<B: Backing> ProcState<B> {
                 .find(|r| r.contains(va))
                 .is_some_and(|r| r.thp_eligible);
         let mut chosen: Option<(PageSize, Ppn)> = None;
-        if thp_ok && !self.os.huge_failed(va) {
+        if thp_ok && !self.os.huge_blocked(va) {
             match mem.alloc(PageSize::Huge2M.bytes(), AllocTag::Data) {
                 Ok(chunk) => {
                     chosen = Some((
@@ -453,11 +454,11 @@ impl<B: Backing> ProcState<B> {
             if let Some(t4k) = table.table(PageSize::Base4K) {
                 report.way_sizes_4k = t4k.way_sizes();
                 report.way_phys_4k = t4k.way_phys_bytes();
-                report.upsizes_per_way_4k = upsizes_per_way(&t4k.stats().resizes, 3);
-                report.moved_fraction_4k = moved_fraction(&t4k.stats().resizes);
+                report.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
+                report.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
             }
             if let Some(t2m) = table.table(PageSize::Huge2M) {
-                report.upsizes_per_way_2m = upsizes_per_way(&t2m.stats().resizes, 3);
+                report.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
             }
             for t in PAGE_SIZES.iter().filter_map(|&ps| table.table(ps)) {
                 merge_hist(&mut report.kicks_histogram, &t.stats().kicks_histogram);
@@ -488,7 +489,7 @@ impl Simulator {
                 Simulator::run_on::<L2pTable>(workload, cfg, hpt)
             }
             PtKind::Radix | PtKind::Ecpt => {
-                Simulator::run_on::<()>(workload, cfg, EcptConfig::default())
+                Simulator::run_on::<()>(workload, cfg, CuckooConfig::default())
             }
         }
     }
@@ -518,30 +519,6 @@ fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
     for (dst, &src) in into.iter_mut().zip(from) {
         *dst += src;
     }
-}
-
-fn upsizes_per_way(events: &[mehpt_hash::ResizeEvent], ways: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; ways];
-    for e in events {
-        if e.kind == ResizeKind::Upsize {
-            counts[e.way] += 1;
-        }
-    }
-    counts
-}
-
-/// Mean moved fraction over upsize events (in-place upsizes sit near 0.5;
-/// chunk switches and out-of-place events, so all of ECPT's, are 1.0).
-fn moved_fraction(events: &[mehpt_hash::ResizeEvent]) -> f64 {
-    let ups: Vec<f64> = events
-        .iter()
-        .filter(|e| e.kind == ResizeKind::Upsize && e.moved + e.kept > 0)
-        .map(|e| e.moved as f64 / (e.moved + e.kept) as f64)
-        .collect();
-    if ups.is_empty() {
-        return 0.0;
-    }
-    ups.iter().sum::<f64>() / ups.len() as f64
 }
 
 #[cfg(test)]
@@ -711,30 +688,45 @@ mod tests {
         let mut os = OsMap::default();
         let a = VirtAddr::new(0x60_0000);
         os.note_huge_failed(a);
-        assert!(os.huge_failed(a));
-        assert!(os.huge_failed(VirtAddr::new(0x7f_ffff)));
-        assert!(!os.huge_failed(VirtAddr::new(0x40_0000)));
-        assert!(!os.huge_failed(VirtAddr::new(0x80_0000)));
+        assert!(os.huge_blocked(a));
+        assert!(os.huge_blocked(VirtAddr::new(0x7f_ffff)));
+        assert!(!os.huge_blocked(VirtAddr::new(0x40_0000)));
+        assert!(!os.huge_blocked(VirtAddr::new(0x80_0000)));
         assert_eq!(os.lookup(a), None, "a failed 2MB attempt maps nothing");
     }
 
-    /// Runs `app` under THP with the TLB flushed before every access, so
-    /// every access to a mapped page walks (2MB pages too) and the step's
-    /// debug checks compare each walk with the OS's map. Then walks every
-    /// page the OS mapped and checks the translation's page size.
-    fn walk_every_access<B: Backing>(app: App, kind: PtKind, hpt: B::Config) {
+    #[test]
+    fn os_map_blocks_huge_pages_over_4k_pages() {
+        let mut os = OsMap::default();
+        os.insert(VirtAddr::new(0xa0_0000 + 0x5000), PageSize::Base4K);
+        assert!(os.huge_blocked(VirtAddr::new(0xa0_0000)));
+        assert!(os.huge_blocked(VirtAddr::new(0xbf_f000)));
+        assert!(!os.huge_blocked(VirtAddr::new(0xc0_0000)));
+    }
+
+    /// Runs `workload` under THP with the TLB flushed before every access,
+    /// so every access to a mapped page walks (2MB pages too) and the
+    /// step's debug checks compare each walk with the OS's map. Then walks
+    /// every page the OS mapped and checks the translation's page size.
+    /// Returns the 4KB and 2MB pages mapped.
+    fn walk_every_access<B: Backing>(
+        workload: Workload,
+        kind: PtKind,
+        hpt: B::Config,
+    ) -> (u64, u64) {
         let mut cfg = SimConfig::paper(kind, true);
         cfg.mem_bytes = 2 * mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
         let mut dram = MemoryModel::paper_default();
-        let mut proc = ProcState::<B>::new(tiny(app), &cfg, hpt, &mut mem);
+        let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
         for _ in 0..100_000 {
             tlb.flush();
             if !proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {
                 break;
             }
         }
+        assert_eq!(proc.aborted, None, "{kind:?}");
         let c = &proc.counters;
         assert!(c.pages_4k > 0 && c.pages_2m > 0, "{kind:?}: mixed sizes");
         assert!(c.accesses > 2 * c.faults, "{kind:?}: mapped pages walk");
@@ -751,14 +743,43 @@ mod tests {
             }
         }
         assert!(checked[0] > 0 && checked[1] > 0, "{kind:?}: {checked:?}");
+        (c.pages_4k, c.pages_2m)
     }
 
     #[test]
     fn walks_return_the_os_mapping() {
-        walk_every_access::<()>(App::Mummer, PtKind::Radix, EcptConfig::default());
-        walk_every_access::<()>(App::Mummer, PtKind::Ecpt, EcptConfig::default());
+        let wl = || tiny(App::Mummer);
+        walk_every_access::<()>(wl(), PtKind::Radix, CuckooConfig::default());
+        walk_every_access::<()>(wl(), PtKind::Ecpt, CuckooConfig::default());
         let mehpt = SimConfig::paper(PtKind::MeHpt, true).mehpt;
-        walk_every_access::<L2pTable>(App::Mummer, PtKind::MeHpt, mehpt);
+        walk_every_access::<L2pTable>(wl(), PtKind::MeHpt, mehpt);
+    }
+
+    /// A THP region that starts inside a 2MB region where a non-THP region
+    /// already mapped 4KB pages: the OS keeps that 2MB region on 4KB pages
+    /// and maps a 2MB page only in the next one.
+    #[test]
+    fn thp_region_inside_a_4k_mapped_2mb_region_stays_on_4k_pages() {
+        let trace = "region heap 0x10000000 0x100000 nothp\n\
+                     region table 0x10100000 0x300000 thp\n"
+            .to_string()
+            + &"0x10000040\n0x10100040\n0x10200040\n".repeat(3);
+        let wl = || {
+            mehpt_workloads::FileTrace::parse(trace.as_bytes())
+                .unwrap()
+                .into_workload("mixed")
+        };
+        let ecpt = CuckooConfig::default();
+        assert_eq!(
+            walk_every_access::<()>(wl(), PtKind::Radix, ecpt.clone()),
+            (2, 1)
+        );
+        assert_eq!(walk_every_access::<()>(wl(), PtKind::Ecpt, ecpt), (2, 1));
+        let mehpt = SimConfig::paper(PtKind::MeHpt, true).mehpt;
+        assert_eq!(
+            walk_every_access::<L2pTable>(wl(), PtKind::MeHpt, mehpt),
+            (2, 1)
+        );
     }
 
     #[test]

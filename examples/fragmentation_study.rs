@@ -42,8 +42,7 @@ fn run_ecpt(fmfi: f64) -> String {
     };
     for i in 0..PAGES {
         if let Err(e) = pt.map(Vpn(i * 8), PageSize::Base4K, Ppn(i), &mut mem) {
-            let _ = e;
-            return format!("DIED at {} pages", i);
+            return format!("DIED at {i} pages: {e}");
         }
     }
     format!(
@@ -62,8 +61,7 @@ fn run_mehpt(fmfi: f64) -> String {
     };
     for i in 0..PAGES {
         if let Err(e) = pt.map(Vpn(i * 8), PageSize::Base4K, Ppn(i), &mut mem) {
-            let _ = e;
-            return format!("DIED at {} pages", i);
+            return format!("DIED at {i} pages: {e}");
         }
     }
     format!(

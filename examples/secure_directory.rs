@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example secure_directory`
 
-use mehpt::hash::{Config, ElasticCuckooTable, ResizeMode, WaySizing};
+use mehpt::hash::{Config, CuckooConfig, ElasticCuckooTable};
 use mehpt::types::rng::Xoshiro256;
 use mehpt::types::ByteSize;
 
@@ -28,10 +28,11 @@ impl PrivateDirectory {
     fn new(core: u8) -> PrivateDirectory {
         PrivateDirectory {
             entries: ElasticCuckooTable::new(Config {
-                resize_mode: ResizeMode::InPlace,
-                sizing: WaySizing::PerWay,
-                seed: 0xd1_u64 + core as u64,
-                ..Config::default()
+                base: CuckooConfig {
+                    seed: 0xd1_u64 + core as u64,
+                    ..CuckooConfig::default()
+                },
+                ..Config::mehpt()
             }),
         }
     }

@@ -46,6 +46,13 @@ for w in gups_hpt mummer_thp paper_quick; do
 done
 rm -f "$sb_log"
 
+echo "==> examples: every example runs to completion"
+# Nothing else runs them, and two drive the library's elastic cuckoo table.
+# set -e stops CI at the first example that exits non-zero.
+for ex in quickstart fragmentation_study graph_analytics kv_store secure_directory; do
+    cargo run --release --offline --quiet --example "$ex" >/dev/null
+done
+
 echo "==> mehpt-lab table1 --jobs 2 --quick (smoke)"
 ./target/release/mehpt-lab table1 --jobs 2 --quick --out target/lab-ci >/dev/null
 
