@@ -193,6 +193,11 @@ impl<B: Backing> HptView for Hpt<B> {
         self.table(ps)?.probe(vpn, out)
     }
 
+    #[inline]
+    fn probe_width(&self, ps: PageSize) -> u32 {
+        self.table(ps).map_or(0, |t| t.way_count() as u32)
+    }
+
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {
         Hpt::translate(self, va)
     }

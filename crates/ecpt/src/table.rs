@@ -418,6 +418,13 @@ impl<B: Backing> HptTable<B> {
         self.core.ways().iter().map(|w| w.occupied()).collect()
     }
 
+    /// The number of ways W: a probe reads one slot per way, in every
+    /// resize state.
+    #[inline]
+    pub fn way_count(&self) -> usize {
+        self.core.ways().len()
+    }
+
     /// Logical capacity in cluster entries.
     pub fn capacity(&self) -> usize {
         self.core.capacity()
@@ -522,7 +529,11 @@ impl<B: Backing> HptTable<B> {
     /// Fails only when a resize needs chunks that physical memory cannot
     /// provide — ECPT's failure mode on fragmented machines; with ME-HPT's
     /// small chunks this effectively never happens, which is the point of
-    /// the design. The insert itself is rolled back.
+    /// the design. The table then holds exactly the translations it held
+    /// before the call: `vpn` is not mapped, and every earlier translation
+    /// still resolves, including an entry that a cuckoo kick had displaced
+    /// when a forced upsize failed. Resizes that started before the
+    /// failure stay in flight.
     pub fn insert(
         &mut self,
         vpn: Vpn,
@@ -549,9 +560,19 @@ impl<B: Backing> HptTable<B> {
             cfg: &self.cfg,
             ps: self.ps,
         };
-        let report = self.core.insert(cluster, &mut ctx)?;
-        self.pages += 1;
-        Ok(report)
+        match self.core.insert(cluster, &mut ctx) {
+            Ok(report) => {
+                self.pages += 1;
+                Ok(report)
+            }
+            Err(e) => {
+                // A failed forced upsize leaves the new cluster stored.
+                if let Some((w, in_old, idx)) = self.find(tag) {
+                    self.core.vacate(w, in_old, idx);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Removes the translation for `vpn`, returning it. Empty clusters are
@@ -738,6 +759,35 @@ mod tests {
         }
         assert_eq!(t.lookup(vpn(40)), None);
         t.destroy(&mut m, &mut b);
+    }
+
+    /// A kick chain that reaches `max_kicks` forces an upsize; on memory too
+    /// small for it, the insert fails while it holds a displaced earlier
+    /// cluster. That cluster must land again, and the new one must not
+    /// stay.
+    #[test]
+    fn a_failed_forced_upsize_keeps_every_earlier_translation() {
+        // The three initial 8KB ways fit; no 16KB way does.
+        let mut m = PhysMem::with_cost_model(32 << 10, AllocCostModel::zero_cost());
+        let cfg = CuckooConfig {
+            upsize_threshold: 0.95,
+            max_kicks: 2,
+            ..CuckooConfig::default()
+        };
+        let mut t = EcptTable::new(PageSize::Base4K, cfg, &mut m, &mut ()).unwrap();
+        let vpn = |i: u64| Vpn(i * CLUSTER_PTES as u64);
+        let failed = (0..300)
+            .find(|&i| t.insert(vpn(i), Ppn(i), &mut m, &mut ()).is_err())
+            .expect("a forced upsize must fail");
+        assert!(failed > 2, "the table failed before it filled: {failed}");
+        assert!(t.stats().resizes.is_empty(), "no upsize could allocate");
+        for i in 0..failed {
+            assert_eq!(t.lookup(vpn(i)), Some(Ppn(i)), "insert {i} of {failed}");
+        }
+        assert_eq!(t.lookup(vpn(failed)), None);
+        assert_eq!(t.pages(), failed);
+        assert_eq!(t.clusters() as u64, failed);
+        t.core.check_invariants();
     }
 
     #[test]

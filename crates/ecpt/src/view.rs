@@ -31,6 +31,14 @@ pub trait HptView {
     /// `ps` table exists.
     fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn>;
 
+    /// How many slot addresses [`HptView::probe`] of the `ps` table pushes,
+    /// for any `vpn`: the table's way count, or 0 if no `ps` table exists.
+    ///
+    /// Under the flat memory model a walk's cost depends only on this count,
+    /// so [`EcptWalker::time_walk`](crate::EcptWalker::time_walk) uses it
+    /// instead of probing.
+    fn probe_width(&self, ps: PageSize) -> u32;
+
     /// Functional translation (ground truth): the largest page size that
     /// maps `va`.
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)>;

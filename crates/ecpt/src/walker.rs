@@ -60,6 +60,13 @@ pub struct HptWalkResult {
 /// tables' ways *in parallel* — one memory-access latency in the common
 /// case, versus up to four dependent accesses for radix (Figure 7).
 ///
+/// Two walks share the CWC step. [`EcptWalker::walk`] is the reference: it
+/// hashes each probed table's ways, reads their slots and returns the
+/// translation. [`EcptWalker::time_walk`] returns only the timing: under
+/// the flat memory model it counts each probed table's
+/// [`HptView::probe_width`] instead of probing, and builds with debug
+/// assertions check it against `walk`.
+///
 /// CWC entries mirror CWT state; the OS must call
 /// [`EcptWalker::invalidate_region`] when a mapping changes a region's
 /// page-size mask.
@@ -96,48 +103,19 @@ impl EcptWalker {
         }
     }
 
-    /// Performs one timed walk for `va` over any hashed page table.
+    /// Performs one timed walk for `va` over any hashed page table: the
+    /// reference walk, which probes the tables' way slots and returns the
+    /// translation they hold.
     pub fn walk<T: HptView>(
         &mut self,
         ecpt: &T,
         va: VirtAddr,
         mem: &mut MemoryModel,
     ) -> HptWalkResult {
-        self.walks += 1;
-        let pud_key = va.0 >> 30;
-        let pmd_key = va.0 >> 21;
-        // One parallel probe of both CWCs, overlapped with hashing (and
-        // with the L2P access in ME-HPT, Section V-D).
-        let mut cycles = self.cfg.cwc_latency.max(self.cfg.hash_latency) + self.cfg.extra_latency;
-
-        let pud_cached = self.pud_cwc.contains(pud_key);
-        let pmd_cached = self.pmd_cwc.contains(pmd_key);
-        let pud_mask = ecpt.pud_mask(va).unwrap_or(0);
-        let pmd_mask = ecpt.pmd_mask(va).unwrap_or(0);
-        // Which page sizes to probe. With warm CWCs the masks are known
-        // exactly; on a CWC miss the walker does NOT serialize behind the
-        // in-memory CWT — per Figure 7 it generates all potential accesses
-        // up front, fetching the missing CWT entries *in parallel* with
-        // speculative probes of every page size the coarser knowledge
-        // allows. Latency stays one memory round trip; the price is extra
-        // (parallel) probes, which is why the CWCs exist at all.
-        let sizes = match (pud_cached, pmd_cached) {
-            (true, true) => (pmd_mask & 0b011) | (pud_mask & 0b100),
-            (true, false) => pud_mask, // refine small sizes speculatively
-            (false, _) => 0b111,       // probe everything
-        };
+        let (mut cycles, sizes, cwt_fetches) = self.cwc_step(ecpt, va);
         let group = &mut self.group;
         group.clear();
-        if !pud_cached {
-            group.push(PhysAddr::new(PUD_CWT_BASE + pud_key * 8));
-            self.cwt_walks += 1;
-            self.pud_cwc.fill(pud_key);
-        }
-        if !pmd_cached {
-            group.push(PhysAddr::new(PMD_CWT_BASE + pmd_key * 8));
-            self.cwt_walks += 1;
-            self.pmd_cwc.fill(pmd_key);
-        }
+        group.extend(cwt_fetches.into_iter().flatten());
         // The masks come from the live CWTs, so `sizes` holds every page
         // size mapped at `va` (exactly with warm CWCs, a superset on a
         // miss). The largest size that hit is therefore the ground-truth
@@ -162,6 +140,117 @@ impl EcptWalker {
             cycles,
             memory_accesses: accesses,
         }
+    }
+
+    /// Performs one timed walk for `va` and returns only its cycles and
+    /// memory accesses, with the same effect on the walker and on `mem` as
+    /// [`EcptWalker::walk`].
+    ///
+    /// A flat `mem` charges every access the same latency whatever its
+    /// address, so the walk's timing depends only on the CWC state, the
+    /// CWT masks and each probed table's [`HptView::probe_width`]: this
+    /// walk neither hashes nor reads way slots. On a hierarchical `mem` it
+    /// is [`EcptWalker::walk`]. Builds with debug assertions also run the
+    /// reference walk on copies of the walker and `mem` and assert that
+    /// both walks agree.
+    pub fn time_walk<T: HptView>(
+        &mut self,
+        ecpt: &T,
+        va: VirtAddr,
+        mem: &mut MemoryModel,
+    ) -> (u64, u32) {
+        if !mem.is_flat() {
+            let r = self.walk(ecpt, va, mem);
+            return (r.cycles, r.memory_accesses);
+        }
+        #[cfg(debug_assertions)]
+        let reference = {
+            let (mut walker, mut mem) = (self.clone(), mem.clone());
+            let r = walker.walk(ecpt, va, &mut mem);
+            (walker, mem, r)
+        };
+        let (mut cycles, sizes, cwt_fetches) = self.cwc_step(ecpt, va);
+        let mut accesses = cwt_fetches.iter().flatten().count() as u32;
+        for ps in PAGE_SIZES {
+            if sizes & size_bit(ps) != 0 {
+                accesses += ecpt.probe_width(ps);
+            }
+        }
+        cycles += mem.access_parallel_flat(accesses);
+        self.total_cycles += cycles;
+        self.total_accesses += accesses as u64;
+        #[cfg(debug_assertions)]
+        {
+            let (walker, ref_mem, r) = reference;
+            assert_eq!(
+                (cycles, accesses),
+                (r.cycles, r.memory_accesses),
+                "time_walk of {va:?} disagrees with walk"
+            );
+            assert!(
+                self.same_state(&walker),
+                "time_walk of {va:?} left other walker state"
+            );
+            assert_eq!(
+                (mem.accesses(), mem.total_cycles()),
+                (ref_mem.accesses(), ref_mem.total_cycles()),
+                "time_walk of {va:?} charged memory differently"
+            );
+        }
+        (cycles, accesses)
+    }
+
+    /// The CWC lookup every walk starts with: counts the walk, probes both
+    /// CWCs, reads the CWT masks and fills the CWCs that missed. Returns
+    /// the cycles spent before the memory accesses, the page sizes to
+    /// probe (bit 0 = 4KB) and the CWT entries to fetch, PUD first.
+    #[inline]
+    fn cwc_step<T: HptView>(&mut self, ecpt: &T, va: VirtAddr) -> (u64, u8, [Option<PhysAddr>; 2]) {
+        self.walks += 1;
+        let pud_key = va.0 >> 30;
+        let pmd_key = va.0 >> 21;
+        // One parallel probe of both CWCs, overlapped with hashing (and
+        // with the L2P access in ME-HPT, Section V-D).
+        let cycles = self.cfg.cwc_latency.max(self.cfg.hash_latency) + self.cfg.extra_latency;
+
+        let pud_cached = self.pud_cwc.contains(pud_key);
+        let pmd_cached = self.pmd_cwc.contains(pmd_key);
+        let pud_mask = ecpt.pud_mask(va).unwrap_or(0);
+        let pmd_mask = ecpt.pmd_mask(va).unwrap_or(0);
+        // Which page sizes to probe. With warm CWCs the masks are known
+        // exactly; on a CWC miss the walker does NOT serialize behind the
+        // in-memory CWT — per Figure 7 it generates all potential accesses
+        // up front, fetching the missing CWT entries *in parallel* with
+        // speculative probes of every page size the coarser knowledge
+        // allows. Latency stays one memory round trip; the price is extra
+        // (parallel) probes, which is why the CWCs exist at all.
+        let sizes = match (pud_cached, pmd_cached) {
+            (true, true) => (pmd_mask & 0b011) | (pud_mask & 0b100),
+            (true, false) => pud_mask, // refine small sizes speculatively
+            (false, _) => 0b111,       // probe everything
+        };
+        let mut cwt_fetches = [None; 2];
+        if !pud_cached {
+            cwt_fetches[0] = Some(PhysAddr::new(PUD_CWT_BASE + pud_key * 8));
+            self.cwt_walks += 1;
+            self.pud_cwc.fill(pud_key);
+        }
+        if !pmd_cached {
+            cwt_fetches[1] = Some(PhysAddr::new(PMD_CWT_BASE + pmd_key * 8));
+            self.cwt_walks += 1;
+            self.pmd_cwc.fill(pmd_key);
+        }
+        (cycles, sizes, cwt_fetches)
+    }
+
+    /// Whether `other` holds the same CWCs and counters (the probe-group
+    /// buffer aside).
+    #[cfg(debug_assertions)]
+    fn same_state(&self, other: &EcptWalker) -> bool {
+        let counters = |w: &EcptWalker| (w.walks, w.total_cycles, w.total_accesses, w.cwt_walks);
+        self.pmd_cwc == other.pmd_cwc
+            && self.pud_cwc == other.pud_cwc
+            && counters(self) == counters(other)
     }
 
     /// Drops cached CWC state for the regions containing `va`; the OS calls

@@ -332,7 +332,10 @@ impl<S: Slots> ElasticCuckoo<S> {
     ///
     /// # Errors
     ///
-    /// Fails when a resize needs storage `alloc` cannot provide.
+    /// Fails when a resize needs storage `alloc` cannot provide. A failed
+    /// threshold resize stores nothing. A failed forced upsize comes after
+    /// the entry was placed, so the entry is stored and counted, and so is
+    /// every entry stored before.
     pub fn insert<A: Alloc<S>>(
         &mut self,
         entry: S::Entry,
@@ -341,8 +344,10 @@ impl<S: Slots> ElasticCuckoo<S> {
         let started_resize = self.maybe_resize(alloc)?;
         let migrated = self.migration_step(alloc);
         let way = self.choose_insert_way();
-        let kicks = self.place(way, entry, alloc)?;
+        let placed = self.place(way, entry, alloc);
+        // `place` stores the entry even when it fails.
         self.len += 1;
+        let kicks = placed?;
         self.stats.record_kicks(kicks);
         self.note_bytes();
         Ok(InsertReport {
@@ -487,7 +492,9 @@ impl<S: Slots> ElasticCuckoo<S> {
     /// different way; returns the kicks. At every `max_kicks` kicks it
     /// drains the in-flight resizes and forces an upsize so the pending
     /// entry can land: of the fullest smallest way under per-way sizing, of
-    /// every way otherwise.
+    /// every way otherwise. If that upsize fails, the entry it holds, the
+    /// new one or an evicted one, is placed without allocating before the
+    /// error returns, so every entry stays stored.
     fn place<A: Alloc<S>>(
         &mut self,
         way: usize,
@@ -508,11 +515,16 @@ impl<S: Slots> ElasticCuckoo<S> {
             kicks += 1;
             if kicks.is_multiple_of(self.cfg.base.max_kicks) {
                 self.finish_all_resizes(alloc);
-                if self.cfg.sizing == WaySizing::PerWay {
+                let upsized = if self.cfg.sizing == WaySizing::PerWay {
                     let w = self.fullest_smallest_way();
-                    self.start_resize(w, ResizeKind::Upsize, alloc)?;
+                    self.start_resize(w, ResizeKind::Upsize, alloc)
                 } else {
-                    self.resize_all(ResizeKind::Upsize, alloc)?;
+                    self.resize_all(ResizeKind::Upsize, alloc)
+                };
+                if let Err(e) = upsized {
+                    let way = self.other_way(way);
+                    self.place_infallible(way, entry);
+                    return Err(e);
                 }
             }
             way = self.other_way(way);

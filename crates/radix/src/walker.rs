@@ -25,6 +25,12 @@ pub struct WalkResult {
 /// warm 4KB walk is a single PTE access; a cold walk takes four dependent
 /// accesses — the radix scalability problem the paper opens with.
 ///
+/// Two walks share the PWC model. [`RadixWalker::walk`] is the reference:
+/// it reads the table's entries and returns the translation, and it times
+/// faulting walks. [`RadixWalker::time_walk`] times a walk to a page the OS
+/// mapped at a known size: under the flat memory model it reads no entry,
+/// and builds with debug assertions check it against `walk`.
+///
 /// # Examples
 ///
 /// ```
@@ -46,7 +52,7 @@ pub struct WalkResult {
 /// assert_eq!(warm.memory_accesses, 1); // PWC skips to the PTE level
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RadixWalker {
     /// One cache per non-leaf tree level (up to 4 for a 5-level tree).
     pwc: Vec<SetAssocCache>,
@@ -83,7 +89,8 @@ impl RadixWalker {
         va.0 >> (12 + 9 * (levels - 1 - level))
     }
 
-    /// Performs one timed page walk for `va`.
+    /// Performs one timed page walk for `va`: the reference walk, which
+    /// reads the table's entries and returns the translation it finds.
     ///
     /// Memory accesses for the levels not covered by a PWC hit are charged
     /// through `mem`; traversed node entries are installed in the PWC.
@@ -91,31 +98,16 @@ impl RadixWalker {
         self.walks += 1;
         let levels = pt.levels();
         let path = pt.walk_path(va);
-        // Probe the PWCs deepest-first (they are searched in parallel in
-        // hardware; one latency charge).
+        let start_level = self.probe_pwc(va, levels, path.len());
         let mut cycles = self.pwc_latency;
-        let mut start_level = 0;
-        for level in (0..levels - 1).rev() {
-            // A PWC entry is only usable if the walk actually traverses a
-            // node entry at that level (i.e. the path is long enough).
-            if path.len() > level + 1 && self.pwc[level].contains(Self::pwc_key(va, level, levels))
-            {
-                self.pwc_hits[level] += 1;
-                start_level = level + 1;
-                break;
-            }
-        }
         let mut accesses = 0;
         for (addr, _) in path.iter().skip(start_level) {
             cycles += mem.access(*addr);
             accesses += 1;
         }
-        // Install traversed node entries.
-        for (level, (_, step)) in path.iter().enumerate() {
-            if *step == Step::Node && level < levels - 1 {
-                self.pwc[level].fill(Self::pwc_key(va, level, levels));
-            }
-        }
+        // Node entries are a prefix of the path.
+        let nodes = path.iter().take_while(|(_, step)| *step == Step::Node);
+        self.fill_pwc(va, levels, nodes.count());
         let translation = match path.last() {
             Some((_, Step::Leaf(ppn, ps))) => Some((*ppn, *ps)),
             _ => None,
@@ -126,6 +118,97 @@ impl RadixWalker {
             translation,
             cycles,
             memory_accesses: accesses,
+        }
+    }
+
+    /// Performs one timed walk for `va`, which `pt` maps with a page of
+    /// size `ps`, and returns only its cycles and memory accesses, with the
+    /// same effect on the walker and on `mem` as [`RadixWalker::walk`].
+    ///
+    /// A mapped walk reads node entries down to `ps`'s leaf level, so its
+    /// length, PWC hits and PWC fills follow from `va`, `ps` and the tree's
+    /// depth; a flat `mem` charges every access the same latency whatever
+    /// its address. So this walk reads no entry of `pt`. On a hierarchical
+    /// `mem` it is [`RadixWalker::walk`]. A walk that faults stops at the
+    /// first empty entry, so it needs `walk`. Builds with debug assertions
+    /// also run the reference walk on copies of the walker and `mem` and
+    /// assert that both walks agree and that it finds a `ps` page.
+    pub fn time_walk(
+        &mut self,
+        pt: &RadixPageTable,
+        va: VirtAddr,
+        ps: PageSize,
+        mem: &mut MemoryModel,
+    ) -> (u64, u32) {
+        if !mem.is_flat() {
+            let r = self.walk(pt, va, mem);
+            return (r.cycles, r.memory_accesses);
+        }
+        #[cfg(debug_assertions)]
+        let reference = {
+            let (mut walker, mut mem) = (self.clone(), mem.clone());
+            let r = walker.walk(pt, va, &mut mem);
+            (walker, mem, r)
+        };
+        self.walks += 1;
+        let levels = pt.levels();
+        // The leaf sits one level above the last for each size step up.
+        let depth = levels - ps.index();
+        let start_level = self.probe_pwc(va, levels, depth);
+        let mut cycles = self.pwc_latency;
+        let accesses = (depth - start_level) as u32;
+        for _ in 0..accesses {
+            cycles += mem.access_parallel_flat(1);
+        }
+        self.fill_pwc(va, levels, depth - 1);
+        self.total_cycles += cycles;
+        self.total_accesses += accesses as u64;
+        #[cfg(debug_assertions)]
+        {
+            let (walker, ref_mem, r) = reference;
+            assert_eq!(
+                r.translation.map(|(_, wps)| wps),
+                Some(ps),
+                "the walk for {va:?} finds no {ps:?} page"
+            );
+            assert_eq!(
+                (cycles, accesses),
+                (r.cycles, r.memory_accesses),
+                "time_walk of {va:?} disagrees with walk"
+            );
+            assert!(
+                *self == walker,
+                "time_walk of {va:?} left other walker state"
+            );
+            assert_eq!(
+                (mem.accesses(), mem.total_cycles()),
+                (ref_mem.accesses(), ref_mem.total_cycles()),
+                "time_walk of {va:?} charged memory differently"
+            );
+        }
+        (cycles, accesses)
+    }
+
+    /// Probes the PWCs deepest-first for a walk that reads `depth` entries
+    /// (they are searched in parallel in hardware; one latency charge) and
+    /// returns the level the walk starts at.
+    fn probe_pwc(&mut self, va: VirtAddr, levels: usize, depth: usize) -> usize {
+        for level in (0..levels - 1).rev() {
+            // A PWC entry is only usable if the walk actually traverses a
+            // node entry at that level (i.e. the path is long enough).
+            if depth > level + 1 && self.pwc[level].contains(Self::pwc_key(va, level, levels)) {
+                self.pwc_hits[level] += 1;
+                return level + 1;
+            }
+        }
+        0
+    }
+
+    /// Installs the walk's first `nodes` entries, all node entries, in the
+    /// PWCs.
+    fn fill_pwc(&mut self, va: VirtAddr, levels: usize, nodes: usize) {
+        for level in 0..nodes.min(levels - 1) {
+            self.pwc[level].fill(Self::pwc_key(va, level, levels));
         }
     }
 

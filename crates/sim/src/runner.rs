@@ -25,7 +25,32 @@ enum Pt<B: Backing> {
 }
 
 impl<B: Backing> Pt<B> {
-    /// A timed walk; returns its cycles and the walker's translation.
+    /// A timed walk for `va`, which the OS maps with a page of size `ps`;
+    /// returns its cycles. Under the flat memory model the walkers' timing
+    /// walks read no table contents, so builds with debug assertions first
+    /// check the table's translation against the OS's mapping.
+    fn time_walk(&mut self, va: VirtAddr, ps: PageSize, dram: &mut MemoryModel) -> u64 {
+        debug_assert_eq!(
+            self.translate(va).map(|(_, wps)| wps),
+            Some(ps),
+            "the walk for {va:?} disagrees with the OS's mapping"
+        );
+        match self {
+            Pt::Radix { table, walker } => walker.time_walk(table, va, ps, dram).0,
+            Pt::Hashed { table, walker } => walker.time_walk(table, va, dram).0,
+        }
+    }
+
+    /// Functional translation (no timing).
+    fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {
+        match self {
+            Pt::Radix { table, .. } => table.translate(va),
+            Pt::Hashed { table, .. } => table.translate(va),
+        }
+    }
+
+    /// A timed reference walk; returns its cycles and the walker's
+    /// translation. Walks that fault take it.
     fn walk(&mut self, va: VirtAddr, dram: &mut MemoryModel) -> (u64, Option<(Ppn, PageSize)>) {
         match self {
             Pt::Radix { table, walker } => {
@@ -287,12 +312,7 @@ impl<B: Backing> ProcState<B> {
             c.translation += out.cycles();
             c.total += out.cycles();
             if out.is_miss() {
-                let (wc, walked) = self.pt.walk(va, dram);
-                debug_assert_eq!(
-                    walked.map(|(_, wps)| wps),
-                    Some(ps),
-                    "the walk for {va:?} disagrees with the OS's mapping"
-                );
+                let wc = self.pt.time_walk(va, ps, dram);
                 c.translation += wc;
                 c.total += wc;
                 tlb.fill(va.vpn(ps), ps);
@@ -780,6 +800,44 @@ mod tests {
             walk_every_access::<L2pTable>(wl(), PtKind::MeHpt, mehpt),
             (2, 1)
         );
+    }
+
+    /// Steps a two-access trace after the OS map was told that the second
+    /// access's page is mapped, which the page table never heard of, and
+    /// returns the panic message of that access's walk.
+    #[cfg(debug_assertions)]
+    fn walk_of_a_page_only_the_os_maps<B: Backing>(kind: PtKind, hpt: B::Config) -> String {
+        let trace = "region heap 0x10000000 0x100000 nothp\n0x10000040\n0x10001040\n";
+        let wl = mehpt_workloads::FileTrace::parse(trace.as_bytes())
+            .unwrap()
+            .into_workload("stale");
+        let mut cfg = SimConfig::paper(kind, false);
+        cfg.mem_bytes = mehpt_types::GIB;
+        let mut mem = PhysMem::new(cfg.mem_bytes);
+        let mut tlb = TlbHierarchy::paper_default();
+        let mut dram = MemoryModel::paper_default();
+        let mut proc = ProcState::<B>::new(wl, &cfg, hpt, &mut mem);
+        proc.os.insert(VirtAddr::new(0x1000_1000), PageSize::Base4K);
+        assert!(proc.step(&cfg, &mut mem, &mut tlb, &mut dram), "the fault");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proc.step(&cfg, &mut mem, &mut tlb, &mut dram)
+        }))
+        .expect_err("the walk must disagree with the OS's mapping");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_walk_that_disagrees_with_the_os_panics_in_debug_builds() {
+        let ecpt = CuckooConfig::default();
+        let mehpt = SimConfig::paper(PtKind::MeHpt, false).mehpt;
+        for msg in [
+            walk_of_a_page_only_the_os_maps::<()>(PtKind::Radix, ecpt.clone()),
+            walk_of_a_page_only_the_os_maps::<()>(PtKind::Ecpt, ecpt),
+            walk_of_a_page_only_the_os_maps::<L2pTable>(PtKind::MeHpt, mehpt),
+        ] {
+            assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
+        }
     }
 
     #[test]

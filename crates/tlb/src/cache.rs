@@ -35,7 +35,7 @@ impl CacheStats {
 /// assert!(!cache.access(42));  // cold miss (inserts)
 /// assert!(cache.access(42));   // hit
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetAssocCache {
     /// `sets[s]` is the MRU-ordered list of resident keys (front = MRU).
     sets: Vec<Vec<u64>>,

@@ -143,6 +143,28 @@ impl MemoryModel {
         addrs.iter().map(|&a| self.access(a)).max().unwrap_or(0)
     }
 
+    /// Whether every access costs the flat `mem_latency`, whatever its
+    /// address ([`MemoryModelConfig::flat`]).
+    #[inline]
+    pub fn is_flat(&self) -> bool {
+        self.cfg.flat
+    }
+
+    /// [`MemoryModel::access_parallel`] over `n` addresses of a flat model,
+    /// which never reads them: the same latency (0 for no access) and the
+    /// same `accesses`/`total_cycles` update.
+    #[inline]
+    pub fn access_parallel_flat(&mut self, n: u32) -> u64 {
+        debug_assert!(self.cfg.flat, "only a flat model ignores addresses");
+        self.accesses += u64::from(n);
+        self.total_cycles += u64::from(n) * self.cfg.mem_latency;
+        if n == 0 {
+            0
+        } else {
+            self.cfg.mem_latency
+        }
+    }
+
     /// Invalidates a line (e.g. the OS rewrote a page-table entry).
     pub fn invalidate(&mut self, addr: PhysAddr) {
         self.l2.invalidate(addr.line());
@@ -198,6 +220,23 @@ mod tests {
         assert_eq!(m.l2_stats(), CacheStats::default());
         assert_eq!(m.l3_stats(), CacheStats::default());
         assert_eq!(hierarchical().l2.capacity(), 8192, "512KB of 64B lines");
+    }
+
+    #[test]
+    fn flat_parallel_charge_matches_access_parallel() {
+        for n in 0..5u32 {
+            let mut by_addr = MemoryModel::paper_default();
+            let mut by_count = MemoryModel::paper_default();
+            let addrs: Vec<_> = (0..u64::from(n)).map(|i| PhysAddr::new(i << 12)).collect();
+            assert_eq!(
+                by_count.access_parallel_flat(n),
+                by_addr.access_parallel(&addrs)
+            );
+            assert_eq!(by_count.accesses(), by_addr.accesses());
+            assert_eq!(by_count.total_cycles(), by_addr.total_cycles());
+        }
+        assert!(MemoryModel::paper_default().is_flat());
+        assert!(!hierarchical().is_flat());
     }
 
     #[test]

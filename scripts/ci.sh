@@ -69,6 +69,27 @@ if ! ./target/checked/release/mehpt-lab all --jobs 2 --quick \
     exit 1
 fi
 
+echo "==> checked speedbench: the walk cross-checks on paper-scale cells"
+# The checked sweep above runs scale-0.005 cells, whose tables barely
+# resize. speedbench's gups_hpt (scale 0.1) and mummer_thp (scale 1.0) cells
+# built with debug assertions check every timing-only walk against the
+# reference walk and the OS's mapping through many resizes. A failed check
+# panics its cell, and speedbench reports "correct": false.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo build --release --offline --quiet \
+    --manifest-path speedbench/Cargo.toml --target-dir target/checked-speedbench
+sb_log=$(mktemp)
+for w in gups_hpt mummer_thp; do
+    if ! out=$(./target/checked-speedbench/release/mehpt-speedbench \
+        --workload "$w" --seconds 0.001 --trace 0 2>"$sb_log") ||
+        ! grep -q '"correct": true' <<<"$out"; then
+        cat "$sb_log" >&2
+        printf '%s\n' "$out" >&2
+        echo "checked speedbench $w: a walk cross-check failed" >&2
+        exit 1
+    fi
+done
+rm -f "$sb_log"
+
 echo "==> determinism: --jobs 1 and --jobs 4 must emit identical reports"
 ./target/release/mehpt-lab run --preset fig7 --seeds 3 --jobs 1 --quick \
     --max-accesses 20000 --out target/lab-ci-j1 >/dev/null 2>&1
