@@ -364,22 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn probe_lands_inside_owned_chunks() {
+    fn probe_reads_one_slot_per_way() {
         let (mut mem, mut l2p) = setup();
         let mut t = table(&mut mem, &mut l2p);
-        let mut out = Vec::new();
         for i in 0..50_000u64 {
             t.insert(Vpn(i * 8), Ppn(i), &mut mem, &mut l2p).unwrap();
             if i % 977 == 0 {
-                out.clear();
-                assert_eq!(t.probe(Vpn(i * 8), &mut out), Some(Ppn(i)));
-                assert_eq!(out.len(), 3, "one probe per way");
-                for addr in &out {
-                    // Each probe address must fall in some live page-table
-                    // chunk (we only check it is within the memory the
-                    // allocator handed out).
-                    assert!(addr.0 < mem.total_bytes());
-                }
+                assert_eq!(t.probe(Vpn(i * 8)), (Some(Ppn(i)), 3));
             }
         }
     }

@@ -5,27 +5,26 @@
 //! * The single-pass walk: on a random trace of 4KB and 2MB mappings,
 //!   through upsizes, downsizes and mid-migration states, every timed walk
 //!   returns exactly the functional translation, with cold, warm and
-//!   long-lived CWCs, and probes exactly the slots `HptView::probe` names,
-//!   across ME-HPT's chunk-size switch.
-//! * The probe addresses: `probe` names the same slots as the per-way
-//!   computation it replaced (one byte-wise CRC per way, then the slot
-//!   address), for ECPT, in-place ME-HPT across a chunk switch, and
-//!   out-of-place ME-HPT, whose old storage is probed mid-migration.
+//!   long-lived CWCs, and reads exactly as many slots as `HptView::probe`
+//!   reads, across ME-HPT's chunk-size switch.
+//! * The table probe: `HptTable::probe` finds what `lookup` finds and
+//!   reads one slot per way, for ECPT, in-place ME-HPT across a chunk
+//!   switch, and out-of-place ME-HPT, whose old storage is probed
+//!   mid-migration.
 
 use mehpt_core::{L2pTable, MeHptConfig};
-use mehpt_ecpt::{Backing, ClusterEntry, CuckooConfig, EcptWalker, Hpt, HptTable, HptView};
+use mehpt_ecpt::{Backing, CuckooConfig, EcptWalker, Hpt, HptTable, HptView};
 use mehpt_hash::{ResizeKind, ResizeMode};
 use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, GIB, PAGE_SIZES};
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn, GIB, PAGE_SIZES};
 
 /// Walks addresses three ways and checks each walk against `translate`.
 struct Checker {
     fresh: EcptWalker,
     long_lived: EcptWalker,
     dram: MemoryModel,
-    out: Vec<PhysAddr>,
 }
 
 impl Checker {
@@ -34,19 +33,16 @@ impl Checker {
             fresh: EcptWalker::paper_default(),
             long_lived: EcptWalker::paper_default(),
             dram: MemoryModel::paper_default(),
-            out: Vec::new(),
         }
     }
 
-    /// The number of slots `probe` names for `va` in the tables of `sizes`.
-    fn probes<T: HptView>(&mut self, t: &T, va: VirtAddr, sizes: u8) -> usize {
-        self.out.clear();
-        for ps in PAGE_SIZES {
-            if sizes & (1 << ps.index()) != 0 {
-                t.probe(ps, va.vpn(ps), &mut self.out);
-            }
-        }
-        self.out.len()
+    /// The number of slots `probe` reads for `va` in the tables of `sizes`.
+    fn probes<T: HptView>(t: &T, va: VirtAddr, sizes: u8) -> u32 {
+        PAGE_SIZES
+            .iter()
+            .filter(|ps| sizes & (1 << ps.index()) != 0)
+            .map(|&ps| t.probe(ps, va.vpn(ps)).1)
+            .sum()
     }
 
     fn check<T: HptView>(&mut self, t: &T, va: VirtAddr) {
@@ -56,18 +52,14 @@ impl Checker {
         self.fresh.flush();
         let cold = self.fresh.walk(t, va, &mut self.dram);
         assert_eq!(cold.translation, truth, "cold walk of {va:?}");
-        let all = self.probes(t, va, 0b111);
-        assert_eq!(
-            cold.memory_accesses as usize,
-            2 + all,
-            "cold walk of {va:?}"
-        );
+        let all = Self::probes(t, va, 0b111);
+        assert_eq!(cold.memory_accesses, 2 + all, "cold walk of {va:?}");
         // Warm CWCs: only the sizes the CWTs list are probed.
         let warm = self.fresh.walk(t, va, &mut self.dram);
         assert_eq!(warm.translation, truth, "warm walk of {va:?}");
         let sizes = (t.pmd_mask(va).unwrap_or(0) & 0b011) | (t.pud_mask(va).unwrap_or(0) & 0b100);
-        let listed = self.probes(t, va, sizes);
-        assert_eq!(warm.memory_accesses as usize, listed, "warm walk of {va:?}");
+        let listed = Self::probes(t, va, sizes);
+        assert_eq!(warm.memory_accesses, listed, "warm walk of {va:?}");
         // CWCs holding whatever the earlier walks left, including a cached
         // 1GB region with an uncached 2MB region.
         let long = self.long_lived.walk(t, va, &mut self.dram);
@@ -158,31 +150,12 @@ fn walks_match_translate_through_resizes() {
     assert!(t4k.stats().chunk_switches > 0, "no chunk-size switch");
 }
 
-/// Hashes a `u64` key byte by byte, as `Hasher::write` does, so the
-/// reference below bypasses the slicing-by-8 `write_u64`.
-struct Bytewise(u64);
-
-impl std::hash::Hash for Bytewise {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        h.write(&self.0.to_ne_bytes());
-    }
-}
-
-/// The per-way probe computation `probe` replaced: one byte-wise CRC per
-/// way, then the slot address.
-fn reference_probe<B: Backing>(t: &HptTable<B>, vpn: Vpn) -> Vec<PhysAddr> {
-    let tag = ClusterEntry::tag_of(vpn);
-    (0..t.way_sizes().len())
-        .map(|w| t.slot_addr(w, t.hash_family().hash(w, &Bytewise(tag))))
-        .collect()
-}
-
-/// Inserts `inserts` clusters into a fresh 4KB table, comparing `probe`
-/// with the reference (and with `lookup`) every 97 inserts.
+/// Inserts `inserts` clusters into a fresh 4KB table, checking every 97
+/// inserts that `probe` finds what `lookup` finds and reads one slot per
+/// way.
 fn probe_trace<B: Backing>(cfg: B::Config, mut backing: B, inserts: u64) -> HptTable<B> {
     let mut mem = PhysMem::with_cost_model(4 * GIB, AllocCostModel::zero_cost());
     let mut t = HptTable::new(PageSize::Base4K, cfg, &mut mem, &mut backing).unwrap();
-    let mut out = Vec::new();
     let mut mid_resize_checks = 0;
     for i in 0..inserts {
         t.insert(Vpn(i * 8 + i % 3), Ppn(i), &mut mem, &mut backing)
@@ -193,9 +166,8 @@ fn probe_trace<B: Backing>(cfg: B::Config, mut backing: B, inserts: u64) -> HptT
         mid_resize_checks += u32::from(t.is_resizing());
         for probe in (0..i * 2).step_by(1 + i as usize / 16) {
             let vpn = Vpn(probe * 4 + probe % 3);
-            out.clear();
-            assert_eq!(t.probe(vpn, &mut out), t.lookup(vpn), "{vpn:?} at {i}");
-            assert_eq!(out, reference_probe(&t, vpn), "{vpn:?} at {i}");
+            let reads = t.way_count() as u32;
+            assert_eq!(t.probe(vpn), (t.lookup(vpn), reads), "{vpn:?} at {i}");
         }
     }
     assert!(mid_resize_checks > 0, "never checked mid-resize");
@@ -203,7 +175,7 @@ fn probe_trace<B: Backing>(cfg: B::Config, mut backing: B, inserts: u64) -> HptT
 }
 
 #[test]
-fn probe_matches_per_way_reference_through_resizes() {
+fn probe_matches_lookup_through_resizes() {
     let ecpt = probe_trace(CuckooConfig::default(), (), 20_000);
     let resizes = ecpt.stats().resizes.len();
     assert!(resizes >= 6, "too few resizes: {resizes}");

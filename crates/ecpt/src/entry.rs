@@ -14,8 +14,8 @@ pub const CLUSTER_PTES: usize = 8;
 /// 64-byte line — which is why sizing math throughout uses
 /// [`ClusterEntry::BYTES`] = 64).
 ///
-/// That 64-byte line is the *modeled* layout: slot addresses, way and chunk
-/// sizes all count 64 bytes per entry. On the host, a table way stores its
+/// That 64-byte line is the *modeled* layout: way and chunk sizes count 64
+/// bytes per entry. On the host, a table way stores its
 /// entries split in two parallel arrays, a `u64` tag per slot and a row of
 /// [`CLUSTER_PTES`] PTEs per slot, so a walk compares 8-byte tags and
 /// reads a PTE row only on a match. A `ClusterEntry` value is how an entry

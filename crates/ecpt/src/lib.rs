@@ -60,4 +60,4 @@ pub use mehpt_hash::{CuckooConfig, InsertReport};
 pub use process::{Ecpt, Hpt};
 pub use table::{chunks_for, Backing, EcptTable, HptTable};
 pub use view::HptView;
-pub use walker::{EcptWalker, EcptWalkerConfig, HptWalkResult};
+pub use walker::{EcptWalker, HptWalkResult};

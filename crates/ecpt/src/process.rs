@@ -1,6 +1,6 @@
 use mehpt_hash::InsertReport;
 use mehpt_mem::{AllocError, PhysMem};
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, PAGE_SIZES};
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn, PAGE_SIZES};
 
 use crate::cwt::CwtSet;
 use crate::table::{Backing, HptTable};
@@ -189,8 +189,8 @@ impl<B: Backing> HptView for Hpt<B> {
         self.cwt.pmd_mask(va)
     }
 
-    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
-        self.table(ps)?.probe(vpn, out)
+    fn probe(&self, ps: PageSize, vpn: Vpn) -> (Option<Ppn>, u32) {
+        self.table(ps).map_or((None, 0), |t| t.probe(vpn))
     }
 
     #[inline]

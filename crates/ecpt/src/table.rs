@@ -5,7 +5,7 @@ use mehpt_hash::{
     Alloc, Config, CuckooConfig, ElasticCuckoo, HashFamily, InsertReport, Slots, TableStats,
 };
 use mehpt_mem::{AllocError, AllocTag, Chunk, PhysMem};
-use mehpt_types::{PageSize, PhysAddr, Ppn, Vpn};
+use mehpt_types::{PageSize, Ppn, Vpn};
 
 use crate::entry::{pte_clear, pte_get, pte_set, ClusterEntry, CLUSTER_PTES};
 
@@ -135,8 +135,8 @@ struct Storage {
     /// Per slot: the cluster's PTEs; meaningful only under a nonzero tag.
     ptes: Vec<[u64; CLUSTER_PTES]>,
     chunks: Vec<Chunk>,
-    /// log2 of the entries per chunk.
-    shift: u32,
+    /// The size of every chunk, a power of two.
+    chunk_bytes: u64,
 }
 
 // The small helpers of `Storage` are `#[inline]`: the engine's methods are
@@ -152,7 +152,7 @@ impl Storage {
             tags: vec![0; len],
             ptes: vec![[0; CLUSTER_PTES]; len],
             chunks: alloc_chunks(mem, chunks_for(len, chunk_bytes), chunk_bytes)?,
-            shift: (chunk_bytes / ClusterEntry::BYTES).trailing_zeros(),
+            chunk_bytes,
         })
     }
 
@@ -167,14 +167,6 @@ impl Storage {
     fn set_len(&mut self, len: usize) {
         self.tags.resize(len, 0);
         self.ptes.resize(len, [0; CLUSTER_PTES]);
-    }
-
-    /// The physical address of logical entry `idx` — the L2P translation:
-    /// chunk `idx >> shift`, offset `idx & mask`.
-    #[inline]
-    fn addr(&self, idx: usize) -> PhysAddr {
-        let offset = idx & ((1 << self.shift) - 1);
-        self.chunks[idx >> self.shift].addr(offset as u64 * ClusterEntry::BYTES)
     }
 
     fn register<B: Backing>(&self, b: &mut B, w: usize, ps: PageSize) {
@@ -233,7 +225,7 @@ impl Slots for Storage {
 
     #[inline]
     fn chunk_bytes(&self) -> u64 {
-        ClusterEntry::BYTES << self.shift
+        self.chunk_bytes
     }
 }
 
@@ -480,40 +472,32 @@ impl<B: Backing> HptTable<B> {
         self.core.family()
     }
 
-    /// The physical address of the slot that way `way`'s hash value `h`
-    /// selects, honoring the way's rehash pointer.
-    pub fn slot_addr(&self, way: usize, h: u64) -> PhysAddr {
-        let way = &self.core.ways()[way];
-        let (in_old, idx) = way.locate(h);
-        way.slots(in_old).addr(idx)
-    }
-
     /// Functional lookup (no timing).
     pub fn lookup(&self, vpn: Vpn) -> Option<Ppn> {
         let (w, in_old, idx) = self.find(ClusterEntry::tag_of(vpn))?;
         pte_get(&self.core.ways()[w].slots(in_old).ptes[idx], vpn)
     }
 
-    /// One walker probe of `vpn`: hashes each way once, pushes the way
-    /// slot's physical address onto `out` (W addresses, honoring the rehash
-    /// pointers — Section II-B: "a lookup operation during resizing only
-    /// needs W probes") and returns the translation if a slot's tag
-    /// matches — what [`HptTable::lookup`] returns. In ME-HPT the L2P
-    /// lookup that produces the addresses costs ~4 cycles in hardware and
-    /// hides behind the CWC access (Section V-D).
-    pub fn probe(&self, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
+    /// One walker probe of `vpn`: hashes each way once and reads the way
+    /// slot it selects (W slots, honoring the rehash pointers — Section
+    /// II-B: "a lookup operation during resizing only needs W probes").
+    /// Returns the translation if a slot's tag matches — what
+    /// [`HptTable::lookup`] returns — and the number of slots read. In
+    /// ME-HPT the L2P lookup that finds the slots costs ~4 cycles in
+    /// hardware and hides behind the CWC access (Section V-D).
+    pub fn probe(&self, vpn: Vpn) -> (Option<Ppn>, u32) {
         let tag = ClusterEntry::tag_of(vpn);
         let family = self.core.family();
-        let mut hit = None;
+        let (mut hit, mut reads) = (None, 0);
         for (w, way) in self.core.ways().iter().enumerate() {
             let (in_old, idx) = way.locate(family.hash(w, &tag));
             let storage = way.slots(in_old);
-            out.push(storage.addr(idx));
+            reads += 1;
             if hit.is_none() {
                 hit = storage.row(idx, tag + 1).map(|row| pte_get(row, vpn));
             }
         }
-        hit.flatten()
+        (hit.flatten(), reads)
     }
 
     /// The `(way, in_old_table, index)` of the slot holding cluster `tag`.
@@ -716,9 +700,7 @@ mod tests {
         assert!(t.insert(a, Ppn(0), &mut m, &mut b).unwrap().added);
         assert!(t.insert(c, Ppn(0), &mut m, &mut b).unwrap().added);
         assert_eq!(t.lookup(a), Some(Ppn(0)));
-        let mut addrs = Vec::new();
-        assert_eq!(t.probe(c, &mut addrs), Some(Ppn(0)));
-        assert_eq!(addrs.len(), 3, "one slot address per way");
+        assert_eq!(t.probe(c), (Some(Ppn(0)), 3), "one slot read per way");
         assert_eq!(t.remove(a, &mut m, &mut b), Some(Ppn(0)));
         assert_eq!(t.clusters(), 1, "a PPN-0 PTE keeps its cluster");
         assert_eq!(t.lookup(c), Some(Ppn(0)));

@@ -1,4 +1,4 @@
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn};
 
 /// What the hardware cuckoo walker needs from a hashed page table.
 ///
@@ -23,19 +23,20 @@ pub trait HptView {
     /// The page sizes mapped in `va`'s 2MB region (bits 0–1), or `None`.
     fn pmd_mask(&self, va: VirtAddr) -> Option<u8>;
 
-    /// One walker probe of `vpn` in the `ps` table: pushes the physical
-    /// addresses of the W way slots onto `out`, honoring in-flight resize
-    /// state, and returns the translation those slots hold for `vpn`.
+    /// One walker probe of `vpn` in the `ps` table: reads one slot per
+    /// way, honoring in-flight resize state, and returns the translation
+    /// those slots hold for `vpn` and how many slots it read.
     ///
-    /// Each way is hashed once. Pushes nothing and returns `None` if no
+    /// Each way is hashed once. Reads nothing and returns `(None, 0)` if no
     /// `ps` table exists.
-    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn>;
+    fn probe(&self, ps: PageSize, vpn: Vpn) -> (Option<Ppn>, u32);
 
-    /// How many slot addresses [`HptView::probe`] of the `ps` table pushes,
-    /// for any `vpn`: the table's way count, or 0 if no `ps` table exists.
+    /// How many slots [`HptView::probe`] of the `ps` table reads, for any
+    /// `vpn`: the table's way count, or 0 if no `ps` table exists.
     ///
-    /// Under the flat memory model a walk's cost depends only on this count,
-    /// so [`EcptWalker::time_walk`](crate::EcptWalker::time_walk) uses it
+    /// Every memory access costs the same, so a walk's cost depends only
+    /// on this count, and
+    /// [`EcptWalker::time_walk`](crate::EcptWalker::time_walk) uses it
     /// instead of probing.
     fn probe_width(&self, ps: PageSize) -> u32;
 

@@ -1,44 +1,18 @@
 use mehpt_tlb::{MemoryModel, SetAssocCache};
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, PAGE_SIZES};
+use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
 
 use crate::process::size_bit;
 use crate::view::HptView;
 
-/// Synthetic physical base of the in-memory PUD-CWT, placed far above the
-/// modeled DRAM so CWT lines never alias page-table or data lines in the
-/// cache model.
-const PUD_CWT_BASE: u64 = 1 << 40;
-/// Synthetic physical base of the in-memory PMD-CWT.
-const PMD_CWT_BASE: u64 = 1 << 41;
-
-/// Configuration of the hardware cuckoo walker (Table III).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EcptWalkerConfig {
-    /// PMD-CWC capacity in entries.
-    pub pmd_cwc_entries: usize,
-    /// PUD-CWC capacity in entries.
-    pub pud_cwc_entries: usize,
-    /// CWC round-trip latency in cycles.
-    pub cwc_latency: u64,
-    /// CRC hash latency in cycles.
-    pub hash_latency: u64,
-    /// Extra serial latency per probe group, e.g. an L2P-table access that
-    /// could not be hidden. Zero for the ECPT baseline; ME-HPT sets it only
-    /// on paths where the CWC overlap cannot hide the L2P lookup.
-    pub extra_latency: u64,
-}
-
-impl Default for EcptWalkerConfig {
-    fn default() -> EcptWalkerConfig {
-        EcptWalkerConfig {
-            pmd_cwc_entries: 16,
-            pud_cwc_entries: 2,
-            cwc_latency: 4,
-            hash_latency: 2,
-            extra_latency: 0,
-        }
-    }
-}
+// The hardware cuckoo walker's parameters (Table III).
+/// PMD-CWC capacity in entries.
+const PMD_CWC_ENTRIES: usize = 16;
+/// PUD-CWC capacity in entries.
+const PUD_CWC_ENTRIES: usize = 2;
+/// CWC round-trip latency in cycles.
+const CWC_LATENCY: u64 = 4;
+/// CRC hash latency in cycles.
+const HASH_LATENCY: u64 = 2;
 
 /// The outcome of one timed HPT walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,9 +21,8 @@ pub struct HptWalkResult {
     pub translation: Option<(Ppn, PageSize)>,
     /// Total walk latency in cycles.
     pub cycles: u64,
-    /// Memory accesses performed (they run in parallel per probe group, so
-    /// latency is the max of each group, but every access occupies
-    /// bandwidth and cache state).
+    /// Memory accesses performed (they run in parallel, so the walk pays
+    /// one round trip for all of them).
     pub memory_accesses: u32,
 }
 
@@ -62,44 +35,33 @@ pub struct HptWalkResult {
 ///
 /// Two walks share the CWC step. [`EcptWalker::walk`] is the reference: it
 /// hashes each probed table's ways, reads their slots and returns the
-/// translation. [`EcptWalker::time_walk`] returns only the timing: under
-/// the flat memory model it counts each probed table's
-/// [`HptView::probe_width`] instead of probing, and builds with debug
-/// assertions check it against `walk`.
+/// translation. [`EcptWalker::time_walk`] returns only the timing: it
+/// counts each probed table's [`HptView::probe_width`] instead of probing,
+/// and builds with debug assertions check it against `walk`.
 ///
 /// CWC entries mirror CWT state; the OS must call
 /// [`EcptWalker::invalidate_region`] when a mapping changes a region's
 /// page-size mask.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EcptWalker {
     pmd_cwc: SetAssocCache,
     pud_cwc: SetAssocCache,
-    cfg: EcptWalkerConfig,
     walks: u64,
     total_cycles: u64,
     total_accesses: u64,
     cwt_walks: u64,
-    /// The current walk's probe group, reused so a walk allocates nothing.
-    group: Vec<PhysAddr>,
 }
 
 impl EcptWalker {
-    /// Builds the walker with Table III's CWC geometry.
+    /// Builds the walker with Table III's CWC geometry and latencies.
     pub fn paper_default() -> EcptWalker {
-        EcptWalker::new(EcptWalkerConfig::default())
-    }
-
-    /// Builds the walker from an explicit configuration.
-    pub fn new(cfg: EcptWalkerConfig) -> EcptWalker {
         EcptWalker {
-            pmd_cwc: SetAssocCache::fully_associative(cfg.pmd_cwc_entries),
-            pud_cwc: SetAssocCache::fully_associative(cfg.pud_cwc_entries),
-            cfg,
+            pmd_cwc: SetAssocCache::fully_associative(PMD_CWC_ENTRIES),
+            pud_cwc: SetAssocCache::fully_associative(PUD_CWC_ENTRIES),
             walks: 0,
             total_cycles: 0,
             total_accesses: 0,
             cwt_walks: 0,
-            group: Vec::new(),
         }
     }
 
@@ -112,10 +74,7 @@ impl EcptWalker {
         va: VirtAddr,
         mem: &mut MemoryModel,
     ) -> HptWalkResult {
-        let (mut cycles, sizes, cwt_fetches) = self.cwc_step(ecpt, va);
-        let group = &mut self.group;
-        group.clear();
-        group.extend(cwt_fetches.into_iter().flatten());
+        let (cycles, sizes, mut accesses) = self.cwc_step(ecpt, va);
         // The masks come from the live CWTs, so `sizes` holds every page
         // size mapped at `va` (exactly with warm CWCs, a superset on a
         // miss). The largest size that hit is therefore the ground-truth
@@ -123,21 +82,17 @@ impl EcptWalker {
         let mut translation = None;
         for ps in PAGE_SIZES {
             if sizes & size_bit(ps) != 0 {
-                if let Some(ppn) = ecpt.probe(ps, va.vpn(ps), group) {
+                let (hit, reads) = ecpt.probe(ps, va.vpn(ps));
+                accesses += reads;
+                if let Some(ppn) = hit {
                     translation = Some((ppn, ps));
                 }
             }
         }
         debug_assert_eq!(translation, ecpt.translate(va));
-        let accesses = group.len() as u32;
-        if !group.is_empty() {
-            cycles += mem.access_parallel(group);
-        }
-        self.total_cycles += cycles;
-        self.total_accesses += accesses as u64;
         HptWalkResult {
             translation,
-            cycles,
+            cycles: self.charge(cycles, accesses, mem),
             memory_accesses: accesses,
         }
     }
@@ -146,39 +101,30 @@ impl EcptWalker {
     /// memory accesses, with the same effect on the walker and on `mem` as
     /// [`EcptWalker::walk`].
     ///
-    /// A flat `mem` charges every access the same latency whatever its
-    /// address, so the walk's timing depends only on the CWC state, the
-    /// CWT masks and each probed table's [`HptView::probe_width`]: this
-    /// walk neither hashes nor reads way slots. On a hierarchical `mem` it
-    /// is [`EcptWalker::walk`]. Builds with debug assertions also run the
-    /// reference walk on copies of the walker and `mem` and assert that
-    /// both walks agree.
+    /// Every access costs the same latency, so the walk's timing depends
+    /// only on the CWC state, the CWT masks and each probed table's
+    /// [`HptView::probe_width`]: this walk neither hashes nor reads way
+    /// slots. Builds with debug assertions also run the reference walk on
+    /// copies of the walker and `mem` and assert that both walks agree.
     pub fn time_walk<T: HptView>(
         &mut self,
         ecpt: &T,
         va: VirtAddr,
         mem: &mut MemoryModel,
     ) -> (u64, u32) {
-        if !mem.is_flat() {
-            let r = self.walk(ecpt, va, mem);
-            return (r.cycles, r.memory_accesses);
-        }
         #[cfg(debug_assertions)]
         let reference = {
             let (mut walker, mut mem) = (self.clone(), mem.clone());
             let r = walker.walk(ecpt, va, &mut mem);
             (walker, mem, r)
         };
-        let (mut cycles, sizes, cwt_fetches) = self.cwc_step(ecpt, va);
-        let mut accesses = cwt_fetches.iter().flatten().count() as u32;
+        let (cycles, sizes, mut accesses) = self.cwc_step(ecpt, va);
         for ps in PAGE_SIZES {
             if sizes & size_bit(ps) != 0 {
                 accesses += ecpt.probe_width(ps);
             }
         }
-        cycles += mem.access_parallel_flat(accesses);
-        self.total_cycles += cycles;
-        self.total_accesses += accesses as u64;
+        let cycles = self.charge(cycles, accesses, mem);
         #[cfg(debug_assertions)]
         {
             let (walker, ref_mem, r) = reference;
@@ -188,7 +134,7 @@ impl EcptWalker {
                 "time_walk of {va:?} disagrees with walk"
             );
             assert!(
-                self.same_state(&walker),
+                *self == walker,
                 "time_walk of {va:?} left other walker state"
             );
             assert_eq!(
@@ -203,15 +149,15 @@ impl EcptWalker {
     /// The CWC lookup every walk starts with: counts the walk, probes both
     /// CWCs, reads the CWT masks and fills the CWCs that missed. Returns
     /// the cycles spent before the memory accesses, the page sizes to
-    /// probe (bit 0 = 4KB) and the CWT entries to fetch, PUD first.
+    /// probe (bit 0 = 4KB) and how many CWT entries the walk fetches.
     #[inline]
-    fn cwc_step<T: HptView>(&mut self, ecpt: &T, va: VirtAddr) -> (u64, u8, [Option<PhysAddr>; 2]) {
+    fn cwc_step<T: HptView>(&mut self, ecpt: &T, va: VirtAddr) -> (u64, u8, u32) {
         self.walks += 1;
         let pud_key = va.0 >> 30;
         let pmd_key = va.0 >> 21;
         // One parallel probe of both CWCs, overlapped with hashing (and
         // with the L2P access in ME-HPT, Section V-D).
-        let cycles = self.cfg.cwc_latency.max(self.cfg.hash_latency) + self.cfg.extra_latency;
+        let cycles = CWC_LATENCY.max(HASH_LATENCY);
 
         let pud_cached = self.pud_cwc.contains(pud_key);
         let pmd_cached = self.pmd_cwc.contains(pmd_key);
@@ -229,28 +175,27 @@ impl EcptWalker {
             (true, false) => pud_mask, // refine small sizes speculatively
             (false, _) => 0b111,       // probe everything
         };
-        let mut cwt_fetches = [None; 2];
+        let mut cwt_fetches = 0;
         if !pud_cached {
-            cwt_fetches[0] = Some(PhysAddr::new(PUD_CWT_BASE + pud_key * 8));
-            self.cwt_walks += 1;
+            cwt_fetches += 1;
             self.pud_cwc.fill(pud_key);
         }
         if !pmd_cached {
-            cwt_fetches[1] = Some(PhysAddr::new(PMD_CWT_BASE + pmd_key * 8));
-            self.cwt_walks += 1;
+            cwt_fetches += 1;
             self.pmd_cwc.fill(pmd_key);
         }
+        self.cwt_walks += u64::from(cwt_fetches);
         (cycles, sizes, cwt_fetches)
     }
 
-    /// Whether `other` holds the same CWCs and counters (the probe-group
-    /// buffer aside).
-    #[cfg(debug_assertions)]
-    fn same_state(&self, other: &EcptWalker) -> bool {
-        let counters = |w: &EcptWalker| (w.walks, w.total_cycles, w.total_accesses, w.cwt_walks);
-        self.pmd_cwc == other.pmd_cwc
-            && self.pud_cwc == other.pud_cwc
-            && counters(self) == counters(other)
+    /// Charges a walk's `accesses`, issued in parallel after `cycles` of
+    /// CWC lookup, to `mem` and the walker's totals; returns the walk's
+    /// cycles.
+    fn charge(&mut self, cycles: u64, accesses: u32, mem: &mut MemoryModel) -> u64 {
+        let cycles = cycles + mem.charge(accesses);
+        self.total_cycles += cycles;
+        self.total_accesses += u64::from(accesses);
+        cycles
     }
 
     /// Drops cached CWC state for the regions containing `va`; the OS calls

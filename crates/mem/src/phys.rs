@@ -79,16 +79,6 @@ impl Chunk {
     pub fn tag(&self) -> AllocTag {
         self.tag
     }
-
-    /// The physical address `offset` bytes into the chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `offset` is out of bounds.
-    pub fn addr(&self, offset: u64) -> PhysAddr {
-        debug_assert!(offset < self.bytes, "offset {offset} out of chunk bounds");
-        self.base + offset
-    }
 }
 
 /// The machine's physical memory: a buddy allocator plus cost accounting,

@@ -2,7 +2,7 @@ use core::fmt;
 use core::ops::Deref;
 
 use mehpt_mem::{AllocError, AllocTag, Chunk, PhysMem};
-use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn};
 
 /// Entries per radix node (512 × 8B = one 4KB frame).
 pub(crate) const FANOUT: usize = 512;
@@ -25,26 +25,26 @@ pub(crate) enum Step {
     Empty,
 }
 
-/// The entries one page walk reads, root first: the physical address of
-/// each and what the walker finds there. At most [`MAX_LEVELS`] steps,
-/// held inline so a walk allocates nothing.
+/// The entries one page walk reads, root first: what the walker finds at
+/// each. At most [`MAX_LEVELS`] steps, held inline so a walk allocates
+/// nothing.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WalkPath {
-    steps: [(PhysAddr, Step); MAX_LEVELS],
+    steps: [Step; MAX_LEVELS],
     len: usize,
 }
 
 impl WalkPath {
-    fn push(&mut self, step: (PhysAddr, Step)) {
+    fn push(&mut self, step: Step) {
         self.steps[self.len] = step;
         self.len += 1;
     }
 }
 
 impl Deref for WalkPath {
-    type Target = [(PhysAddr, Step)];
+    type Target = [Step];
 
-    fn deref(&self) -> &[(PhysAddr, Step)] {
+    fn deref(&self) -> &[Step] {
         &self.steps[..self.len]
     }
 }
@@ -332,22 +332,19 @@ impl RadixPageTable {
         None
     }
 
-    /// The page-walk path for `va`: the physical address of the entry read
-    /// at each level, and what the walker finds there. Used by
-    /// [`RadixWalker`](crate::RadixWalker) to charge memory-access latency.
+    /// The page-walk path for `va`: what the walker finds at each level.
+    /// Used by [`RadixWalker`](crate::RadixWalker) to charge memory-access
+    /// latency.
     pub(crate) fn walk_path(&self, va: VirtAddr) -> WalkPath {
         let mut steps = WalkPath {
-            steps: [(PhysAddr::new(0), Step::Empty); MAX_LEVELS],
+            steps: [Step::Empty; MAX_LEVELS],
             len: 0,
         };
         let mut node_id = self.root;
         for level in 0..self.levels {
-            let idx = self.index(va, level);
-            let node = self.node(node_id);
-            let addr = node.chunk.addr(idx as u64 * 8);
-            let entry = node.entries[idx];
+            let entry = self.node(node_id).entries[self.index(va, level)];
             if entry == 0 {
-                steps.push((addr, Step::Empty));
+                steps.push(Step::Empty);
                 return steps;
             }
             if entry & TAG_LEAF != 0 {
@@ -356,10 +353,10 @@ impl RadixPageTable {
                     2 => PageSize::Huge2M,
                     _ => PageSize::Base4K,
                 };
-                steps.push((addr, Step::Leaf(Ppn(entry & PAYLOAD_MASK), ps)));
+                steps.push(Step::Leaf(Ppn(entry & PAYLOAD_MASK), ps));
                 return steps;
             }
-            steps.push((addr, Step::Node));
+            steps.push(Step::Node);
             node_id = (entry & PAYLOAD_MASK) as usize;
         }
         steps
@@ -536,6 +533,6 @@ mod tests {
         assert_eq!(pt.walk_path(va2m).len(), 3);
         let missing = pt.walk_path(VirtAddr::new(0x8000_0000_0000 - 4096));
         assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].1, Step::Empty);
+        assert_eq!(missing[0], Step::Empty);
     }
 }

@@ -4,6 +4,11 @@ use mehpt_types::{PageSize, Ppn, VirtAddr};
 use crate::table::Step;
 use crate::RadixPageTable;
 
+/// PWC entries per level (Table III).
+const PWC_ENTRIES: usize = 32;
+/// PWC round-trip latency in cycles (Table III).
+const PWC_LATENCY: u64 = 4;
+
 /// The outcome of one timed page walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkResult {
@@ -28,8 +33,8 @@ pub struct WalkResult {
 /// Two walks share the PWC model. [`RadixWalker::walk`] is the reference:
 /// it reads the table's entries and returns the translation, and it times
 /// faulting walks. [`RadixWalker::time_walk`] times a walk to a page the OS
-/// mapped at a known size: under the flat memory model it reads no entry,
-/// and builds with debug assertions check it against `walk`.
+/// mapped at a known size: it reads no entry, and builds with debug
+/// assertions check it against `walk`.
 ///
 /// # Examples
 ///
@@ -56,7 +61,6 @@ pub struct WalkResult {
 pub struct RadixWalker {
     /// One cache per non-leaf tree level (up to 4 for a 5-level tree).
     pwc: Vec<SetAssocCache>,
-    pwc_latency: u64,
     walks: u64,
     total_cycles: u64,
     total_accesses: u64,
@@ -64,19 +68,12 @@ pub struct RadixWalker {
 }
 
 impl RadixWalker {
-    /// Builds a walker with Table III's PWC geometry.
+    /// Builds a walker with Table III's PWC geometry and latency.
     pub fn paper_default() -> RadixWalker {
-        RadixWalker::new(32, 4)
-    }
-
-    /// Builds a walker with `entries_per_level` fully associative PWC
-    /// entries per level and the given PWC latency in cycles.
-    pub fn new(entries_per_level: usize, pwc_latency: u64) -> RadixWalker {
         RadixWalker {
             pwc: (0..4)
-                .map(|_| SetAssocCache::fully_associative(entries_per_level))
+                .map(|_| SetAssocCache::fully_associative(PWC_ENTRIES))
                 .collect(),
-            pwc_latency,
             walks: 0,
             total_cycles: 0,
             total_accesses: 0,
@@ -95,25 +92,14 @@ impl RadixWalker {
     /// Memory accesses for the levels not covered by a PWC hit are charged
     /// through `mem`; traversed node entries are installed in the PWC.
     pub fn walk(&mut self, pt: &RadixPageTable, va: VirtAddr, mem: &mut MemoryModel) -> WalkResult {
-        self.walks += 1;
-        let levels = pt.levels();
         let path = pt.walk_path(va);
-        let start_level = self.probe_pwc(va, levels, path.len());
-        let mut cycles = self.pwc_latency;
-        let mut accesses = 0;
-        for (addr, _) in path.iter().skip(start_level) {
-            cycles += mem.access(*addr);
-            accesses += 1;
-        }
         // Node entries are a prefix of the path.
-        let nodes = path.iter().take_while(|(_, step)| *step == Step::Node);
-        self.fill_pwc(va, levels, nodes.count());
+        let nodes = path.iter().take_while(|&&step| step == Step::Node);
+        let (cycles, accesses) = self.charge(va, pt.levels(), path.len(), nodes.count(), mem);
         let translation = match path.last() {
-            Some((_, Step::Leaf(ppn, ps))) => Some((*ppn, *ps)),
+            Some(Step::Leaf(ppn, ps)) => Some((*ppn, *ps)),
             _ => None,
         };
-        self.total_cycles += cycles;
-        self.total_accesses += accesses as u64;
         WalkResult {
             translation,
             cycles,
@@ -127,12 +113,11 @@ impl RadixWalker {
     ///
     /// A mapped walk reads node entries down to `ps`'s leaf level, so its
     /// length, PWC hits and PWC fills follow from `va`, `ps` and the tree's
-    /// depth; a flat `mem` charges every access the same latency whatever
-    /// its address. So this walk reads no entry of `pt`. On a hierarchical
-    /// `mem` it is [`RadixWalker::walk`]. A walk that faults stops at the
-    /// first empty entry, so it needs `walk`. Builds with debug assertions
-    /// also run the reference walk on copies of the walker and `mem` and
-    /// assert that both walks agree and that it finds a `ps` page.
+    /// depth, and every access costs the same latency. So this walk reads
+    /// no entry of `pt`. A walk that faults stops at the first empty entry,
+    /// so it needs `walk`. Builds with debug assertions also run the
+    /// reference walk on copies of the walker and `mem` and assert that
+    /// both walks agree and that it finds a `ps` page.
     pub fn time_walk(
         &mut self,
         pt: &RadixPageTable,
@@ -140,29 +125,15 @@ impl RadixWalker {
         ps: PageSize,
         mem: &mut MemoryModel,
     ) -> (u64, u32) {
-        if !mem.is_flat() {
-            let r = self.walk(pt, va, mem);
-            return (r.cycles, r.memory_accesses);
-        }
         #[cfg(debug_assertions)]
         let reference = {
             let (mut walker, mut mem) = (self.clone(), mem.clone());
             let r = walker.walk(pt, va, &mut mem);
             (walker, mem, r)
         };
-        self.walks += 1;
-        let levels = pt.levels();
         // The leaf sits one level above the last for each size step up.
-        let depth = levels - ps.index();
-        let start_level = self.probe_pwc(va, levels, depth);
-        let mut cycles = self.pwc_latency;
-        let accesses = (depth - start_level) as u32;
-        for _ in 0..accesses {
-            cycles += mem.access_parallel_flat(1);
-        }
-        self.fill_pwc(va, levels, depth - 1);
-        self.total_cycles += cycles;
-        self.total_accesses += accesses as u64;
+        let depth = pt.levels() - ps.index();
+        let (cycles, accesses) = self.charge(va, pt.levels(), depth, depth - 1, mem);
         #[cfg(debug_assertions)]
         {
             let (walker, ref_mem, r) = reference;
@@ -186,6 +157,31 @@ impl RadixWalker {
                 "time_walk of {va:?} charged memory differently"
             );
         }
+        (cycles, accesses)
+    }
+
+    /// Times a walk that reads `depth` entries, the first `nodes` of them
+    /// node entries: probes the PWCs, charges the entries below the
+    /// deepest PWC hit to `mem` one dependent access at a time, and fills
+    /// the PWCs. Returns the walk's cycles and memory accesses.
+    fn charge(
+        &mut self,
+        va: VirtAddr,
+        levels: usize,
+        depth: usize,
+        nodes: usize,
+        mem: &mut MemoryModel,
+    ) -> (u64, u32) {
+        self.walks += 1;
+        let start_level = self.probe_pwc(va, levels, depth);
+        let accesses = (depth - start_level) as u32;
+        let mut cycles = PWC_LATENCY;
+        for _ in 0..accesses {
+            cycles += mem.charge(1);
+        }
+        self.fill_pwc(va, levels, nodes);
+        self.total_cycles += cycles;
+        self.total_accesses += u64::from(accesses);
         (cycles, accesses)
     }
 

@@ -7,8 +7,8 @@
 //! * every virtual-memory access goes through the two-level TLB hierarchy;
 //! * TLB misses trigger a *timed* page walk over the configured page-table
 //!   organization — radix with page-walk caches, the ECPT baseline, or
-//!   ME-HPT — with page-table memory references travelling through an
-//!   L2/L3/DRAM latency model;
+//!   ME-HPT — with each page-table memory reference costing Table III's
+//!   200-cycle average round trip to memory;
 //! * page faults run a demand-paging OS model: THP policy, physical-frame
 //!   allocation (with the paper's fragmentation-calibrated cost for
 //!   page-table chunks), page-table insertion, gradual resize migration and

@@ -100,7 +100,6 @@ fn run_multi_on<B: Backing>(
 
     let mut switches = 0u64;
     let mut switch_cycles_total = 0u64;
-    let mut peak_pt = 0u64;
     loop {
         let mut any_ran = false;
         for proc in procs.iter_mut() {
@@ -121,14 +120,13 @@ fn run_multi_on<B: Backing>(
                 }
             }
             any_ran = true;
-            peak_pt = peak_pt.max(mem.stats().tag(AllocTag::PageTable).current_bytes);
         }
         if !any_ran {
             break;
         }
     }
-    let max_contiguous = mem.stats().tag(AllocTag::PageTable).max_contiguous_bytes;
-    peak_pt = peak_pt.max(mem.stats().tag(AllocTag::PageTable).peak_bytes);
+    let pt = mem.stats().tag(AllocTag::PageTable);
+    let (peak_pt_bytes, max_contiguous) = (pt.peak_bytes, pt.max_contiguous_bytes);
     let processes = procs
         .into_iter()
         .map(|p| p.into_report(&cfg.base, &mem))
@@ -137,7 +135,7 @@ fn run_multi_on<B: Backing>(
         processes,
         switches,
         switch_cycles: switch_cycles_total,
-        peak_pt_bytes: peak_pt,
+        peak_pt_bytes,
         max_contiguous,
     }
 }
@@ -202,6 +200,19 @@ mod tests {
             mehpt.max_contiguous,
             ecpt.max_contiguous
         );
+    }
+
+    #[test]
+    fn max_accesses_caps_every_process() {
+        // The cap falls inside each process's fourth slice, short of both
+        // traces' ends.
+        let mut cfg = cfg(PtKind::Ecpt);
+        cfg.time_slice = 3_000;
+        cfg.base.max_accesses = Some(10_000);
+        let r = run_multi(vec![wl(App::Mummer), wl(App::Tc)], cfg);
+        for p in &r.processes {
+            assert_eq!(p.accesses, 10_000, "{}", p.app);
+        }
     }
 
     #[test]

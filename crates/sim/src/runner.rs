@@ -26,9 +26,9 @@ enum Pt<B: Backing> {
 
 impl<B: Backing> Pt<B> {
     /// A timed walk for `va`, which the OS maps with a page of size `ps`;
-    /// returns its cycles. Under the flat memory model the walkers' timing
-    /// walks read no table contents, so builds with debug assertions first
-    /// check the table's translation against the OS's mapping.
+    /// returns its cycles. The walkers' timing walks read no table
+    /// contents, so builds with debug assertions first check the table's
+    /// translation against the OS's mapping.
     fn time_walk(&mut self, va: VirtAddr, ps: PageSize, dram: &mut MemoryModel) -> u64 {
         debug_assert_eq!(
             self.translate(va).map(|(_, wps)| wps),
@@ -281,7 +281,8 @@ impl<B: Backing> ProcState<B> {
     }
 
     /// Simulates one memory access. Returns `false` when the trace is
-    /// exhausted or the run aborted.
+    /// exhausted, the process has made `cfg.max_accesses` accesses, or the
+    /// run aborted.
     pub(crate) fn step(
         &mut self,
         cfg: &SimConfig,
@@ -289,6 +290,9 @@ impl<B: Backing> ProcState<B> {
         tlb: &mut TlbHierarchy,
         dram: &mut MemoryModel,
     ) -> bool {
+        if self.counters.accesses >= cfg.max_accesses.unwrap_or(u64::MAX) {
+            self.done = true;
+        }
         if self.done {
             return false;
         }
@@ -423,9 +427,11 @@ impl<B: Backing> ProcState<B> {
         true
     }
 
-    /// Assembles the final report. `machine_peak` taints per-process peaks
-    /// with the machine-wide page-table high-water mark only in
-    /// single-process runs (pass `None` for multiprogrammed runs).
+    /// Assembles the process's report. Its `pt_peak_bytes` is the larger
+    /// of the page-table sizes sampled every 4096 faults and at the end,
+    /// and its `tlb_miss_rate` is 0: a shared TLB's misses belong to no
+    /// one process. [`Simulator::run`] fills in the miss rate and raises
+    /// the peak to the allocator's page-table high-water mark.
     pub(crate) fn into_report(self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
         let c = &self.counters;
         let total = c.total + c.alloc;
@@ -521,8 +527,7 @@ impl Simulator {
         let mut tlb = TlbHierarchy::paper_default();
         let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
-        let limit = cfg.max_accesses.unwrap_or(u64::MAX);
-        while proc.counters.accesses < limit && proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
+        while proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
         let mut report = proc.into_report(&cfg, &mem);
         report.tlb_miss_rate = tlb.l2_stats().misses as f64 / report.accesses.max(1) as f64;
         report.pt_peak_bytes = report

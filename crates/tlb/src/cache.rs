@@ -7,22 +7,10 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction, or 0 if never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// A set-associative cache of 64-bit keys with LRU replacement.
 ///
 /// The building block for every cached hardware structure in the model:
-/// TLB arrays, radix page-walk caches, cuckoo-walk caches, and the L2/L3
-/// data caches that page-walk memory references travel through. Only
+/// TLB arrays, radix page-walk caches and cuckoo-walk caches. Only
 /// presence is tracked (keys, no payloads) — the simulator keeps the actual
 /// data in the functional structures, and the cache decides latency.
 ///
@@ -32,8 +20,9 @@ impl CacheStats {
 /// use mehpt_tlb::SetAssocCache;
 ///
 /// let mut cache = SetAssocCache::new(4, 2);
-/// assert!(!cache.access(42));  // cold miss (inserts)
-/// assert!(cache.access(42));   // hit
+/// assert!(!cache.probe(42)); // cold miss
+/// cache.fill(42);
+/// assert!(cache.probe(42)); // hit
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetAssocCache {
@@ -74,30 +63,10 @@ impl SetAssocCache {
         self.sets.len() * self.ways
     }
 
-    /// Accesses `key`: returns `true` on hit. On miss the key is inserted,
-    /// evicting the set's LRU entry if needed.
-    pub fn access(&mut self, key: u64) -> bool {
-        let set_idx = (key as usize) % self.sets.len();
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            // Move to MRU position.
-            let k = set.remove(pos);
-            set.insert(0, k);
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        if set.len() == self.ways {
-            set.pop();
-        }
-        set.insert(0, key);
-        false
-    }
-
-    /// Probes for `key`: updates recency and hit/miss statistics like
-    /// [`SetAssocCache::access`], but does **not** insert on a miss.
-    /// TLB semantics: entries enter only via [`SetAssocCache::fill`] after
-    /// a successful walk.
+    /// Probes for `key`: returns `true` on hit and makes it the set's MRU
+    /// entry, counting the hit or miss. A miss inserts nothing (TLB
+    /// semantics): entries enter only via [`SetAssocCache::fill`] after a
+    /// successful walk.
     pub fn probe(&mut self, key: u64) -> bool {
         let set_idx = (key as usize) % self.sets.len();
         let set = &mut self.sets[set_idx];
@@ -117,7 +86,8 @@ impl SetAssocCache {
         self.sets[set_idx].contains(&key)
     }
 
-    /// Inserts `key` without counting an access (e.g. a fill on the return
+    /// Inserts `key` as the set's MRU entry, evicting its LRU entry if the
+    /// set is full, without counting an access (e.g. a fill on the return
     /// path of a walk).
     pub fn fill(&mut self, key: u64) {
         let set_idx = (key as usize) % self.sets.len();
@@ -150,22 +120,26 @@ impl SetAssocCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets the hit/miss counters (the contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Probes `key` and fills it on a miss; returns whether it hit.
+    fn touch(c: &mut SetAssocCache, key: u64) -> bool {
+        let hit = c.probe(key);
+        if !hit {
+            c.fill(key);
+        }
+        hit
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = SetAssocCache::new(1, 4);
-        assert!(!c.access(1));
-        assert!(c.access(1));
+        assert!(!touch(&mut c, 1));
+        assert!(touch(&mut c, 1));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -173,10 +147,10 @@ mod tests {
     #[test]
     fn lru_eviction_within_set() {
         let mut c = SetAssocCache::new(1, 2);
-        c.access(1);
-        c.access(2);
-        c.access(1); // 1 becomes MRU; 2 is LRU
-        c.access(3); // evicts 2
+        touch(&mut c, 1);
+        touch(&mut c, 2);
+        touch(&mut c, 1); // 1 becomes MRU; 2 is LRU
+        touch(&mut c, 3); // evicts 2
         assert!(c.contains(1));
         assert!(!c.contains(2));
         assert!(c.contains(3));
@@ -185,11 +159,11 @@ mod tests {
     #[test]
     fn sets_are_independent() {
         let mut c = SetAssocCache::new(2, 1);
-        c.access(0); // set 0
-        c.access(1); // set 1
+        touch(&mut c, 0); // set 0
+        touch(&mut c, 1); // set 1
         assert!(c.contains(0));
         assert!(c.contains(1));
-        c.access(2); // set 0, evicts 0
+        touch(&mut c, 2); // set 0, evicts 0
         assert!(!c.contains(0));
         assert!(c.contains(1));
     }
@@ -199,30 +173,19 @@ mod tests {
         let mut c = SetAssocCache::new(1, 2);
         c.fill(9);
         assert_eq!(c.stats(), CacheStats::default());
-        assert!(c.access(9));
+        assert!(c.probe(9));
     }
 
     #[test]
     fn invalidate_and_flush() {
         let mut c = SetAssocCache::new(2, 2);
-        c.access(4);
-        c.access(5);
+        c.fill(4);
+        c.fill(5);
         c.invalidate(4);
         assert!(!c.contains(4));
         assert!(c.contains(5));
         c.flush();
         assert!(!c.contains(5));
-    }
-
-    #[test]
-    fn hit_rate() {
-        let mut c = SetAssocCache::new(1, 8);
-        c.access(1);
-        c.access(1);
-        c.access(1);
-        c.access(2);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
@@ -250,11 +213,11 @@ mod tests {
     #[test]
     fn non_power_of_two_sets_work() {
         let mut c = SetAssocCache::new(3, 1);
-        c.access(0);
-        c.access(1);
-        c.access(2);
+        c.fill(0);
+        c.fill(1);
+        c.fill(2);
         assert!(c.contains(0) && c.contains(1) && c.contains(2));
-        c.access(3); // maps to set 0, evicts key 0
+        c.fill(3); // maps to set 0, evicts key 0
         assert!(!c.contains(0));
     }
 }

@@ -6,9 +6,8 @@
 //!   to model page-walk caches (PWC), cuckoo-walk caches (CWC) and TLBs.
 //! * [`Tlb`] and [`TlbHierarchy`] — the two-level data TLB with per-page-size
 //!   L1 and L2 arrays (64/32/4-entry L1s; 1024/1024/16-entry L2s).
-//! * [`MemoryModel`] — the cache/DRAM latency seen by page-walk memory
-//!   references: an L2 + shared-L3 model backed by [`SetAssocCache`], with a
-//!   200-cycle average round trip to memory.
+//! * [`MemoryModel`] — the latency seen by page-walk memory references:
+//!   Table III's 200-cycle average round trip to memory for every access.
 //!
 //! # Examples
 //!
@@ -31,5 +30,5 @@ mod memmodel;
 mod tlb;
 
 pub use cache::{CacheStats, SetAssocCache};
-pub use memmodel::{MemoryModel, MemoryModelConfig};
+pub use memmodel::MemoryModel;
 pub use tlb::{Tlb, TlbHierarchy, TlbOutcome};

@@ -12,8 +12,11 @@
 #
 # Writes BENCH_<label>.json at the repository root: both revisions, and per
 # workload and metric the median, q1 and q3 of each side, the pairs the
-# working tree won, and every run's value, "correct" and "failed". Raw
-# outputs stay in target/pairs/<label>. Needs python3 for the summary.
+# working tree won, and every run's value, "correct" and "failed". Besides
+# speedbench's end-to-end metrics, each run records raw_maccess_per_s: the
+# median of the unscaled per-pass rates speedbench prints on stderr.
+# Raw outputs, one stderr file per run, stay in target/pairs/<label>. Needs
+# python3 for the summary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,14 +50,15 @@ cargo build --release --offline --quiet --manifest-path speedbench/Cargo.toml \
 bin_base=$root/base-target/release/mehpt-speedbench
 bin_head=$root/head-target/release/mehpt-speedbench
 
-# One run: its last stdout line (the result object) goes to the record file.
-# A run that fails its output check still prints that line and exits 1; the
-# summary reports it through "correct" and "failed".
+# One run: its last stdout line (the result object) goes to the record file,
+# its stderr (the per-pass rates) to its own file. A run that fails its
+# output check still prints that line and exits 1; the summary reports it
+# through "correct" and "failed".
 run() {
     local side=$1 bin=$2 w=$3 i=$4
     local line
     line=$("$bin" --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 \
-        2>>"$out/$side-$w.stderr" | tail -n 1) || true
+        2>"$out/$side-$w-$i.stderr" | tail -n 1) || true
     printf '%s\t%s\t%s\t%s\n' "$w" "$i" "$side" "$line" >>"$out/runs.tsv"
 }
 
@@ -71,22 +75,41 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - "$out/runs.tsv" "BENCH_$label.json" "$base_rev" "$head_rev" \
+python3 - "$out" "BENCH_$label.json" "$base_rev" "$head_rev" \
     "$pairs" "$seconds" "$seed" <<'EOF'
 import json
+import re
 import statistics
 import sys
 
-runs_path, dest, base_rev, head_rev, pairs, seconds, seed = sys.argv[1:]
+out, dest, base_rev, head_rev, pairs, seconds, seed = sys.argv[1:]
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+better["raw_maccess_per_s"] = "higher"
+
+# speedbench's per-pass stderr line: "pass N: X Maccess/s scaled, Y raw, ...".
+PASS = re.compile(r"pass \d+: \S+ Maccess/s scaled, (\S+) raw")
+
+
+def raw_rate(path):
+    """The median unscaled rate of a run's passes, or None without any."""
+    try:
+        with open(path) as f:
+            rates = [float(m.group(1)) for m in PASS.finditer(f.read())]
+    except OSError:
+        return None
+    return statistics.median(rates) if rates else None
+
 
 runs = {}
-for line in open(runs_path):
+for line in open(f"{out}/runs.tsv"):
     w, i, side, result = line.rstrip("\n").split("\t", 3)
     try:
         r = json.loads(result)
     except ValueError:
         r = {"correct": False, "failed": None, "metrics": {}}
+    raw = raw_rate(f"{out}/{side}-{w}-{i}.stderr")
+    if raw is not None:
+        r.setdefault("metrics", {})["raw_maccess_per_s"] = {"value": raw}
     runs.setdefault(w, {}).setdefault(side, {})[int(i)] = r
 
 
@@ -102,7 +125,13 @@ for w, sides in runs.items():
     entry = {"runs": {}, "metrics": {}}
     for side in ("base", "head"):
         entry["runs"][side] = [
-            {"correct": r.get("correct"), "failed": r.get("failed")}
+            {
+                "correct": r.get("correct"),
+                "failed": r.get("failed"),
+                "raw_maccess_per_s": r.get("metrics", {})
+                .get("raw_maccess_per_s", {})
+                .get("value"),
+            }
             for _, r in sorted(sides.get(side, {}).items())
         ]
     for metric, direction in better.items():
@@ -144,7 +173,7 @@ with open(dest, "w") as f:
 for w, entry in workloads.items():
     for metric, m in entry["metrics"].items():
         print(
-            f"{w:12} {metric:14} base {m['base']['median']:.4g} "
+            f"{w:12} {metric:17} base {m['base']['median']:.4g} "
             f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}]  head {m['head']['median']:.4g} "
             f"[{m['head']['q1']:.4g}, {m['head']['q3']:.4g}]  wins {m['wins']}/{m['pairs']}"
         )

@@ -52,14 +52,14 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`types`] | addresses, page sizes, deterministic RNG |
+//! | [`types`] | addresses, page sizes, deterministic RNG, `proptest_lite` |
 //! | [`mem`] | buddy allocator, FMFI fragmentation, compaction, alloc costs |
-//! | [`hash`] | generic elastic cuckoo tables (all four techniques), level hashing |
-//! | [`tlb`] | set-associative caches, TLB hierarchy, DRAM latency model |
-//! | [`radix`] | x86-64 4-level radix page table + page-walk caches |
-//! | [`ecpt`] | the ECPT baseline: clustered entries, CWT/CWC, cuckoo walker |
-//! | [`core`] | ME-HPT: L2P table, chunk ladder, in-place + per-way resizing |
-//! | [`sim`] | the trace-driven translation simulator |
+//! | [`hash`] | the one elastic-cuckoo core (all four techniques), the library `ElasticCuckooTable`, level hashing |
+//! | [`tlb`] | set-associative caches, TLB hierarchy, flat 200-cycle memory model |
+//! | [`radix`] | x86-64 4- or 5-level radix page table + page-walk-cache walker |
+//! | [`ecpt`] | the page-table engine ECPT and ME-HPT share (`HptTable<B>`, `Hpt<B>`), the ECPT baseline, CWT/CWC, cuckoo walker |
+//! | [`core`] | ME-HPT on that engine: L2P table backing, chunk ladder, in-place + per-way resizing |
+//! | [`sim`] | the trace-driven translation simulator (single and multiprogrammed runs) |
 //! | [`workloads`] | the eleven calibrated synthetic workloads |
 //! | [`lab`] | parallel, deterministic experiment runner (`mehpt-lab`) |
 //!

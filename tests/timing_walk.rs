@@ -12,7 +12,7 @@ use mehpt::ecpt::{Backing, EcptWalker, Hpt, HptView};
 use mehpt::lab::Variant;
 use mehpt::mem::{AllocCostModel, PhysMem};
 use mehpt::radix::{RadixPageTable, RadixWalker};
-use mehpt::tlb::{MemoryModel, MemoryModelConfig};
+use mehpt::tlb::MemoryModel;
 use mehpt::types::proptest_lite::{check, Gen};
 use mehpt::types::{PageSize, Ppn, VirtAddr, GIB, PAGE_SIZES};
 
@@ -31,7 +31,7 @@ fn random_page(g: &mut Gen) -> (VirtAddr, PageSize) {
 }
 
 /// A walker that takes reference walks and one that takes timing walks,
-/// each with its own flat memory model.
+/// each with its own memory model.
 struct HptPair {
     reference: (EcptWalker, MemoryModel),
     timed: (EcptWalker, MemoryModel),
@@ -185,53 +185,4 @@ fn radix_time_walk_matches_walk_at_4_and_5_levels() {
     check("radix5_time_walk_matches_walk", 4, |g: &mut Gen| {
         radix_trace(g, 5)
     });
-}
-
-/// On the hierarchical model the timing walks are the reference walks:
-/// they charge the same and move the L2 the same.
-#[test]
-fn time_walk_is_walk_on_a_hierarchical_model() {
-    let hierarchical = || {
-        MemoryModel::new(MemoryModelConfig {
-            flat: false,
-            ..MemoryModelConfig::default()
-        })
-    };
-    let mut m = mem();
-    let mut hpt = mehpt::ecpt::Ecpt::new(&mut m).unwrap();
-    let mut radix = RadixPageTable::new(&mut m).unwrap();
-    let pages: Vec<VirtAddr> = (0..64u64)
-        .map(|i| VirtAddr::new(0x4000_0000 + i * 0x3_1000))
-        .collect();
-    for (i, va) in pages.iter().enumerate() {
-        let vpn = va.vpn(PageSize::Base4K);
-        hpt.map(vpn, PageSize::Base4K, Ppn(i as u64), &mut m)
-            .unwrap();
-        radix
-            .map(vpn, PageSize::Base4K, Ppn(i as u64), &mut m)
-            .unwrap();
-    }
-    let (mut er, mut et) = (EcptWalker::paper_default(), EcptWalker::paper_default());
-    let (mut rr, mut rt) = (RadixWalker::paper_default(), RadixWalker::paper_default());
-    let (mut em_r, mut em_t) = (hierarchical(), hierarchical());
-    let (mut rm_r, mut rm_t) = (hierarchical(), hierarchical());
-    for va in pages.iter().chain(&pages) {
-        let r = er.walk(&hpt, *va, &mut em_r);
-        assert_eq!(
-            et.time_walk(&hpt, *va, &mut em_t),
-            (r.cycles, r.memory_accesses)
-        );
-        let r = rr.walk(&radix, *va, &mut rm_r);
-        let timed = rt.time_walk(&radix, *va, PageSize::Base4K, &mut rm_t);
-        assert_eq!(timed, (r.cycles, r.memory_accesses));
-    }
-    for (reference, timed) in [(&em_r, &em_t), (&rm_r, &rm_t)] {
-        assert!(timed.l2_stats().hits > 0, "the second pass hits in L2");
-        assert_eq!(timed.l2_stats(), reference.l2_stats());
-        assert_eq!(timed.l3_stats(), reference.l3_stats());
-        assert_eq!(timed.total_cycles(), reference.total_cycles());
-    }
-    assert_eq!((et.walks(), et.cwt_walks()), (er.walks(), er.cwt_walks()));
-    assert_eq!(et.mean_cycles(), er.mean_cycles());
-    assert_eq!(rt, rr);
 }
