@@ -9,15 +9,9 @@
 //! engine.
 
 use bench::Variant;
+use mehpt_core::L2pTable;
 use mehpt_lab::Preset;
-use mehpt_sim::PtKind;
-
-/// Bits per saved L2P entry (Section V-B: 33-bit chunk base).
-const BITS_PER_ENTRY: f64 = 33.0;
-/// Modeled cycles per 8 saved/restored bytes (streaming MMU register I/O).
-const CYCLES_PER_QWORD: f64 = 4.0;
-/// Fixed cost of the save/restore sequence.
-const BASE_CYCLES: f64 = 60.0;
+use mehpt_sim::{l2p_save_restore_cycles, PtKind};
 
 fn main() {
     bench::announce(
@@ -30,34 +24,32 @@ fn main() {
         "App", "entries", "state(B)", "cycles", "vs full 288"
     );
     println!("{}", "-".repeat(64));
-    let mut total_cycles = 0.0;
+    let mut total_cycles = 0;
     let mut rows = 0u32;
-    let full_bytes = 288.0 * BITS_PER_ENTRY / 8.0;
-    let full_cycles = BASE_CYCLES + 2.0 * CYCLES_PER_QWORD * full_bytes / 8.0;
+    let full_cycles = l2p_save_restore_cycles(L2pTable::paper_default().total_entries() as u64);
     for app in bench::apps() {
         let Some(r) = report.metrics(app, PtKind::MeHpt, false, Variant::Full) else {
             println!("{:<9} | (cell missing or failed)", app.name());
             continue;
         };
-        let entries = r.l2p_entries_used as f64;
-        let bytes = entries * BITS_PER_ENTRY / 8.0;
+        let bytes = (r.l2p_entries_used * L2pTable::ENTRY_BITS).div_ceil(8);
         // Save on switch-out + restore on switch-in.
-        let cycles = BASE_CYCLES + 2.0 * CYCLES_PER_QWORD * bytes / 8.0;
+        let cycles = l2p_save_restore_cycles(r.l2p_entries_used);
         total_cycles += cycles;
         rows += 1;
         println!(
-            "{:<9} | {:>9} {:>10.0}B {:>12.0} | {:>12.0}%",
+            "{:<9} | {:>9} {:>10}B {:>12} | {:>12.0}%",
             app.name(),
             r.l2p_entries_used,
             bytes,
             cycles,
-            100.0 * cycles / full_cycles
+            100.0 * cycles as f64 / full_cycles as f64
         );
     }
     println!("{}", "-".repeat(64));
     println!(
-        "average: {:.0} cycles per switch (full-table save would be {:.0});",
-        total_cycles / f64::from(rows.max(1)),
+        "average: {:.0} cycles per switch (full-table save would be {});",
+        total_cycles as f64 / f64::from(rows.max(1)),
         full_cycles
     );
     println!("at 1ms time slices and 2GHz that is <0.01% of a slice.");

@@ -13,19 +13,12 @@ use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
-use mehpt_types::{PageSize, Ppn, Vpn, GIB};
+use mehpt_types::{PageSize, Ppn, GIB};
 
 const LOOKUPS: u64 = 200_000;
 
 fn mem() -> PhysMem {
     PhysMem::with_cost_model(8 * GIB, AllocCostModel::zero_cost())
-}
-
-/// Sparse random VPNs over a 44-bit VA space (defeats the PWCs, like the
-/// paper's big-memory applications).
-fn vpns(count: u64) -> Vec<Vpn> {
-    let mut rng = Xoshiro256::seed_from_u64(1234);
-    (0..count).map(|_| Vpn(rng.next_below(1 << 32))).collect()
 }
 
 fn main() {
@@ -40,7 +33,7 @@ fn main() {
     println!("  (mean walk cycles; cold = walker caches flushed before the walk)");
     println!("{}", "-".repeat(86));
     for pages in [10_000u64, 100_000, 1_000_000] {
-        let vpns = vpns(pages);
+        let vpns = bench::distinct_vpns(pages, 1234);
         // Build all three tables with identical mappings.
         let mut m4 = mem();
         let mut m5 = mem();

@@ -22,8 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
+
 use mehpt_lab::engine::{run_cells, RunOptions};
 use mehpt_lab::{ExperimentGrid, LabReport, Tuning};
+use mehpt_types::rng::Xoshiro256;
+use mehpt_types::Vpn;
 use mehpt_workloads::App;
 
 pub use mehpt_lab::fmt::{fmt_bytes, fmt_mb, geomean};
@@ -108,6 +112,22 @@ pub fn apps() -> [App; 11] {
     App::all()
 }
 
+/// `count` distinct random VPNs over a 44-bit VA space (sparse, so they
+/// defeat the page-walk caches like the paper's big-memory applications),
+/// drawn under `seed`. A VPN drawn twice is skipped, so each maps once.
+pub fn distinct_vpns(count: u64, seed: u64) -> Vec<Vpn> {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut seen = HashSet::with_capacity(count as usize);
+    let mut vpns = Vec::with_capacity(count as usize);
+    while (vpns.len() as u64) < count {
+        let vpn = rng.next_below(1 << 32);
+        if seen.insert(vpn) {
+            vpns.push(Vpn(vpn));
+        }
+    }
+    vpns
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +144,14 @@ mod tests {
         let cells = run_cells(&specs, &RunOptions::with_jobs(1), &|_| {});
         assert_eq!(cells.len(), 1);
         assert!(cells[0].metrics.is_some());
+    }
+
+    #[test]
+    fn distinct_vpns_never_repeat() {
+        let vpns = distinct_vpns(100_000, 1234);
+        assert_eq!(vpns.len(), 100_000);
+        let unique: HashSet<u64> = vpns.iter().map(|v| v.0).collect();
+        assert_eq!(unique.len(), vpns.len());
     }
 
     #[test]

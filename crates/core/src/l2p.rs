@@ -43,6 +43,9 @@ pub struct L2pTable {
 }
 
 impl L2pTable {
+    /// Bits per entry: a 33-bit chunk base (Section V-B).
+    pub const ENTRY_BITS: u64 = 33;
+
     /// The paper's geometry: 3 ways × 3 page sizes × 32 entries.
     pub fn paper_default() -> L2pTable {
         L2pTable::new(3, 32)
@@ -197,11 +200,11 @@ impl L2pTable {
             .collect()
     }
 
-    /// The modeled MMU state size in bytes: 33 bits per entry
-    /// (Section V-B: "32 entries × 3 ways × 3 page sizes × 33 bits =
+    /// The modeled MMU state size in bytes: [`L2pTable::ENTRY_BITS`] per
+    /// entry (Section V-B: "32 entries × 3 ways × 3 page sizes × 33 bits =
     /// 1.16KB").
     pub fn state_bytes(&self) -> f64 {
-        self.total_entries() as f64 * 33.0 / 8.0
+        (self.total_entries() as u64 * Self::ENTRY_BITS) as f64 / 8.0
     }
 }
 

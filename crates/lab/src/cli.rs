@@ -547,7 +547,7 @@ pub fn run(args: &LabArgs) -> i32 {
         }
     }
 
-    let c = summarize(&results);
+    let c = StatusCounts::tally(&results);
     eprintln!(
         "mehpt-lab: {} ok, {} aborted, {} failed, {} timed out; reports under {}",
         c.ok,
@@ -557,19 +557,6 @@ pub fn run(args: &LabArgs) -> i32 {
         args.out.display()
     );
     i32::from(any_failed)
-}
-
-fn summarize(results: &[crate::report::CellResult]) -> StatusCounts {
-    let mut c = StatusCounts::default();
-    for r in results {
-        match r.status {
-            crate::report::CellStatus::Ok => c.ok += 1,
-            crate::report::CellStatus::Aborted => c.aborted += 1,
-            crate::report::CellStatus::Failed => c.failed += 1,
-            crate::report::CellStatus::TimedOut => c.timed_out += 1,
-        }
-    }
-    c
 }
 
 fn write_reports(preset: Preset, report: &LabReport, args: &LabArgs) -> std::io::Result<()> {

@@ -81,7 +81,7 @@ use mehpt_sim::{SimReport, Simulator};
 
 use crate::fault::{self, FaultKind, FaultPlan};
 use crate::grid::CellSpec;
-use crate::report::{AttemptRecord, CellMetrics, CellResult, CellStatus, RepResult};
+use crate::report::{AttemptRecord, CellResult, CellStatus, RepResult};
 
 /// Name prefix of the engine's worker threads. The CLI's panic hook uses
 /// it to mute the default "thread panicked" noise for isolated cells.
@@ -524,22 +524,19 @@ where
     }));
     let wall_millis = start.elapsed().as_millis() as u64;
     match outcome {
-        Ok(report) => {
-            let status = if report.aborted.is_some() {
+        Ok(report) => RepResult {
+            replicate,
+            seed: spec.seed,
+            status: if report.aborted.is_some() {
                 CellStatus::Aborted
             } else {
                 CellStatus::Ok
-            };
-            RepResult {
-                replicate,
-                seed: spec.seed,
-                status,
-                error: report.aborted.clone(),
-                metrics: Some(CellMetrics::from(&report)),
-                wall_millis,
-                attempts: vec![],
-            }
-        }
+            },
+            error: report.aborted,
+            metrics: Some(report.metrics),
+            wall_millis,
+            attempts: vec![],
+        },
         Err(panic) => RepResult {
             replicate,
             seed: spec.seed,
@@ -566,7 +563,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::grid::{ExperimentGrid, Tuning};
-    use mehpt_sim::PtKind;
+    use mehpt_sim::{Metrics, PtKind};
     use mehpt_types::rng::Xoshiro256;
     use mehpt_workloads::App;
 
@@ -579,33 +576,12 @@ mod tests {
             app: spec.app.name().to_string(),
             kind: spec.kind,
             thp: spec.thp,
-            accesses: 100 + rng.next_below(100),
-            total_cycles: cycles,
-            base_cycles: 0,
-            translation_cycles: 0,
-            fault_cycles: 0,
-            alloc_cycles: 0,
-            os_pt_cycles: 0,
-            faults: 0,
-            pages_4k: 0,
-            pages_2m: 0,
-            tlb_miss_rate: 0.0,
-            walks: 0,
-            mean_walk_accesses: 0.0,
-            mean_walk_cycles: 0.0,
-            pt_final_bytes: 0,
-            pt_peak_bytes: 0,
-            pt_max_contiguous: 0,
-            way_sizes_4k: vec![],
-            way_phys_4k: vec![],
-            upsizes_per_way_4k: vec![],
-            upsizes_per_way_2m: vec![],
-            moved_fraction_4k: 0.0,
-            kicks_histogram: vec![],
-            l2p_entries_used: 0,
-            chunk_switches: 0,
-            data_bytes_nominal: 0,
             aborted: None,
+            metrics: Metrics {
+                accesses: 100 + rng.next_below(100),
+                total_cycles: cycles,
+                ..Metrics::default()
+            },
         }
     }
 

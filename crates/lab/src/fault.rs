@@ -52,7 +52,7 @@
 //!   metrics ([`poisoned_report`]) and status `ok`: a silent corruption
 //!   that only `mehpt-lab diff` against a clean report can catch.
 
-use mehpt_sim::SimReport;
+use mehpt_sim::{Metrics, SimReport};
 
 use crate::grid::{cell_seed, CellSpec};
 
@@ -222,33 +222,22 @@ pub fn poisoned_report(spec: &CellSpec) -> SimReport {
         app: spec.app.name().to_string(),
         kind: spec.kind,
         thp: spec.thp,
-        accesses: 1,
-        total_cycles: u64::MAX >> 20,
-        base_cycles: 0,
-        translation_cycles: u64::MAX >> 21,
-        fault_cycles: 0,
-        alloc_cycles: 0,
-        os_pt_cycles: 0,
-        faults: u64::MAX >> 32,
-        pages_4k: 0,
-        pages_2m: 0,
-        tlb_miss_rate: 1.0,
-        walks: u64::MAX >> 32,
-        mean_walk_accesses: 1e9,
-        mean_walk_cycles: 1e9,
-        pt_final_bytes: u64::MAX >> 24,
-        pt_peak_bytes: u64::MAX >> 24,
-        pt_max_contiguous: u64::MAX >> 24,
-        way_sizes_4k: vec![],
-        way_phys_4k: vec![],
-        upsizes_per_way_4k: vec![],
-        upsizes_per_way_2m: vec![],
-        moved_fraction_4k: 1.0,
-        kicks_histogram: vec![],
-        l2p_entries_used: 0,
-        chunk_switches: 0,
-        data_bytes_nominal: 0,
         aborted: None,
+        metrics: Metrics {
+            accesses: 1,
+            total_cycles: u64::MAX >> 20,
+            translation_cycles: u64::MAX >> 21,
+            faults: u64::MAX >> 32,
+            tlb_miss_rate: 1.0,
+            walks: u64::MAX >> 32,
+            mean_walk_accesses: 1e9,
+            mean_walk_cycles: 1e9,
+            pt_final_bytes: u64::MAX >> 24,
+            pt_peak_bytes: u64::MAX >> 24,
+            pt_max_contiguous: u64::MAX >> 24,
+            moved_fraction_4k: 1.0,
+            ..Metrics::default()
+        },
     }
 }
 
@@ -398,10 +387,11 @@ mod tests {
             .expand(&Tuning::quick())[0];
         let a = poisoned_report(spec);
         let b = poisoned_report(spec);
+        assert!(a.aborted.is_none(), "poison is a silent fault");
+        let (a, b) = (a.metrics, b.metrics);
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.accesses, 1);
         assert!(a.tlb_miss_rate.is_finite() && a.mean_walk_cycles.is_finite());
         assert!(a.total_cycles > 1_000_000_000, "absurd on purpose");
-        assert!(a.aborted.is_none(), "poison is a silent fault");
     }
 }

@@ -12,7 +12,7 @@
 //! configuration-shaped: a timed-out replicate serializes its status and
 //! the *configured* deadline, never measured wall-clock.
 
-use mehpt_sim::{PtKind, SimReport};
+use mehpt_sim::PtKind;
 
 use crate::grid::{CellSpec, Variant};
 use crate::json::Json;
@@ -72,188 +72,92 @@ impl CellStatus {
     }
 }
 
-/// The deterministic measurements of one completed cell — a flattened
-/// [`SimReport`]. Wall-clock time deliberately lives outside this struct
-/// (on [`CellResult`]) so serialized reports are bit-identical across
-/// thread counts and machines.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CellMetrics {
-    /// Accesses simulated.
-    pub accesses: u64,
-    /// Total cycles.
-    pub total_cycles: u64,
-    /// Fixed per-access base cycles.
-    pub base_cycles: u64,
-    /// TLB + page-walk cycles.
-    pub translation_cycles: u64,
-    /// OS fault-handling cycles (excluding allocation).
-    pub fault_cycles: u64,
-    /// Physical-memory allocation cycles.
-    pub alloc_cycles: u64,
-    /// Page-table maintenance cycles.
-    pub os_pt_cycles: u64,
-    /// Page faults taken.
-    pub faults: u64,
-    /// 4KB pages mapped.
-    pub pages_4k: u64,
-    /// 2MB pages mapped.
-    pub pages_2m: u64,
-    /// L2 TLB miss rate over all accesses.
-    pub tlb_miss_rate: f64,
-    /// Page walks performed.
-    pub walks: u64,
-    /// Mean memory accesses per walk.
-    pub mean_walk_accesses: f64,
-    /// Mean walk latency in cycles.
-    pub mean_walk_cycles: f64,
-    /// Final page-table bytes.
-    pub pt_final_bytes: u64,
-    /// Peak page-table bytes.
-    pub pt_peak_bytes: u64,
-    /// Largest contiguous page-table allocation.
-    pub pt_max_contiguous: u64,
-    /// Final size of each 4KB-table way.
-    pub way_sizes_4k: Vec<u64>,
-    /// Physical bytes backing each 4KB-table way.
-    pub way_phys_4k: Vec<u64>,
-    /// Upsizes per way, 4KB table.
-    pub upsizes_per_way_4k: Vec<u64>,
-    /// Upsizes per way, 2MB table.
-    pub upsizes_per_way_2m: Vec<u64>,
-    /// Mean fraction of entries moved per 4KB-table upsize.
-    pub moved_fraction_4k: f64,
-    /// Cuckoo re-insertion histogram, all tables pooled.
-    pub kicks_histogram: Vec<u64>,
-    /// L2P entries in use at the end.
-    pub l2p_entries_used: u64,
-    /// Chunk-size switches performed.
-    pub chunk_switches: u64,
-    /// Nominal data footprint of the workload.
-    pub data_bytes_nominal: u64,
+/// The deterministic measurements of one completed cell: the simulator's
+/// [`Metrics`](mehpt_sim::Metrics). Wall-clock time deliberately lives
+/// outside it (on [`CellResult`]) so serialized reports are bit-identical
+/// across thread counts and machines.
+pub use mehpt_sim::Metrics as CellMetrics;
+
+/// A replicate's or cell's `metrics` entry: `null` when it has none.
+fn metrics_json(m: Option<&CellMetrics>) -> Json {
+    let Some(m) = m else {
+        return Json::Null;
+    };
+    Json::obj(vec![
+        ("accesses", Json::UInt(m.accesses)),
+        ("total_cycles", Json::UInt(m.total_cycles)),
+        ("base_cycles", Json::UInt(m.base_cycles)),
+        ("translation_cycles", Json::UInt(m.translation_cycles)),
+        ("fault_cycles", Json::UInt(m.fault_cycles)),
+        ("alloc_cycles", Json::UInt(m.alloc_cycles)),
+        ("os_pt_cycles", Json::UInt(m.os_pt_cycles)),
+        ("faults", Json::UInt(m.faults)),
+        ("pages_4k", Json::UInt(m.pages_4k)),
+        ("pages_2m", Json::UInt(m.pages_2m)),
+        ("tlb_miss_rate", Json::Num(m.tlb_miss_rate)),
+        ("walks", Json::UInt(m.walks)),
+        ("mean_walk_accesses", Json::Num(m.mean_walk_accesses)),
+        ("mean_walk_cycles", Json::Num(m.mean_walk_cycles)),
+        ("pt_final_bytes", Json::UInt(m.pt_final_bytes)),
+        ("pt_peak_bytes", Json::UInt(m.pt_peak_bytes)),
+        ("pt_max_contiguous", Json::UInt(m.pt_max_contiguous)),
+        ("way_sizes_4k", Json::uints(&m.way_sizes_4k)),
+        ("way_phys_4k", Json::uints(&m.way_phys_4k)),
+        ("upsizes_per_way_4k", Json::uints(&m.upsizes_per_way_4k)),
+        ("upsizes_per_way_2m", Json::uints(&m.upsizes_per_way_2m)),
+        ("moved_fraction_4k", Json::Num(m.moved_fraction_4k)),
+        ("kicks_histogram", Json::uints(&m.kicks_histogram)),
+        ("l2p_entries_used", Json::UInt(m.l2p_entries_used)),
+        ("chunk_switches", Json::UInt(m.chunk_switches)),
+        ("data_bytes_nominal", Json::UInt(m.data_bytes_nominal)),
+    ])
 }
 
-impl From<&SimReport> for CellMetrics {
-    fn from(r: &SimReport) -> CellMetrics {
-        CellMetrics {
-            accesses: r.accesses,
-            total_cycles: r.total_cycles,
-            base_cycles: r.base_cycles,
-            translation_cycles: r.translation_cycles,
-            fault_cycles: r.fault_cycles,
-            alloc_cycles: r.alloc_cycles,
-            os_pt_cycles: r.os_pt_cycles,
-            faults: r.faults,
-            pages_4k: r.pages_4k,
-            pages_2m: r.pages_2m,
-            tlb_miss_rate: r.tlb_miss_rate,
-            walks: r.walks,
-            mean_walk_accesses: r.mean_walk_accesses,
-            mean_walk_cycles: r.mean_walk_cycles,
-            pt_final_bytes: r.pt_final_bytes,
-            pt_peak_bytes: r.pt_peak_bytes,
-            pt_max_contiguous: r.pt_max_contiguous,
-            way_sizes_4k: r.way_sizes_4k.clone(),
-            way_phys_4k: r.way_phys_4k.clone(),
-            upsizes_per_way_4k: r.upsizes_per_way_4k.clone(),
-            upsizes_per_way_2m: r.upsizes_per_way_2m.clone(),
-            moved_fraction_4k: r.moved_fraction_4k,
-            kicks_histogram: r.kicks_histogram.clone(),
-            l2p_entries_used: r.l2p_entries_used as u64,
-            chunk_switches: r.chunk_switches,
-            data_bytes_nominal: r.data_bytes_nominal,
-        }
-    }
-}
-
-impl CellMetrics {
-    /// Cycles per access (the normalized figure-9 metric).
-    pub fn cycles_per_access(&self) -> f64 {
-        self.total_cycles as f64 / self.accesses.max(1) as f64
-    }
-
-    /// Speedup over a baseline cell (cycles-per-access ratio, robust to
-    /// aborted baselines that ran fewer accesses).
-    pub fn speedup_over(&self, baseline: &CellMetrics) -> f64 {
-        baseline.cycles_per_access() / self.cycles_per_access()
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("accesses", Json::UInt(self.accesses)),
-            ("total_cycles", Json::UInt(self.total_cycles)),
-            ("base_cycles", Json::UInt(self.base_cycles)),
-            ("translation_cycles", Json::UInt(self.translation_cycles)),
-            ("fault_cycles", Json::UInt(self.fault_cycles)),
-            ("alloc_cycles", Json::UInt(self.alloc_cycles)),
-            ("os_pt_cycles", Json::UInt(self.os_pt_cycles)),
-            ("faults", Json::UInt(self.faults)),
-            ("pages_4k", Json::UInt(self.pages_4k)),
-            ("pages_2m", Json::UInt(self.pages_2m)),
-            ("tlb_miss_rate", Json::Num(self.tlb_miss_rate)),
-            ("walks", Json::UInt(self.walks)),
-            ("mean_walk_accesses", Json::Num(self.mean_walk_accesses)),
-            ("mean_walk_cycles", Json::Num(self.mean_walk_cycles)),
-            ("pt_final_bytes", Json::UInt(self.pt_final_bytes)),
-            ("pt_peak_bytes", Json::UInt(self.pt_peak_bytes)),
-            ("pt_max_contiguous", Json::UInt(self.pt_max_contiguous)),
-            ("way_sizes_4k", Json::uints(&self.way_sizes_4k)),
-            ("way_phys_4k", Json::uints(&self.way_phys_4k)),
-            ("upsizes_per_way_4k", Json::uints(&self.upsizes_per_way_4k)),
-            ("upsizes_per_way_2m", Json::uints(&self.upsizes_per_way_2m)),
-            ("moved_fraction_4k", Json::Num(self.moved_fraction_4k)),
-            ("kicks_histogram", Json::uints(&self.kicks_histogram)),
-            ("l2p_entries_used", Json::UInt(self.l2p_entries_used)),
-            ("chunk_switches", Json::UInt(self.chunk_switches)),
-            ("data_bytes_nominal", Json::UInt(self.data_bytes_nominal)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json) -> Result<CellMetrics, String> {
-        let uint = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("metrics: missing integer field {key:?}"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("metrics: missing numeric field {key:?}"))
-        };
-        let uints = |key: &str| -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .map(|items| items.iter().filter_map(Json::as_u64).collect::<Vec<u64>>())
-                .ok_or_else(|| format!("metrics: missing array field {key:?}"))
-        };
-        Ok(CellMetrics {
-            accesses: uint("accesses")?,
-            total_cycles: uint("total_cycles")?,
-            base_cycles: uint("base_cycles")?,
-            translation_cycles: uint("translation_cycles")?,
-            fault_cycles: uint("fault_cycles")?,
-            alloc_cycles: uint("alloc_cycles")?,
-            os_pt_cycles: uint("os_pt_cycles")?,
-            faults: uint("faults")?,
-            pages_4k: uint("pages_4k")?,
-            pages_2m: uint("pages_2m")?,
-            tlb_miss_rate: num("tlb_miss_rate")?,
-            walks: uint("walks")?,
-            mean_walk_accesses: num("mean_walk_accesses")?,
-            mean_walk_cycles: num("mean_walk_cycles")?,
-            pt_final_bytes: uint("pt_final_bytes")?,
-            pt_peak_bytes: uint("pt_peak_bytes")?,
-            pt_max_contiguous: uint("pt_max_contiguous")?,
-            way_sizes_4k: uints("way_sizes_4k")?,
-            way_phys_4k: uints("way_phys_4k")?,
-            upsizes_per_way_4k: uints("upsizes_per_way_4k")?,
-            upsizes_per_way_2m: uints("upsizes_per_way_2m")?,
-            moved_fraction_4k: num("moved_fraction_4k")?,
-            kicks_histogram: uints("kicks_histogram")?,
-            l2p_entries_used: uint("l2p_entries_used")?,
-            chunk_switches: uint("chunk_switches")?,
-            data_bytes_nominal: uint("data_bytes_nominal")?,
-        })
-    }
+fn metrics_from_json(v: &Json) -> Result<CellMetrics, String> {
+    let uint = |key: &str| -> Result<u64, String> {
+        v.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("metrics: missing integer field {key:?}"))
+    };
+    let num = |key: &str| -> Result<f64, String> {
+        v.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("metrics: missing numeric field {key:?}"))
+    };
+    let uints = |key: &str| -> Result<Vec<u64>, String> {
+        v.get(key)
+            .and_then(Json::as_arr)
+            .map(|items| items.iter().filter_map(Json::as_u64).collect::<Vec<u64>>())
+            .ok_or_else(|| format!("metrics: missing array field {key:?}"))
+    };
+    Ok(CellMetrics {
+        accesses: uint("accesses")?,
+        total_cycles: uint("total_cycles")?,
+        base_cycles: uint("base_cycles")?,
+        translation_cycles: uint("translation_cycles")?,
+        fault_cycles: uint("fault_cycles")?,
+        alloc_cycles: uint("alloc_cycles")?,
+        os_pt_cycles: uint("os_pt_cycles")?,
+        faults: uint("faults")?,
+        pages_4k: uint("pages_4k")?,
+        pages_2m: uint("pages_2m")?,
+        tlb_miss_rate: num("tlb_miss_rate")?,
+        walks: uint("walks")?,
+        mean_walk_accesses: num("mean_walk_accesses")?,
+        mean_walk_cycles: num("mean_walk_cycles")?,
+        pt_final_bytes: uint("pt_final_bytes")?,
+        pt_peak_bytes: uint("pt_peak_bytes")?,
+        pt_max_contiguous: uint("pt_max_contiguous")?,
+        way_sizes_4k: uints("way_sizes_4k")?,
+        way_phys_4k: uints("way_phys_4k")?,
+        upsizes_per_way_4k: uints("upsizes_per_way_4k")?,
+        upsizes_per_way_2m: uints("upsizes_per_way_2m")?,
+        moved_fraction_4k: num("moved_fraction_4k")?,
+        kicks_histogram: uints("kicks_histogram")?,
+        l2p_entries_used: uint("l2p_entries_used")?,
+        chunk_switches: uint("chunk_switches")?,
+        data_bytes_nominal: uint("data_bytes_nominal")?,
+    })
 }
 
 /// One attempt at running a replicate: the retry machinery's audit trail.
@@ -365,28 +269,11 @@ impl RepResult {
     /// The journal-record payload: the report-side fields *plus* the full
     /// metrics block, so a resumed sweep can rebuild stats bit-for-bit.
     pub(crate) fn to_journal_json(&self) -> Json {
-        Json::obj(vec![
-            ("replicate", Json::UInt(self.replicate as u64)),
-            ("seed", Json::UInt(self.seed)),
-            ("status", Json::Str(self.status.label().to_string())),
-            ("error", Json::opt_str(self.error.as_deref())),
-            (
-                "attempts",
-                Json::Arr(
-                    self.attempt_history()
-                        .iter()
-                        .map(AttemptRecord::to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "metrics",
-                match &self.metrics {
-                    Some(m) => m.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ])
+        let mut json = self.to_json();
+        if let Json::Obj(fields) = &mut json {
+            fields.push(("metrics".to_string(), metrics_json(self.metrics.as_ref())));
+        }
+        json
     }
 
     /// Parses a journal-record payload written by
@@ -411,7 +298,7 @@ impl RepResult {
         }
         let metrics = match v.get("metrics") {
             None | Some(Json::Null) => None,
-            Some(m) => Some(CellMetrics::from_json(m)?),
+            Some(m) => Some(metrics_from_json(m)?),
         };
         Ok(RepResult {
             replicate: v
@@ -518,13 +405,7 @@ impl CellResult {
                     None => Json::Null,
                 },
             ),
-            (
-                "metrics",
-                match &self.metrics {
-                    Some(m) => m.to_json(),
-                    None => Json::Null,
-                },
-            ),
+            ("metrics", metrics_json(self.metrics.as_ref())),
         ])
     }
 }
@@ -543,6 +424,20 @@ pub struct StatusCounts {
 }
 
 impl StatusCounts {
+    /// Tallies `cells` by status.
+    pub fn tally(cells: &[CellResult]) -> StatusCounts {
+        let mut c = StatusCounts::default();
+        for cell in cells {
+            match cell.status {
+                CellStatus::Ok => c.ok += 1,
+                CellStatus::Aborted => c.aborted += 1,
+                CellStatus::Failed => c.failed += 1,
+                CellStatus::TimedOut => c.timed_out += 1,
+            }
+        }
+        c
+    }
+
     /// Harness failures: panicked plus timed-out cells. Non-zero makes
     /// the CLI exit 1.
     pub fn bad(&self) -> usize {
@@ -576,16 +471,7 @@ pub struct LabReport {
 impl LabReport {
     /// Per-status cell counts.
     pub fn counts(&self) -> StatusCounts {
-        let mut c = StatusCounts::default();
-        for cell in &self.cells {
-            match cell.status {
-                CellStatus::Ok => c.ok += 1,
-                CellStatus::Aborted => c.aborted += 1,
-                CellStatus::Failed => c.failed += 1,
-                CellStatus::TimedOut => c.timed_out += 1,
-            }
-        }
-        c
+        StatusCounts::tally(&self.cells)
     }
 
     /// Total wall-clock milliseconds across cells (CPU-side; not part of

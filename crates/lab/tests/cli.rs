@@ -18,7 +18,7 @@ fn tiny_report(total_cycles: u64) -> String {
     use mehpt_lab::engine::{run_cells_with, RunOptions};
     use mehpt_lab::grid::{ExperimentGrid, Tuning};
     use mehpt_lab::report::LabReport;
-    use mehpt_sim::{PtKind, SimReport};
+    use mehpt_sim::{Metrics, PtKind, SimReport};
     use mehpt_workloads::App;
 
     let grid = ExperimentGrid::paper(vec![App::Gups], vec![PtKind::MeHpt], vec![false]);
@@ -30,33 +30,12 @@ fn tiny_report(total_cycles: u64) -> String {
             app: spec.app.name().to_string(),
             kind: spec.kind,
             thp: spec.thp,
-            accesses: 100,
-            total_cycles,
-            base_cycles: 0,
-            translation_cycles: 0,
-            fault_cycles: 0,
-            alloc_cycles: 0,
-            os_pt_cycles: 0,
-            faults: 0,
-            pages_4k: 0,
-            pages_2m: 0,
-            tlb_miss_rate: 0.0,
-            walks: 0,
-            mean_walk_accesses: 0.0,
-            mean_walk_cycles: 0.0,
-            pt_final_bytes: 0,
-            pt_peak_bytes: 0,
-            pt_max_contiguous: 0,
-            way_sizes_4k: vec![],
-            way_phys_4k: vec![],
-            upsizes_per_way_4k: vec![],
-            upsizes_per_way_2m: vec![],
-            moved_fraction_4k: 0.0,
-            kicks_histogram: vec![],
-            l2p_entries_used: 0,
-            chunk_switches: 0,
-            data_bytes_nominal: 0,
             aborted: None,
+            metrics: Metrics {
+                accesses: 100,
+                total_cycles,
+                ..Metrics::default()
+            },
         },
         &|_| {},
     );

@@ -13,7 +13,7 @@ use mehpt_lab::engine::{run_cells_with, RunOptions};
 use mehpt_lab::fault::{FaultKind, FaultPlan};
 use mehpt_lab::grid::{CellSpec, ExperimentGrid, Tuning};
 use mehpt_lab::report::{CellResult, CellStatus, LabReport};
-use mehpt_sim::{PtKind, SimReport};
+use mehpt_sim::{Metrics, PtKind, SimReport};
 use mehpt_types::rng::Xoshiro256;
 use mehpt_workloads::App;
 
@@ -29,33 +29,15 @@ fn fake_sim(spec: &CellSpec) -> SimReport {
         app: spec.app.name().to_string(),
         kind: spec.kind,
         thp: spec.thp,
-        accesses: 100 + rng.next_below(100),
-        total_cycles: 10_000 + rng.next_below(1_000_000),
-        base_cycles: 0,
-        translation_cycles: 0,
-        fault_cycles: 0,
-        alloc_cycles: 0,
-        os_pt_cycles: 0,
-        faults: rng.next_below(50),
-        pages_4k: 0,
-        pages_2m: 0,
-        tlb_miss_rate: 0.25,
-        walks: 0,
-        mean_walk_accesses: 0.0,
-        mean_walk_cycles: 0.0,
-        pt_final_bytes: 0,
-        pt_peak_bytes: 4096 + rng.next_below(4096),
-        pt_max_contiguous: 0,
-        way_sizes_4k: vec![],
-        way_phys_4k: vec![],
-        upsizes_per_way_4k: vec![],
-        upsizes_per_way_2m: vec![],
-        moved_fraction_4k: 0.0,
-        kicks_histogram: vec![],
-        l2p_entries_used: 0,
-        chunk_switches: 0,
-        data_bytes_nominal: 0,
         aborted: None,
+        metrics: Metrics {
+            accesses: 100 + rng.next_below(100),
+            total_cycles: 10_000 + rng.next_below(1_000_000),
+            faults: rng.next_below(50),
+            tlb_miss_rate: 0.25,
+            pt_peak_bytes: 4096 + rng.next_below(4096),
+            ..Metrics::default()
+        },
     }
 }
 

@@ -35,13 +35,11 @@ use crate::phys::{AllocTag, Chunk, PhysMem, FMFI_REF_ORDER};
 ///
 /// let mut mem = PhysMem::new(GIB);
 /// let mut rng = Xoshiro256::seed_from_u64(1);
-/// let _frag = Fragmenter::fragment(&mut mem, 0.7, &mut rng);
+/// Fragmenter::fragment(&mut mem, 0.7, &mut rng);
 /// assert!((mem.fmfi() - 0.7).abs() < 0.05);
 /// ```
 #[derive(Debug)]
-pub struct Fragmenter {
-    pins: Vec<Chunk>,
-}
+pub struct Fragmenter;
 
 impl Fragmenter {
     /// The FMFI level up to which all pinned ballast remains movable.
@@ -56,11 +54,10 @@ impl Fragmenter {
     /// Fragments `mem` until its scalar FMFI is within ~0.01 of
     /// `target_fmfi` (clamped to `[0, 0.99]`).
     ///
-    /// Deterministic for a given `rng` state. Returns the fragmenter, which
-    /// owns the pinned ballast; dropping it *leaks* the pins into the
-    /// simulation (intended — the machine stays fragmented), while
-    /// [`Fragmenter::release`] undoes the fragmentation.
-    pub fn fragment(mem: &mut PhysMem, target_fmfi: f64, rng: &mut Xoshiro256) -> Fragmenter {
+    /// Deterministic for a given `rng` state. The pinned ballast stays
+    /// allocated in `mem` under the `Pinned*` tags for good: the machine
+    /// stays fragmented.
+    pub fn fragment(mem: &mut PhysMem, target_fmfi: f64, rng: &mut Xoshiro256) {
         let target = target_fmfi.clamp(0.0, 0.99);
         let region_frames = 1u64 << FMFI_REF_ORDER;
         let regions = mem.total_bytes() / crate::FRAME_BYTES / region_frames;
@@ -89,7 +86,6 @@ impl Fragmenter {
                 break;
             }
         }
-        Fragmenter { pins }
     }
 
     fn pin_in_region(
@@ -114,29 +110,6 @@ impl Fragmenter {
             }
         }
     }
-
-    /// The number of pinned frames currently held.
-    pub fn pin_count(&self) -> usize {
-        self.pins.len()
-    }
-
-    /// Releases all ballast, defragmenting the memory again.
-    pub fn release(self, mem: &mut PhysMem) {
-        for chunk in self.pins {
-            // Compaction may have migrated a movable pin; its chunk handle
-            // is stale then. Look the current location up by scanning is
-            // overkill — movable pins that migrated were re-tagged under the
-            // same tag, so `free` by handle only works for never-moved pins.
-            // The fragmenter is only released in tests on un-compacted
-            // memories; tolerate stale handles by skipping them.
-            if mem
-                .buddy()
-                .is_allocated(chunk.base().0 / crate::FRAME_BYTES, 0)
-            {
-                mem.free(chunk);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,6 +120,13 @@ mod tests {
 
     fn mem(bytes: u64) -> PhysMem {
         PhysMem::with_cost_model(bytes, AllocCostModel::zero_cost())
+    }
+
+    /// Bytes the fragmenter's ballast holds in `m`.
+    fn pinned_bytes(m: &PhysMem) -> u64 {
+        let stats = m.stats();
+        stats.tag(AllocTag::PinnedMovable).current_bytes
+            + stats.tag(AllocTag::PinnedUnmovable).current_bytes
     }
 
     #[test]
@@ -167,9 +147,9 @@ mod tests {
     fn ballast_memory_is_tiny() {
         let mut m = mem(GIB);
         let mut rng = Xoshiro256::seed_from_u64(1);
-        let frag = Fragmenter::fragment(&mut m, 0.7, &mut rng);
+        Fragmenter::fragment(&mut m, 0.7, &mut rng);
         // One 4KB pin per 2MB region at most a few times over.
-        assert!(frag.pin_count() < 2 * 512);
+        assert!(pinned_bytes(&m) < 2 * 512 * crate::FRAME_BYTES);
         assert!(m.free_bytes() > m.total_bytes() * 9 / 10);
     }
 
@@ -205,17 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn release_restores_memory() {
-        let mut m = mem(64 * MIB);
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let before = m.free_bytes();
-        let frag = Fragmenter::fragment(&mut m, 0.5, &mut rng);
-        assert!(m.free_bytes() < before);
-        frag.release(&mut m);
-        assert_eq!(m.free_bytes(), before);
-    }
-
-    #[test]
     fn sweep_is_sorted_and_brackets_the_movable_limit() {
         let s = Fragmenter::SWEEP_FMFI;
         assert!(s.windows(2).all(|w| w[0] < w[1]));
@@ -228,8 +197,8 @@ mod tests {
         let run = |seed| {
             let mut m = mem(GIB);
             let mut rng = Xoshiro256::seed_from_u64(seed);
-            let f = Fragmenter::fragment(&mut m, 0.6, &mut rng);
-            (f.pin_count(), m.fmfi())
+            Fragmenter::fragment(&mut m, 0.6, &mut rng);
+            (pinned_bytes(&m), m.fmfi())
         };
         assert_eq!(run(11), run(11));
     }

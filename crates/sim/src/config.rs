@@ -23,7 +23,23 @@ impl PtKind {
     }
 }
 
-/// Simulation parameters (Table III plus OS cost constants).
+/// Non-translation cycles charged per memory access (compute, L1D —
+/// calibrated so overall speedups land in the paper's range).
+pub(crate) const BASE_ACCESS_CYCLES: u64 = 12;
+/// OS overhead per page fault, excluding allocation and page-table
+/// insertion costs.
+pub(crate) const PAGE_FAULT_CYCLES: u64 = 700;
+/// OS cost of one page-table insertion (entry write + bookkeeping).
+pub(crate) const INSERT_CYCLES: u64 = 150;
+/// OS cost per cuckoo re-insertion.
+pub(crate) const KICK_CYCLES: u64 = 120;
+/// OS cost per entry migrated by gradual resizing (read + rehash + write;
+/// in-place resizing halves the number of these).
+pub(crate) const MIGRATE_ENTRY_CYCLES: u64 = 80;
+
+/// What a run simulates: the page table, the workload's machine and its
+/// seed. The machine's fixed costs are the constants above and Table III's,
+/// which no run varies.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Page-table organization under test.
@@ -37,19 +53,6 @@ pub struct SimConfig {
     pub mem_bytes: u64,
     /// Target fragmentation (FMFI at the 2MB order; the paper uses 0.7).
     pub fragmentation: f64,
-    /// Non-translation cycles charged per memory access (compute, L1D —
-    /// calibrated so overall speedups land in the paper's range).
-    pub base_access_cycles: u64,
-    /// OS overhead per page fault, excluding allocation and page-table
-    /// insertion costs.
-    pub page_fault_cycles: u64,
-    /// OS cost of one page-table insertion (entry write + bookkeeping).
-    pub insert_cycles: u64,
-    /// OS cost per cuckoo re-insertion.
-    pub kick_cycles: u64,
-    /// OS cost per entry migrated by gradual resizing (read + rehash +
-    /// write; in-place resizing halves the number of these).
-    pub migrate_entry_cycles: u64,
     /// Seed (fragmenter layout, etc.).
     pub seed: u64,
     /// Workload accesses to simulate; `None` runs the full trace.
@@ -65,11 +68,6 @@ impl SimConfig {
             thp,
             mem_bytes: 64 * GIB,
             fragmentation: 0.7,
-            base_access_cycles: 12,
-            page_fault_cycles: 700,
-            insert_cycles: 150,
-            kick_cycles: 120,
-            migrate_entry_cycles: 80,
             seed: 0x5eed,
             max_accesses: None,
         }

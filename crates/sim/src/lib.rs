@@ -16,10 +16,10 @@
 //! * an ECPT run **aborts** when a contiguous way allocation fails, exactly
 //!   like the paper's runs at FMFI > 0.7.
 //!
-//! The output is a [`SimReport`] carrying everything the paper's tables and
-//! figures need: cycles (total and per component), page-table memory
-//! (final, peak, max contiguous), per-way sizes and upsize counts, L2P
-//! usage, kick histograms and moved-entry fractions.
+//! The output is a [`SimReport`] whose [`Metrics`] carry everything the
+//! paper's tables and figures need: cycles (total and per component),
+//! page-table memory (final, peak, max contiguous), per-way sizes and
+//! upsize counts, L2P usage, kick histograms and moved-entry fractions.
 //!
 //! # Examples
 //!
@@ -30,7 +30,7 @@
 //! let wl = App::Mummer.build(&WorkloadCfg { scale: 0.002, ..WorkloadCfg::default() });
 //! let report = Simulator::run(wl, SimConfig::paper(PtKind::MeHpt, false));
 //! assert!(report.aborted.is_none());
-//! assert!(report.total_cycles > 0);
+//! assert!(report.metrics.total_cycles > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,8 +42,8 @@ mod report;
 mod runner;
 
 pub use config::{PtKind, SimConfig};
-pub use multi::{run_multi, MultiConfig, MultiReport};
-pub use report::SimReport;
+pub use multi::{l2p_save_restore_cycles, run_multi, MultiConfig, MultiReport};
+pub use report::{Metrics, SimReport};
 pub use runner::Simulator;
 
 /// Revision counter for the simulator's *model semantics*. Bump it

@@ -8,29 +8,37 @@ use mehpt_workloads::Workload;
 use crate::runner::ProcState;
 use crate::{PtKind, SimConfig, SimReport};
 
+/// Fixed OS cost of a context switch (register state, scheduler).
+const SWITCH_CYCLES: u64 = 1_000;
+/// Cycles per 8 bytes of L2P state saved or restored on a switch
+/// (streaming MMU register I/O).
+const L2P_QWORD_CYCLES: u64 = 4;
+
+/// Cycles to save an L2P table with `entries` live entries on a switch out
+/// and restore it on the switch back in (Section V-C): its
+/// [`L2pTable::ENTRY_BITS`]-bit entries, rounded up to whole bytes and then
+/// to whole 8-byte words, at `L2P_QWORD_CYCLES` each way.
+pub fn l2p_save_restore_cycles(entries: u64) -> u64 {
+    let bytes = (entries * L2pTable::ENTRY_BITS).div_ceil(8);
+    2 * L2P_QWORD_CYCLES * bytes.div_ceil(8)
+}
+
 /// Configuration of a multiprogrammed run.
 #[derive(Clone, Debug)]
 pub struct MultiConfig {
     /// The per-process simulation configuration (page-table kind, THP,
-    /// cost constants). Memory size and fragmentation apply machine-wide.
+    /// seed). Memory size and fragmentation apply machine-wide.
     pub base: SimConfig,
     /// Accesses per scheduling slice before the next process runs.
     pub time_slice: u64,
-    /// Fixed OS cost of a context switch (register state, scheduler).
-    pub switch_cycles: u64,
-    /// Cycles per 8 bytes of L2P state saved + restored on a switch
-    /// (ME-HPT only; Section V-C).
-    pub l2p_qword_cycles: u64,
 }
 
 impl MultiConfig {
-    /// Paper-flavored defaults: 50K-access slices, 1000-cycle switches.
+    /// Paper-flavored defaults: 50K-access slices.
     pub fn paper(base: SimConfig) -> MultiConfig {
         MultiConfig {
             base,
             time_slice: 50_000,
-            switch_cycles: 1_000,
-            l2p_qword_cycles: 4,
         }
     }
 }
@@ -56,7 +64,11 @@ pub struct MultiReport {
 impl MultiReport {
     /// Total cycles across processes plus switching.
     pub fn total_cycles(&self) -> u64 {
-        self.processes.iter().map(|p| p.total_cycles).sum::<u64>() + self.switch_cycles
+        self.processes
+            .iter()
+            .map(|p| p.metrics.total_cycles)
+            .sum::<u64>()
+            + self.switch_cycles
     }
 }
 
@@ -65,8 +77,9 @@ impl MultiReport {
 /// configured kind.
 ///
 /// On every context switch the TLB and the incoming/outgoing process's
-/// walker caches are flushed, and (for ME-HPT) the L2P table's live
-/// entries are saved and restored at `l2p_qword_cycles` per 8 bytes.
+/// walker caches are flushed, and the switch costs `SWITCH_CYCLES` plus,
+/// for ME-HPT, [`l2p_save_restore_cycles`] of the L2P table's live
+/// entries.
 ///
 /// # Panics
 ///
@@ -90,7 +103,7 @@ fn run_multi_on<B: Backing>(
     assert!(!workloads.is_empty(), "need at least one workload");
     let mut mem = PhysMem::new(cfg.base.mem_bytes);
     let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
-    let _ballast = Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
+    Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
     let mut tlb = TlbHierarchy::paper_default();
     let mut dram = MemoryModel::paper_default();
     let mut procs: Vec<ProcState<B>> = workloads
@@ -110,8 +123,7 @@ fn run_multi_on<B: Backing>(
             // the switch + L2P restore bill.
             tlb.flush();
             proc.flush_walker();
-            let l2p_bytes = (proc.l2p_entries_used() as u64 * 33).div_ceil(8);
-            let cost = cfg.switch_cycles + 2 * cfg.l2p_qword_cycles * l2p_bytes.div_ceil(8);
+            let cost = SWITCH_CYCLES + l2p_save_restore_cycles(proc.l2p_entries_used());
             switches += 1;
             switch_cycles_total += cost;
             for _ in 0..cfg.time_slice {
@@ -166,8 +178,8 @@ mod tests {
         assert_eq!(r.processes.len(), 2);
         for p in &r.processes {
             assert!(p.aborted.is_none(), "{:?}", p.aborted);
-            assert!(p.accesses > 0);
-            assert!(p.faults > 0);
+            assert!(p.metrics.accesses > 0);
+            assert!(p.metrics.faults > 0);
         }
         assert!(r.switches >= 2);
         assert!(r.switch_cycles > 0);
@@ -181,7 +193,12 @@ mod tests {
             vec![wl(App::Bfs), wl(App::Pr), wl(App::Cc)],
             cfg(PtKind::MeHpt),
         );
-        let max_single = r.processes.iter().map(|p| p.pt_peak_bytes).max().unwrap();
+        let max_single = r
+            .processes
+            .iter()
+            .map(|p| p.metrics.pt_peak_bytes)
+            .max()
+            .unwrap();
         assert!(
             r.peak_pt_bytes > max_single,
             "combined {} vs single {}",
@@ -211,8 +228,17 @@ mod tests {
         cfg.base.max_accesses = Some(10_000);
         let r = run_multi(vec![wl(App::Mummer), wl(App::Tc)], cfg);
         for p in &r.processes {
-            assert_eq!(p.accesses, 10_000, "{}", p.app);
+            assert_eq!(p.metrics.accesses, 10_000, "{}", p.app);
         }
+    }
+
+    #[test]
+    fn l2p_save_restore_rounds_up_to_whole_words() {
+        assert_eq!(l2p_save_restore_cycles(0), 0);
+        // 53 entries: 1749 bits -> 219 bytes -> 28 words, saved and restored.
+        assert_eq!(l2p_save_restore_cycles(53), 2 * 4 * 28);
+        // The full 288-entry table: 1188 bytes -> 149 words.
+        assert_eq!(l2p_save_restore_cycles(288), 2 * 4 * 149);
     }
 
     #[test]

@@ -1,15 +1,9 @@
 use crate::PtKind;
 
 /// Everything a simulation run measured — the raw material for every table
-/// and figure of the paper.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    /// Workload name.
-    pub app: String,
-    /// Page-table organization simulated.
-    pub kind: PtKind,
-    /// Whether THP was enabled.
-    pub thp: bool,
+/// and figure of the paper. The lab serializes it as a cell's `metrics`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Metrics {
     /// Accesses simulated.
     pub accesses: u64,
     /// Total cycles (the figure-9 metric).
@@ -61,22 +55,23 @@ pub struct SimReport {
     /// pooled (Figure 16).
     pub kicks_histogram: Vec<u64>,
     /// L2P entries in use at the end (Figure 14; 0 for non-ME-HPT).
-    pub l2p_entries_used: usize,
+    pub l2p_entries_used: u64,
     /// Chunk-size switches performed (ME-HPT only).
     pub chunk_switches: u64,
     /// The workload's nominal data footprint (Table I column 2).
     pub data_bytes_nominal: u64,
-    /// Why the run aborted, if it did (ECPT allocation failure).
-    pub aborted: Option<String>,
 }
 
-impl SimReport {
-    /// Speedup of this run over a baseline run of the same workload
-    /// (cycles-per-access ratio, robust to aborted baselines).
-    pub fn speedup_over(&self, baseline: &SimReport) -> f64 {
-        let own = self.total_cycles as f64 / self.accesses.max(1) as f64;
-        let base = baseline.total_cycles as f64 / baseline.accesses.max(1) as f64;
-        base / own
+impl Metrics {
+    /// Cycles per access (the normalized figure-9 metric).
+    pub fn cycles_per_access(&self) -> f64 {
+        self.total_cycles as f64 / self.accesses.max(1) as f64
+    }
+
+    /// Speedup over a baseline run of the same workload (cycles-per-access
+    /// ratio, robust to aborted baselines that ran fewer accesses).
+    pub fn speedup_over(&self, baseline: &Metrics) -> f64 {
+        baseline.cycles_per_access() / self.cycles_per_access()
     }
 
     /// The mean number of cuckoo re-insertions per insert/rehash.
@@ -95,59 +90,66 @@ impl SimReport {
     }
 }
 
+/// One simulation run: what ran, how it ended, and what it measured.
+#[derive(Clone, Debug)]
+pub struct SimReport {
+    /// Workload name.
+    pub app: String,
+    /// Page-table organization simulated.
+    pub kind: PtKind,
+    /// Whether THP was enabled.
+    pub thp: bool,
+    /// Why the run aborted, if it did (ECPT allocation failure).
+    pub aborted: Option<String>,
+    /// The run's measurements.
+    pub metrics: Metrics,
+}
+
+/// A copy of the report's measurements. Kept for speedbench, which calls
+/// `CellMetrics::from(&report)`.
+impl From<&SimReport> for Metrics {
+    fn from(r: &SimReport) -> Metrics {
+        r.metrics.clone()
+    }
+}
+
+/// Reads a measurement straight off the report (`report.accesses`). Kept
+/// for speedbench's contract tests, which do so; the workspace reads
+/// `report.metrics`.
+impl std::ops::Deref for SimReport {
+    type Target = Metrics;
+
+    fn deref(&self) -> &Metrics {
+        &self.metrics
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(cycles: u64, accesses: u64) -> SimReport {
-        SimReport {
-            app: "t".into(),
-            kind: PtKind::Radix,
-            thp: false,
+    fn metrics(cycles: u64, accesses: u64) -> Metrics {
+        Metrics {
             accesses,
             total_cycles: cycles,
-            base_cycles: 0,
-            translation_cycles: 0,
-            fault_cycles: 0,
-            alloc_cycles: 0,
-            os_pt_cycles: 0,
-            faults: 0,
-            pages_4k: 0,
-            pages_2m: 0,
-            tlb_miss_rate: 0.0,
-            walks: 0,
-            mean_walk_accesses: 0.0,
-            mean_walk_cycles: 0.0,
-            pt_final_bytes: 0,
-            pt_peak_bytes: 0,
-            pt_max_contiguous: 0,
-            way_sizes_4k: vec![],
-            way_phys_4k: vec![],
-            upsizes_per_way_4k: vec![],
-            upsizes_per_way_2m: vec![],
-            moved_fraction_4k: 0.0,
-            kicks_histogram: vec![],
-            l2p_entries_used: 0,
-            chunk_switches: 0,
-            data_bytes_nominal: 0,
-            aborted: None,
+            ..Metrics::default()
         }
     }
 
     #[test]
     fn speedup_normalizes_per_access() {
-        let fast = report(100, 10);
-        let slow = report(300, 10);
+        let fast = metrics(100, 10);
+        let slow = metrics(300, 10);
         assert!((fast.speedup_over(&slow) - 3.0).abs() < 1e-9);
         // An aborted baseline with fewer accesses normalizes fairly.
-        let aborted = report(150, 5);
+        let aborted = metrics(150, 5);
         assert!((fast.speedup_over(&aborted) - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn mean_kicks_weighted() {
-        let mut r = report(0, 0);
-        r.kicks_histogram = vec![6, 2, 2];
-        assert!((r.mean_kicks() - 0.6).abs() < 1e-9);
+        let mut m = metrics(0, 0);
+        m.kicks_histogram = vec![6, 2, 2];
+        assert!((m.mean_kicks() - 0.6).abs() < 1e-9);
     }
 }

@@ -9,7 +9,10 @@ use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
 use mehpt_workloads::{Region, Workload};
 
-use crate::{PtKind, SimConfig, SimReport};
+use crate::config::{
+    BASE_ACCESS_CYCLES, INSERT_CYCLES, KICK_CYCLES, MIGRATE_ENTRY_CYCLES, PAGE_FAULT_CYCLES,
+};
+use crate::{Metrics, PtKind, SimConfig, SimReport};
 
 /// The page table under simulation, with its hardware walker: radix, or a
 /// hashed page table of design `B` (ECPT or ME-HPT).
@@ -273,10 +276,10 @@ impl<B: Backing> ProcState<B> {
         self.pt.flush_walker();
     }
 
-    pub(crate) fn l2p_entries_used(&self) -> usize {
+    pub(crate) fn l2p_entries_used(&self) -> u64 {
         match &self.pt {
             Pt::Radix { .. } => 0,
-            Pt::Hashed { table, .. } => table.l2p_entries_used(),
+            Pt::Hashed { table, .. } => table.l2p_entries_used() as u64,
         }
     }
 
@@ -302,8 +305,8 @@ impl<B: Backing> ProcState<B> {
         };
         let c = &mut self.counters;
         c.accesses += 1;
-        c.total += cfg.base_access_cycles;
-        c.base += cfg.base_access_cycles;
+        c.total += BASE_ACCESS_CYCLES;
+        c.base += BASE_ACCESS_CYCLES;
 
         let page4k = va.0 >> 12;
         let mapped = match self.last {
@@ -331,8 +334,8 @@ impl<B: Backing> ProcState<B> {
         debug_assert_eq!(walked, None, "the walk for unmapped {va:?} found a page");
         c.translation += out.cycles() + wc;
         c.total += out.cycles() + wc;
-        c.total += cfg.page_fault_cycles;
-        c.fault += cfg.page_fault_cycles;
+        c.total += PAGE_FAULT_CYCLES;
+        c.fault += PAGE_FAULT_CYCLES;
 
         let alloc_before = mem.stats().total_alloc_cycles();
         let thp_ok = cfg.thp
@@ -375,9 +378,9 @@ impl<B: Backing> ProcState<B> {
         let (ps, ppn) = chosen.expect("a frame was allocated");
         match self.pt.map(va, ps, ppn, mem) {
             Ok((kicks, migrated)) => {
-                let os = cfg.insert_cycles
-                    + kicks as u64 * cfg.kick_cycles
-                    + migrated as u64 * cfg.migrate_entry_cycles;
+                let os = INSERT_CYCLES
+                    + kicks as u64 * KICK_CYCLES
+                    + migrated as u64 * MIGRATE_ENTRY_CYCLES;
                 c.os_pt += os;
                 c.total += os;
             }
@@ -443,11 +446,7 @@ impl<B: Backing> ProcState<B> {
                 (walker.walks(), walker.mean_cycles(), walker.mean_accesses())
             }
         };
-        let pt_peak = c.pt_peak.max(self.pt.bytes());
-        let mut report = SimReport {
-            app: self.workload.name().to_string(),
-            kind: cfg.kind,
-            thp: cfg.thp,
+        let mut m = Metrics {
             accesses: c.accesses,
             total_cycles: total,
             base_cycles: c.base,
@@ -458,41 +457,38 @@ impl<B: Backing> ProcState<B> {
             faults: c.faults,
             pages_4k: c.pages_4k,
             pages_2m: c.pages_2m,
-            tlb_miss_rate: 0.0,
             walks,
             mean_walk_accesses,
             mean_walk_cycles,
             pt_final_bytes: self.pt.bytes(),
-            pt_peak_bytes: pt_peak,
+            pt_peak_bytes: c.pt_peak.max(self.pt.bytes()),
             pt_max_contiguous: mem.stats().tag(AllocTag::PageTable).max_contiguous_bytes,
-            way_sizes_4k: Vec::new(),
-            way_phys_4k: Vec::new(),
-            upsizes_per_way_4k: Vec::new(),
-            upsizes_per_way_2m: Vec::new(),
-            moved_fraction_4k: 0.0,
-            kicks_histogram: Vec::new(),
-            l2p_entries_used: 0,
-            chunk_switches: 0,
+            l2p_entries_used: self.l2p_entries_used(),
             data_bytes_nominal: self.workload.nominal_data_bytes(),
-            aborted: self.aborted.clone(),
+            ..Metrics::default()
         };
         if let Pt::Hashed { table, .. } = &self.pt {
             if let Some(t4k) = table.table(PageSize::Base4K) {
-                report.way_sizes_4k = t4k.way_sizes();
-                report.way_phys_4k = t4k.way_phys_bytes();
-                report.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
-                report.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
+                m.way_sizes_4k = t4k.way_sizes();
+                m.way_phys_4k = t4k.way_phys_bytes();
+                m.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
+                m.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
             }
             if let Some(t2m) = table.table(PageSize::Huge2M) {
-                report.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
+                m.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
             }
             for t in PAGE_SIZES.iter().filter_map(|&ps| table.table(ps)) {
-                merge_hist(&mut report.kicks_histogram, &t.stats().kicks_histogram);
-                report.chunk_switches += t.stats().chunk_switches;
+                merge_hist(&mut m.kicks_histogram, &t.stats().kicks_histogram);
+                m.chunk_switches += t.stats().chunk_switches;
             }
-            report.l2p_entries_used = table.l2p_entries_used();
         }
-        report
+        SimReport {
+            app: self.workload.name().to_string(),
+            kind: cfg.kind,
+            thp: cfg.thp,
+            aborted: self.aborted,
+            metrics: m,
+        }
     }
 }
 
@@ -523,14 +519,15 @@ impl Simulator {
     fn run_on<B: Backing>(workload: Workload, cfg: SimConfig, hpt: B::Config) -> SimReport {
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-        let _ballast = Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
+        Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
         let mut tlb = TlbHierarchy::paper_default();
         let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
         while proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
         let mut report = proc.into_report(&cfg, &mem);
-        report.tlb_miss_rate = tlb.l2_stats().misses as f64 / report.accesses.max(1) as f64;
-        report.pt_peak_bytes = report
+        let m = &mut report.metrics;
+        m.tlb_miss_rate = tlb.l2_stats().misses as f64 / m.accesses.max(1) as f64;
+        m.pt_peak_bytes = m
             .pt_peak_bytes
             .max(mem.stats().tag(AllocTag::PageTable).peak_bytes);
         report
@@ -573,6 +570,7 @@ mod tests {
         for kind in [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt] {
             let r = run(App::Mummer, kind, false);
             assert!(r.aborted.is_none(), "{kind:?}: {:?}", r.aborted);
+            let r = r.metrics;
             assert!(r.accesses > 0);
             assert!(r.total_cycles > r.accesses);
             assert!(r.faults > 0);
@@ -582,9 +580,9 @@ mod tests {
 
     #[test]
     fn thp_maps_huge_pages_for_eligible_regions() {
-        let r = run(App::Gups, PtKind::MeHpt, true);
+        let r = run(App::Gups, PtKind::MeHpt, true).metrics;
         assert!(r.pages_2m > 0, "GUPS under THP must use huge pages");
-        let r2 = run(App::Bfs, PtKind::MeHpt, true);
+        let r2 = run(App::Bfs, PtKind::MeHpt, true).metrics;
         assert_eq!(r2.pages_2m, 0, "graph regions are not THP-eligible");
     }
 
@@ -595,7 +593,7 @@ mod tests {
         let run_at = |kind| {
             let mut cfg = SimConfig::paper(kind, false);
             cfg.mem_bytes = 4 * mehpt_types::GIB;
-            Simulator::run(scaled(App::Gups, 0.05), cfg)
+            Simulator::run(scaled(App::Gups, 0.05), cfg).metrics
         };
         let radix = run_at(PtKind::Radix);
         let mehpt = run_at(PtKind::MeHpt);
@@ -610,8 +608,8 @@ mod tests {
 
     #[test]
     fn mehpt_contiguity_below_ecpt() {
-        let ecpt = run(App::Gups, PtKind::Ecpt, false);
-        let mehpt = run(App::Gups, PtKind::MeHpt, false);
+        let ecpt = run(App::Gups, PtKind::Ecpt, false).metrics;
+        let mehpt = run(App::Gups, PtKind::MeHpt, false).metrics;
         assert!(
             mehpt.pt_max_contiguous < ecpt.pt_max_contiguous,
             "ME-HPT {} vs ECPT {}",
@@ -622,8 +620,8 @@ mod tests {
 
     #[test]
     fn mehpt_peak_memory_below_ecpt() {
-        let ecpt = run(App::Bfs, PtKind::Ecpt, false);
-        let mehpt = run(App::Bfs, PtKind::MeHpt, false);
+        let ecpt = run(App::Bfs, PtKind::Ecpt, false).metrics;
+        let mehpt = run(App::Bfs, PtKind::MeHpt, false).metrics;
         assert!(
             (mehpt.pt_peak_bytes as f64) < 0.95 * ecpt.pt_peak_bytes as f64,
             "ME-HPT {} vs ECPT {}",
@@ -634,8 +632,8 @@ mod tests {
 
     #[test]
     fn reports_are_deterministic() {
-        let a = run(App::Pr, PtKind::MeHpt, false);
-        let b = run(App::Pr, PtKind::MeHpt, false);
+        let a = run(App::Pr, PtKind::MeHpt, false).metrics;
+        let b = run(App::Pr, PtKind::MeHpt, false).metrics;
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.way_sizes_4k, b.way_sizes_4k);
     }
@@ -646,7 +644,7 @@ mod tests {
         cfg.mem_bytes = mehpt_types::GIB;
         cfg.max_accesses = Some(1000);
         let r = Simulator::run(tiny(App::Bfs), cfg);
-        assert_eq!(r.accesses, 1000);
+        assert_eq!(r.metrics.accesses, 1000);
     }
 
     #[test]
@@ -847,7 +845,7 @@ mod tests {
 
     #[test]
     fn cycle_components_sum_to_total() {
-        let r = run(App::Tc, PtKind::MeHpt, false);
+        let r = run(App::Tc, PtKind::MeHpt, false).metrics;
         assert_eq!(
             r.base_cycles + r.translation_cycles + r.fault_cycles + r.alloc_cycles + r.os_pt_cycles,
             r.total_cycles

@@ -27,16 +27,17 @@ fn main() {
             ..WorkloadCfg::default()
         });
         let r = Simulator::run(wl, SimConfig::paper(kind, false));
-        let cpa = r.total_cycles as f64 / r.accesses as f64;
+        let m = &r.metrics;
+        let cpa = m.cycles_per_access();
         let speedup = baseline_cpa.get_or_insert(cpa).to_owned() / cpa;
         println!(
             "{:<8} {:>10.0} {:>10.0} {:>10.0} {:>12} {:>12} {:>9.2}x",
             kind.label(),
-            r.total_cycles as f64 / 1e6,
-            r.walks as f64 / 1e3,
-            r.mean_walk_cycles,
-            ByteSize(r.pt_peak_bytes).to_string(),
-            ByteSize(r.pt_max_contiguous).to_string(),
+            m.total_cycles as f64 / 1e6,
+            m.walks as f64 / 1e3,
+            m.mean_walk_cycles,
+            ByteSize(m.pt_peak_bytes).to_string(),
+            ByteSize(m.pt_max_contiguous).to_string(),
             speedup
         );
         if let Some(msg) = r.aborted {

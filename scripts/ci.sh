@@ -25,6 +25,23 @@ echo "==> cargo bench --workspace --no-run (every bench target builds)"
 # change could otherwise break a bench target unnoticed.
 cargo bench --workspace --no-run --offline --quiet
 
+echo "==> bench smoke: ctx_switch and ablation run to completion"
+# The step above only compiles the bench targets. These two run on the lab
+# engine at a tiny scale; ctx_switch prices L2P save/restore with the
+# simulator's own l2p_save_restore_cycles. radix5 stays out: its
+# 1,000,000-page row needs several GB of host memory.
+# Their per-cell progress on stderr is kept and printed on failure.
+bench_log=$(mktemp)
+for b in ctx_switch ablation; do
+    if ! MEHPT_SCALE=0.005 MEHPT_JOBS=2 cargo bench -p bench --offline --quiet \
+        --bench "$b" >/dev/null 2>"$bench_log"; then
+        cat "$bench_log" >&2
+        echo "bench $b failed" >&2
+        exit 1
+    fi
+done
+rm -f "$bench_log"
+
 echo "==> speedbench contract tests (output digests, replay fidelity)"
 cargo test --offline --manifest-path speedbench/Cargo.toml
 

@@ -3,11 +3,15 @@
 //! ```text
 //! mehpt apps                                      list the built-in workloads
 //! mehpt simulate --app gups --pt mehpt [--thp]    run one simulation
-//!                [--scale 0.1] [--frag 0.7] [--mem-gb 64]
+//!                [--scale 0.1] [--frag 0.7] [--mem-gb 64] [--seed 42]
 //! mehpt compare  --app bfs [--thp] [--scale 0.1]  radix vs ECPT vs ME-HPT
+//!                [--seed 42]
 //! mehpt record   --app bfs --scale 0.01 --out t.trace   export a trace file
 //! mehpt replay   --trace t.trace --pt radix       replay a recorded trace
 //! ```
+//!
+//! `--seed <n>` (simulate, compare, record) seeds the workload generator
+//! (default 42).
 
 use std::process::ExitCode;
 
@@ -49,9 +53,13 @@ USAGE:
   mehpt apps
   mehpt simulate --app <name> --pt <radix|ecpt|mehpt> [--thp]
                  [--scale <f>] [--frag <f>] [--mem-gb <n>] [--nodes <n>]
-  mehpt compare  --app <name> [--thp] [--scale <f>]
+                 [--seed <n>]
+  mehpt compare  --app <name> [--thp] [--scale <f>] [--seed <n>]
   mehpt record   --app <name> --out <file> [--scale <f>] [--nodes <n>]
-  mehpt replay   --trace <file> --pt <radix|ecpt|mehpt> [--thp] [--frag <f>]";
+                 [--seed <n>]
+  mehpt replay   --trace <file> --pt <radix|ecpt|mehpt> [--thp] [--frag <f>]
+
+--seed seeds the workload generator (default 42).";
 
 /// Tiny flag parser: `--key value` pairs plus boolean flags.
 struct Flags<'a>(&'a [String]);
@@ -132,36 +140,37 @@ fn cmd_apps() -> Result<(), String> {
 }
 
 fn print_report(r: &SimReport) {
+    let m = &r.metrics;
     println!("app:                {}", r.app);
     println!(
         "page table:         {} (THP {})",
         r.kind.label(),
         if r.thp { "on" } else { "off" }
     );
-    println!("accesses:           {}", r.accesses);
-    println!("total cycles:       {}", r.total_cycles);
+    println!("accesses:           {}", m.accesses);
+    println!("total cycles:       {}", m.total_cycles);
     println!(
         "  base/translation/fault/alloc/pt-maintenance: {} / {} / {} / {} / {}",
-        r.base_cycles, r.translation_cycles, r.fault_cycles, r.alloc_cycles, r.os_pt_cycles
+        m.base_cycles, m.translation_cycles, m.fault_cycles, m.alloc_cycles, m.os_pt_cycles
     );
     println!(
         "page faults:        {} ({} x 4KB, {} x 2MB)",
-        r.faults, r.pages_4k, r.pages_2m
+        m.faults, m.pages_4k, m.pages_2m
     );
     println!(
         "walks:              {} (mean {:.1} cycles, {:.2} accesses)",
-        r.walks, r.mean_walk_cycles, r.mean_walk_accesses
+        m.walks, m.mean_walk_cycles, m.mean_walk_accesses
     );
-    println!("TLB miss rate:      {:.4}", r.tlb_miss_rate);
+    println!("TLB miss rate:      {:.4}", m.tlb_miss_rate);
     println!(
         "PT memory:          {} final, {} peak",
-        ByteSize(r.pt_final_bytes),
-        ByteSize(r.pt_peak_bytes)
+        ByteSize(m.pt_final_bytes),
+        ByteSize(m.pt_peak_bytes)
     );
-    println!("PT max contiguous:  {}", ByteSize(r.pt_max_contiguous));
+    println!("PT max contiguous:  {}", ByteSize(m.pt_max_contiguous));
     if r.kind == PtKind::MeHpt {
-        println!("L2P entries used:   {}", r.l2p_entries_used);
-        println!("chunk switches:     {}", r.chunk_switches);
+        println!("L2P entries used:   {}", m.l2p_entries_used);
+        println!("chunk switches:     {}", m.chunk_switches);
     }
     if let Some(msg) = &r.aborted {
         println!("ABORTED:            {msg}");
@@ -189,15 +198,16 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         let wl = build_workload(&flags)?;
         let cfg = build_config(&flags, kind)?;
         let r = Simulator::run(wl, cfg);
-        let cpa = r.total_cycles as f64 / r.accesses.max(1) as f64;
+        let m = &r.metrics;
+        let cpa = m.cycles_per_access();
         let speedup = *base.get_or_insert(cpa) / cpa;
         println!(
             "{:<8} {:>14} {:>12.0} {:>12} {:>12} {:>7.2}x{}",
             kind.label(),
-            r.total_cycles,
-            r.mean_walk_cycles,
-            ByteSize(r.pt_peak_bytes).to_string(),
-            ByteSize(r.pt_max_contiguous).to_string(),
+            m.total_cycles,
+            m.mean_walk_cycles,
+            ByteSize(m.pt_peak_bytes).to_string(),
+            ByteSize(m.pt_max_contiguous).to_string(),
             speedup,
             r.aborted
                 .as_deref()

@@ -70,6 +70,7 @@ fn sim_accounting_is_consistent() {
     for kind in [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt] {
         let r = small_run(kind, false);
         assert!(r.aborted.is_none());
+        let r = r.metrics;
         let parts =
             r.base_cycles + r.translation_cycles + r.fault_cycles + r.alloc_cycles + r.os_pt_cycles;
         assert_eq!(parts, r.total_cycles, "{kind:?}: components must sum");
@@ -82,8 +83,8 @@ fn sim_accounting_is_consistent() {
 /// The same workload, same config, twice: bit-identical reports.
 #[test]
 fn sim_runs_are_reproducible() {
-    let a = small_run(PtKind::MeHpt, true);
-    let b = small_run(PtKind::MeHpt, true);
+    let a = small_run(PtKind::MeHpt, true).metrics;
+    let b = small_run(PtKind::MeHpt, true).metrics;
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.pt_peak_bytes, b.pt_peak_bytes);
@@ -93,8 +94,8 @@ fn sim_runs_are_reproducible() {
 /// THP maps the eligible region with huge pages and shrinks the 4KB table.
 #[test]
 fn thp_changes_page_size_mix_not_correctness() {
-    let plain = small_run(PtKind::MeHpt, false);
-    let thp = small_run(PtKind::MeHpt, true);
+    let plain = small_run(PtKind::MeHpt, false).metrics;
+    let thp = small_run(PtKind::MeHpt, true).metrics;
     assert_eq!(plain.pages_2m, 0);
     assert!(
         thp.pages_2m > 0,
@@ -108,9 +109,9 @@ fn thp_changes_page_size_mix_not_correctness() {
 /// Identical access counts across kinds on the same workload (no aborts).
 #[test]
 fn kinds_simulate_the_same_trace() {
-    let radix = small_run(PtKind::Radix, false);
-    let ecpt = small_run(PtKind::Ecpt, false);
-    let mehpt = small_run(PtKind::MeHpt, false);
+    let radix = small_run(PtKind::Radix, false).metrics;
+    let ecpt = small_run(PtKind::Ecpt, false).metrics;
+    let mehpt = small_run(PtKind::MeHpt, false).metrics;
     assert_eq!(radix.accesses, ecpt.accesses);
     assert_eq!(ecpt.accesses, mehpt.accesses);
     // Same pages mapped by the end.

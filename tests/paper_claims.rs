@@ -3,18 +3,18 @@
 //! tests pin the *orderings* that must hold at any scale where the
 //! mechanisms engage.
 
-use mehpt::sim::{PtKind, SimConfig, SimReport, Simulator};
+use mehpt::sim::{Metrics, PtKind, SimConfig, Simulator};
 use mehpt::types::GIB;
 use mehpt::workloads::{App, WorkloadCfg};
 
-fn run_scaled(app: App, kind: PtKind, thp: bool, scale: f64) -> SimReport {
+fn run_scaled(app: App, kind: PtKind, thp: bool, scale: f64) -> Metrics {
     let wl = app.build(&WorkloadCfg {
         scale,
         ..WorkloadCfg::default()
     });
     let mut cfg = SimConfig::paper(kind, thp);
     cfg.mem_bytes = 8 * GIB;
-    Simulator::run(wl, cfg)
+    Simulator::run(wl, cfg).metrics
 }
 
 /// Claim 1 (abstract): ME-HPT reduces the contiguous memory allocation
