@@ -12,7 +12,7 @@ use std::time::Instant;
 use mehpt_core::{L2pTable, MeHpt};
 use mehpt_ecpt::{Backing, Ecpt, EcptWalker, Hpt, CLUSTER_PTES};
 use mehpt_hash::{Config, ElasticCuckooTable, ResizeMode, WaySizing};
-use mehpt_mem::{AllocCostModel, AllocTag, PhysMem};
+use mehpt_mem::{AllocCostModel, AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
@@ -43,6 +43,13 @@ fn mem() -> PhysMem {
     PhysMem::with_cost_model(GIB, AllocCostModel::zero_cost())
 }
 
+/// The paper's machine: 64GB at 0.7 FMFI, fragmented from a fixed seed.
+fn fragmented_64g() -> PhysMem {
+    let mut m = PhysMem::new(64 * GIB);
+    Fragmenter::fragment(&mut m, 0.7, &mut Xoshiro256::seed_from_u64(7));
+    m
+}
+
 fn bench_cuckoo() {
     println!("\nelastic_cuckoo:");
     for (name, mode, sizing) in [
@@ -70,7 +77,7 @@ fn bench_cuckoo() {
             move || {
                 t.insert(i, i);
                 i += 1;
-                if i % INSERTS == 0 {
+                if i.is_multiple_of(INSERTS) {
                     t = ElasticCuckooTable::new(Config {
                         resize_mode: mode,
                         sizing,
@@ -106,6 +113,17 @@ fn bench_buddy() {
     bench("  alloc_free_1m", 50_000, move || {
         let chunk = m.alloc(MIB, AllocTag::PageTable).unwrap();
         m.free(chunk);
+    });
+    // One op builds a cell's machine: PhysMem::new plus the fragmenter's
+    // ~23K pins.
+    bench("  fragment_64g_0.7", 3, || {
+        std::hint::black_box(fragmented_64g());
+    });
+    // Data pages on the fragmented machine, as a cell's faults allocate
+    // them: 1M pages (4GB) over the warm-up and the timed batches.
+    let mut m = fragmented_64g();
+    bench("  alloc_4k_fragmented", 100_000, move || {
+        std::hint::black_box(m.alloc(4096, AllocTag::Data).unwrap());
     });
 }
 

@@ -70,7 +70,7 @@ fn chunk_switch_failure_is_clean() {
         chunk_policy: ChunkSizePolicy::new(vec![8 * KIB, 512 * KIB]),
         ..MeHptConfig::default()
     };
-    let mut mem = tiny_mem(1 * MIB + 512 * KIB);
+    let mut mem = tiny_mem(MIB + 512 * KIB);
     let mut hpt = MeHpt::with_config(cfg, &mut mem).unwrap();
     let mut ok = 0u64;
     let mut failed = false;

@@ -1,5 +1,4 @@
-use std::collections::HashMap;
-
+use mehpt_types::hashmap::SplitMixMap;
 use mehpt_types::{PageSize, VirtAddr, Vpn};
 
 /// The Cuckoo Walk Tables of one process: per-region page-size presence.
@@ -25,9 +24,9 @@ use mehpt_types::{PageSize, VirtAddr, Vpn};
 #[derive(Clone, Debug, Default)]
 pub struct CwtSet {
     /// 1GB region (`va >> 30`) → per-page-size mapping counts.
-    pud: HashMap<u64, [u64; 3]>,
+    pud: SplitMixMap<u64, [u64; 3]>,
     /// 2MB region (`va >> 21`) → mapping counts for 4KB and 2MB pages.
-    pmd: HashMap<u64, [u64; 2]>,
+    pmd: SplitMixMap<u64, [u64; 2]>,
 }
 
 impl CwtSet {

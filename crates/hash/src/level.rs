@@ -169,11 +169,9 @@ impl<K: Hash + Eq, V> LevelHashTable<K, V> {
             };
             let mask = buckets.len() - 1;
             for h in hashes {
-                for slot in buckets[h & mask].iter_mut() {
-                    if let Some((k, v)) = slot {
-                        if *k == key {
-                            return Some(std::mem::replace(v, value));
-                        }
+                for (k, v) in buckets[h & mask].iter_mut().flatten() {
+                    if *k == key {
+                        return Some(std::mem::replace(v, value));
                     }
                 }
             }
@@ -281,15 +279,12 @@ impl<K: Hash + Eq, V> LevelHashTable<K, V> {
         self.stats.resizes += 1;
         self.stats.kept += self.bottom.iter().flatten().filter(|s| s.is_some()).count() as u64;
         for bucket in old_bottom {
-            for slot in bucket {
-                if let Some(entry) = slot {
-                    self.stats.moved += 1;
-                    self.len -= 1;
-                    // Re-insert via the normal path (cannot recurse into
-                    // resize in practice: the new table has ample space).
-                    let (k, v) = entry;
-                    self.insert(k, v);
-                }
+            for (k, v) in bucket.into_iter().flatten() {
+                self.stats.moved += 1;
+                self.len -= 1;
+                // Re-insert via the normal path (cannot recurse into
+                // resize in practice: the new table has ample space).
+                self.insert(k, v);
             }
         }
     }

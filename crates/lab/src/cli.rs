@@ -378,7 +378,7 @@ pub fn run_diff(args: &DiffArgs) -> i32 {
 /// Runs the parsed sweep command. Returns the process exit code.
 pub fn run(args: &LabArgs) -> i32 {
     if args.list {
-        println!("{:<8} {:>6}  {}", "PRESET", "CELLS", "TITLE");
+        println!("{:<8} {:>6}  TITLE", "PRESET", "CELLS");
         for p in PRESETS {
             let cells = preset_specs(p, args).len();
             println!("{:<8} {:>6}  {}", p.name(), cells, p.title());
@@ -582,9 +582,8 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     };
     write_synced(&tmp)
         .and_then(|()| std::fs::rename(&tmp, path))
-        .map_err(|e| {
+        .inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
-            e
         })
 }
 

@@ -927,7 +927,7 @@ mod tests {
         let mut restored = HashMap::new();
         for (ci, cell) in full.iter().enumerate() {
             for rep in &cell.replicates {
-                if (ci + rep.replicate as usize) % 2 == 0 {
+                if (ci + rep.replicate as usize).is_multiple_of(2) {
                     restored.insert((cell.spec.id(), rep.replicate), rep.clone());
                 }
             }

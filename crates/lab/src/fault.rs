@@ -101,7 +101,7 @@ enum Selector {
 impl Selector {
     fn selects(&self, id: &str) -> bool {
         match self {
-            Selector::Modulo(n) => cell_seed(SELECT_SEED, id) % n == 0,
+            Selector::Modulo(n) => cell_seed(SELECT_SEED, id).is_multiple_of(*n),
             Selector::Substring(s) => id.to_ascii_lowercase().contains(s.as_str()),
         }
     }

@@ -7,7 +7,8 @@
 //! scratch:
 //!
 //! * [`BuddyAllocator`] — a classic binary buddy allocator over 4KB frames,
-//!   the ground truth for what contiguous memory exists.
+//!   the ground truth for what contiguous memory exists: per-order free
+//!   bitmaps and one record of live blocks and their tags.
 //! * [`PhysMem`] — the machine's physical memory: allocation with tags
 //!   (page-table vs. data vs. fragmenter), compaction of movable pages,
 //!   cycle-cost accounting, and statistics such as the *maximum contiguous
@@ -41,6 +42,8 @@ mod buddy;
 mod cost;
 mod error;
 mod fragmenter;
+#[cfg(test)]
+mod oracle;
 mod phys;
 mod stats;
 

@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use mehpt_types::PhysAddr;
 
 use crate::buddy::MAX_ORDER;
@@ -34,6 +32,14 @@ impl AllocTag {
     /// Number of distinct tags.
     pub const COUNT: usize = 4;
 
+    /// Every tag, in [`AllocTag::index`] order.
+    pub(crate) const ALL: [AllocTag; AllocTag::COUNT] = [
+        AllocTag::PageTable,
+        AllocTag::Data,
+        AllocTag::PinnedMovable,
+        AllocTag::PinnedUnmovable,
+    ];
+
     /// Dense index for per-tag arrays.
     pub fn index(self) -> usize {
         match self {
@@ -59,9 +65,9 @@ impl AllocTag {
 /// release it. The base address is always aligned to the chunk size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Chunk {
-    base: PhysAddr,
-    bytes: u64,
-    tag: AllocTag,
+    pub(crate) base: PhysAddr,
+    pub(crate) bytes: u64,
+    pub(crate) tag: AllocTag,
 }
 
 impl Chunk {
@@ -103,9 +109,8 @@ impl Chunk {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PhysMem {
+    /// The frames, and the tag of every live chunk.
     buddy: BuddyAllocator,
-    /// Start frame of every live chunk → its tag.
-    tags: BTreeMap<u64, AllocTag>,
     cost: AllocCostModel,
     stats: MemStats,
     /// Rotating start window for compaction scans, so repeated compactions
@@ -132,7 +137,6 @@ impl PhysMem {
     pub fn with_cost_model(total_bytes: u64, cost: AllocCostModel) -> PhysMem {
         PhysMem {
             buddy: BuddyAllocator::new(total_bytes / FRAME_BYTES),
-            tags: BTreeMap::new(),
             cost,
             stats: MemStats::default(),
             compact_cursor: 0,
@@ -196,9 +200,9 @@ impl PhysMem {
             "allocation of {bytes} bytes exceeds max order"
         );
         let fmfi_now = self.fmfi();
-        let frame = match self.buddy.alloc(order) {
+        let frame = match self.buddy.alloc(order, tag) {
             Some(f) => Some(f),
-            None => self.compact_for(order),
+            None => self.compact_for(order, tag),
         };
         let Some(frame) = frame else {
             self.stats.failed_allocs += 1;
@@ -218,7 +222,6 @@ impl PhysMem {
             AllocTag::Data => self.cost.data_cycles(bytes),
             AllocTag::PinnedMovable | AllocTag::PinnedUnmovable => 0,
         };
-        self.tags.insert(frame, tag);
         self.stats.record_alloc(tag, bytes, cycles);
         Ok(Chunk {
             base: PhysAddr(frame * FRAME_BYTES),
@@ -234,9 +237,8 @@ impl PhysMem {
     /// Panics on double free or on a chunk this memory never produced.
     pub fn free(&mut self, chunk: Chunk) {
         let frame = chunk.base.0 / FRAME_BYTES;
-        let removed = self.tags.remove(&frame);
-        assert!(removed.is_some(), "free of unknown chunk {chunk:?}");
-        self.buddy.free(frame, order_of(chunk.bytes));
+        let released = self.buddy.release(frame, order_of(chunk.bytes));
+        assert!(released.is_some(), "free of unknown chunk {chunk:?}");
         self.stats.record_free(chunk.tag, chunk.bytes);
     }
 
@@ -249,12 +251,12 @@ impl PhysMem {
     }
 
     /// Tries to evacuate a naturally aligned window of `order` by relocating
-    /// movable occupants (pins and data pages), then claims it.
+    /// movable occupants (pins and data pages), then claims it under `tag`.
     ///
     /// Returns the start frame of the claimed window on success. Windows
     /// containing page tables or unmovable pins are skipped — the simulator
     /// holds physical pointers into those.
-    fn compact_for(&mut self, order: u8) -> Option<u64> {
+    fn compact_for(&mut self, order: u8, tag: AllocTag) -> Option<u64> {
         let window_frames = 1u64 << order;
         let total = self.buddy.total_frames();
         let n_windows = total / window_frames;
@@ -262,27 +264,32 @@ impl PhysMem {
             return None;
         }
         let start_window = self.compact_cursor % n_windows;
+        let mut occupants = Vec::new();
         for i in 0..n_windows {
             let w = (start_window + i) % n_windows;
             let start = w * window_frames;
             let end = start + window_frames;
-            let occupants: Vec<(u64, u8)> = self.buddy.allocated_in(start, end).collect();
-            let evacuable = occupants.iter().all(|&(f, o)| {
-                // The block must lie fully inside the window and be movable.
-                f >= start
-                    && f + (1u64 << o) <= end
-                    && self.tags.get(&f).is_some_and(|t| t.is_movable())
-            });
+            // Every occupant must lie fully inside the window and be
+            // movable; the scan stops at the first that is not.
+            occupants.clear();
+            let mut evacuable = true;
+            for (f, o, t) in self.buddy.allocated_in(start, end) {
+                if f < start || f + (1u64 << o) > end || !t.is_movable() {
+                    evacuable = false;
+                    break;
+                }
+                occupants.push((f, o, t));
+            }
             if !evacuable {
                 continue;
             }
             // Enough free space outside the window to rehome everything?
-            let occupied: u64 = occupants.iter().map(|&(_, o)| 1u64 << o).sum();
+            let occupied: u64 = occupants.iter().map(|&(_, o, _)| 1u64 << o).sum();
             let free_inside = window_frames - occupied;
             if self.buddy.free_frames() - free_inside < occupied {
                 continue;
             }
-            if let Some(frame) = self.relocate_and_claim(start, order, &occupants) {
+            if let Some(frame) = self.relocate_and_claim(start, order, tag, &occupants) {
                 self.compact_cursor = w + 1;
                 return Some(frame);
             }
@@ -291,25 +298,25 @@ impl PhysMem {
     }
 
     /// Moves `occupants` (all movable, all inside the window) elsewhere and
-    /// claims the window. Returns `None` — leaving the failed occupant in
-    /// place — if some occupant cannot be rehomed (e.g. a 2MB data page
-    /// with no free 2MB block outside the window).
+    /// claims the window under `tag`. Returns `None` — leaving the failed
+    /// occupant in place — if some occupant cannot be rehomed (e.g. a 2MB
+    /// data page with no free 2MB block outside the window).
     fn relocate_and_claim(
         &mut self,
         start: u64,
         order: u8,
-        occupants: &[(u64, u8)],
+        tag: AllocTag,
+        occupants: &[(u64, u8, AllocTag)],
     ) -> Option<u64> {
         let end = start + (1u64 << order);
         let mut moved_bytes = 0;
-        for &(frame, o) in occupants {
-            let tag = self.tags.remove(&frame).expect("occupant must be tagged");
+        for &(frame, o, occupant) in occupants {
             // Find a new home outside the window. The buddy allocator may
             // hand back blocks inside the window (parts of it can be free);
             // park those and retry.
             let mut parked = Vec::new();
             let new_frame = loop {
-                match self.buddy.alloc(o) {
+                match self.buddy.alloc(o, occupant) {
                     Some(f) if f >= start && f < end => parked.push(f),
                     other => break other,
                 }
@@ -320,16 +327,14 @@ impl PhysMem {
             match new_frame {
                 Some(nf) => {
                     self.buddy.free(frame, o);
-                    self.tags.insert(nf, tag);
                     moved_bytes += (1u64 << o) * FRAME_BYTES;
-                    self.relocations.push((frame, nf, tag));
+                    self.relocations.push((frame, nf, occupant));
                 }
                 None => {
                     // No home for this occupant (fragmentation at its own
-                    // order): put its tag back and give up on this window.
+                    // order): leave it in place and give up on this window.
                     // Earlier occupants stay at their new homes — they were
                     // movable anyway.
-                    self.tags.insert(frame, tag);
                     self.stats.compaction_moved_bytes += moved_bytes;
                     return None;
                 }
@@ -337,7 +342,7 @@ impl PhysMem {
         }
         self.stats.compactions += 1;
         self.stats.compaction_moved_bytes += moved_bytes;
-        let claimed = self.buddy.alloc_at(start, order);
+        let claimed = self.buddy.alloc_at(start, order, tag);
         debug_assert_eq!(claimed, Some(start), "evacuated window must be claimable");
         claimed
     }
@@ -345,8 +350,7 @@ impl PhysMem {
     /// Allocates one specific 4KB frame (used by the fragmenter to pin a
     /// frame at a chosen location).
     pub(crate) fn alloc_frame_at(&mut self, frame: u64, tag: AllocTag) -> Option<Chunk> {
-        self.buddy.alloc_at(frame, 0)?;
-        self.tags.insert(frame, tag);
+        self.buddy.alloc_at(frame, 0, tag)?;
         // Pinning ballast is free: the fragmenter models pre-existing memory
         // state, not work done by the workload under measurement.
         self.stats.record_alloc(tag, FRAME_BYTES, 0);
@@ -458,7 +462,7 @@ mod tests {
         m.alloc(MIB, AllocTag::PageTable).unwrap();
         let cycles = m.stats().tag(AllocTag::PageTable).alloc_cycles;
         // Unfragmented memory: cost is roughly the zeroing cost.
-        assert!(cycles >= MIB / 16 && cycles < MIB, "cycles = {cycles}");
+        assert!((MIB / 16..MIB).contains(&cycles), "cycles = {cycles}");
     }
 
     #[test]

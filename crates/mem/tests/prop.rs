@@ -30,7 +30,7 @@ fn buddy_invariants_hold() {
         for op in ops {
             match op {
                 Op::Alloc(order) => {
-                    if let Some(frame) = buddy.alloc(order) {
+                    if let Some(frame) = buddy.alloc(order, AllocTag::Data) {
                         assert_eq!(frame % (1 << order), 0, "misaligned block");
                         live.push((frame, order));
                     }
@@ -64,7 +64,7 @@ fn buddy_blocks_never_overlap() {
         for op in ops {
             match op {
                 Op::Alloc(order) => {
-                    if let Some(frame) = buddy.alloc(order) {
+                    if let Some(frame) = buddy.alloc(order, AllocTag::Data) {
                         let (start, end) = (frame, frame + (1u64 << order));
                         for &(f, o) in &live {
                             let (s2, e2) = (f, f + (1u64 << o));

@@ -415,7 +415,7 @@ mod tests {
     fn huge_pages_terminate_early() {
         let mut m = mem();
         let mut pt = RadixPageTable::new(&mut m).unwrap();
-        let va2m = VirtAddr::new(2 * MIB as u64 * 9);
+        let va2m = VirtAddr::new(2 * MIB * 9);
         pt.map(va2m.vpn(PageSize::Huge2M), PageSize::Huge2M, Ppn(3), &mut m)
             .unwrap();
         assert_eq!(pt.translate(va2m + 4096), Some((Ppn(3), PageSize::Huge2M)));

@@ -2,6 +2,7 @@
 //! `HashMap` model under arbitrary map/unmap/translate sequences, and must
 //! return every page-table frame when destroyed.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use mehpt_mem::{AllocCostModel, AllocTag, PhysMem};
@@ -36,11 +37,12 @@ fn run_model(levels: usize, ops: Vec<Op>) {
             Op::Map(k, v) => {
                 let vpn = Vpn(k as u64);
                 let res = pt.map(vpn, PageSize::Base4K, Ppn(v as u64), &mut mem);
-                if model.contains_key(&k) {
-                    assert!(res.is_err(), "double map must conflict");
-                } else {
-                    res.unwrap();
-                    model.insert(k, v);
+                match model.entry(k) {
+                    Entry::Occupied(_) => assert!(res.is_err(), "double map must conflict"),
+                    Entry::Vacant(slot) => {
+                        res.unwrap();
+                        slot.insert(v);
+                    }
                 }
             }
             Op::Unmap(k) => {

@@ -1,10 +1,9 @@
-use std::collections::HashMap;
-
 use mehpt_core::L2pTable;
 use mehpt_ecpt::{Backing, CuckooConfig, EcptWalker, Hpt};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
+use mehpt_types::hashmap::SplitMixMap;
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
 use mehpt_workloads::{Region, Workload};
@@ -148,11 +147,13 @@ struct OsRegion {
 
 /// The OS's own view of what is mapped, keyed by 2MB region (`va >> 21`):
 /// one entry per region the process touched, so a sparse trace costs one
-/// small entry per mapped page at worst. The keys derive from trace
-/// addresses, so the map keeps std's SipHash.
+/// small entry per mapped page at worst. The map is never iterated, so
+/// its hash cannot change any output, and it uses the fixed-seed
+/// [`SplitMixMap`]: a trace crafted to collide its region keys can at
+/// worst slow down its own run.
 #[derive(Default)]
 struct OsMap {
-    regions: HashMap<u64, OsRegion>,
+    regions: SplitMixMap<u64, OsRegion>,
 }
 
 impl OsMap {
@@ -224,7 +225,7 @@ pub(crate) struct ProcState<B: Backing> {
     /// Owner of each data frame (start frame of the page's block), so
     /// compaction-driven page migrations can be applied to the page table
     /// and TLB.
-    frame_owner: HashMap<u64, (VirtAddr, PageSize)>,
+    frame_owner: SplitMixMap<u64, (VirtAddr, PageSize)>,
     /// What the OS has mapped, by 2MB region.
     os: OsMap,
     /// One-entry translation micro-cache (mappings are only ever added in
@@ -259,7 +260,7 @@ impl<B: Backing> ProcState<B> {
             workload,
             pt,
             regions,
-            frame_owner: HashMap::new(),
+            frame_owner: SplitMixMap::default(),
             os: OsMap::default(),
             last: None,
             counters: Counters::default(),
@@ -424,7 +425,7 @@ impl<B: Backing> ProcState<B> {
         self.last = Some((page4k, ps));
         let c = &mut self.counters;
         c.alloc += mem.stats().total_alloc_cycles() - alloc_before;
-        if c.faults % 4096 == 0 {
+        if c.faults.is_multiple_of(4096) {
             c.pt_peak = c.pt_peak.max(self.pt.bytes());
         }
         true

@@ -9,6 +9,8 @@
 //!   modeled architecture (4KB, 2MB, 1GB).
 //! * [`rng`] — a small deterministic pseudo-random number generator so that
 //!   every simulation in the workspace is exactly reproducible from a seed.
+//! * [`hashmap`] — a fixed-seed splitmix64 hasher for the simulator's
+//!   integer-keyed maps.
 //! * [`proptest_lite`] — a dependency-free property-testing harness (the
 //!   workspace builds offline, with no crates-io dependencies).
 //! * [`ByteSize`] — human-readable formatting of byte quantities, used by the
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+pub mod hashmap;
 mod page;
 pub mod proptest_lite;
 pub mod rng;

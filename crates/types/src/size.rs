@@ -74,7 +74,7 @@ impl fmt::Display for ByteSize {
         ];
         for (unit, suffix) in UNITS {
             if self.0 >= unit {
-                return if self.0 % unit == 0 {
+                return if self.0.is_multiple_of(unit) {
                     write!(f, "{}{}", self.0 / unit, suffix)
                 } else {
                     write!(f, "{:.2}{}", self.0 as f64 / unit as f64, suffix)

@@ -167,7 +167,7 @@ impl App {
             App::Mummer => "MUMmer",
             App::Sysbench => "SysBench",
             app => {
-                &GRAPH_SPECS
+                GRAPH_SPECS
                     .iter()
                     .find(|(a, _)| *a == app)
                     .expect("graph app")

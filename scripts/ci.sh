@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI for the mehpt workspace: format, build, docs, test, and a
+# Offline CI for the mehpt workspace: format, build, lint, docs, test, and a
 # smoke run of the mehpt-lab experiment runner. No network access required
 # — the workspace has no crates-io dependencies.
 set -euo pipefail
@@ -10,6 +10,10 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo clippy --workspace --all-targets (deny warnings)"
+# --all-targets: tests, benches and examples are linted too.
+cargo clippy --workspace --all-targets --offline --quiet -- -D warnings
 
 echo "==> cargo doc --no-deps (deny warnings)"
 # --lib: the mehpt-lab *binary* and the mehpt-lab *library* would collide

@@ -3,11 +3,14 @@
 //! ```text
 //! mehpt apps                                      list the built-in workloads
 //! mehpt simulate --app gups --pt mehpt [--thp]    run one simulation
-//!                [--scale 0.1] [--frag 0.7] [--mem-gb 64] [--seed 42]
-//! mehpt compare  --app bfs [--thp] [--scale 0.1]  radix vs ECPT vs ME-HPT
+//!                [--scale 0.1] [--frag 0.7] [--mem-gb 64] [--nodes 1000000]
 //!                [--seed 42]
+//! mehpt compare  --app bfs [--thp] [--scale 0.1]  radix vs ECPT vs ME-HPT
+//!                [--frag 0.7] [--mem-gb 64] [--nodes 1000000] [--seed 42]
 //! mehpt record   --app bfs --scale 0.01 --out t.trace   export a trace file
+//!                [--nodes 1000000] [--seed 42]
 //! mehpt replay   --trace t.trace --pt radix       replay a recorded trace
+//!                [--thp] [--frag 0.7] [--mem-gb 64]
 //! ```
 //!
 //! `--seed <n>` (simulate, compare, record) seeds the workload generator
@@ -54,10 +57,12 @@ USAGE:
   mehpt simulate --app <name> --pt <radix|ecpt|mehpt> [--thp]
                  [--scale <f>] [--frag <f>] [--mem-gb <n>] [--nodes <n>]
                  [--seed <n>]
-  mehpt compare  --app <name> [--thp] [--scale <f>] [--seed <n>]
+  mehpt compare  --app <name> [--thp] [--scale <f>] [--frag <f>]
+                 [--mem-gb <n>] [--nodes <n>] [--seed <n>]
   mehpt record   --app <name> --out <file> [--scale <f>] [--nodes <n>]
                  [--seed <n>]
   mehpt replay   --trace <file> --pt <radix|ecpt|mehpt> [--thp] [--frag <f>]
+                 [--mem-gb <n>]
 
 --seed seeds the workload generator (default 42).";
 
@@ -119,7 +124,7 @@ fn build_config(flags: &Flags, kind: PtKind) -> Result<SimConfig, String> {
 }
 
 fn cmd_apps() -> Result<(), String> {
-    println!("{:<10} {:>10} {}", "name", "data", "kind");
+    println!("{:<10} {:>10} kind", "name", "data");
     for app in App::all() {
         let wl = app.build(&WorkloadCfg {
             scale: 0.001,
