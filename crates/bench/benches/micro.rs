@@ -1,6 +1,7 @@
 //! Micro-benchmarks: the host-side latency of the core operations —
 //! elastic-cuckoo inserts/lookups across resize modes, buddy allocation,
-//! and timed page walks over the three page-table organizations.
+//! and timed page walks and page maps over the three page-table
+//! organizations.
 //!
 //! Timed with `std::time::Instant` (the workspace builds offline with no
 //! crates-io dependencies, so no criterion). Each benchmark warms up, then
@@ -187,32 +188,85 @@ fn bench_walks() {
     bench_gups_walk::<L2pTable>("  mehpt/gups_150k");
 }
 
-/// Walks a GUPS-sized table: 150K single-page clusters, one page at a
-/// random offset in each of 150K consecutive clusters as in a GUPS cell at
-/// scale 0.1, walked in random order. The ways outgrow the host's caches
-/// as in a full GUPS run, which the 50K-page strided cases above never do.
-fn bench_gups_walk<B: Backing>(name: &str) {
-    const PAGES: usize = 150_000;
+/// The pages of a GUPS-sized table, as in a GUPS cell at scale 0.1: one
+/// page at a random offset in each of 150K consecutive clusters, in cluster
+/// order and then in random order.
+fn gups_vpns() -> (Vec<Vpn>, Vec<Vpn>) {
+    const PAGES: u64 = 150_000;
     let mut rng = Xoshiro256::seed_from_u64(0x6075);
-    let mut m = mem();
-    let mut hpt = Hpt::<B>::new(&mut m).unwrap();
     let base = VirtAddr::new(0x1000_0000_0000).vpn(PageSize::Base4K).0;
-    let mut vpns: Vec<Vpn> = (0..PAGES as u64)
+    let vpns: Vec<Vpn> = (0..PAGES)
         .map(|c| Vpn(base + c * CLUSTER_PTES as u64 + rng.next_below(CLUSTER_PTES as u64)))
         .collect();
+    let mut shuffled = vpns.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.next_index(i + 1));
+    }
+    (vpns, shuffled)
+}
+
+/// Walks a GUPS-sized table ([`gups_vpns`]) in random order. The ways
+/// outgrow the host's caches as in a full GUPS run, which the 50K-page
+/// strided cases above never do.
+fn bench_gups_walk<B: Backing>(name: &str) {
+    let (vpns, shuffled) = gups_vpns();
+    let mut m = mem();
+    let mut hpt = Hpt::<B>::new(&mut m).unwrap();
     for (i, &vpn) in vpns.iter().enumerate() {
         hpt.map(vpn, PageSize::Base4K, Ppn(i as u64), &mut m)
             .unwrap();
-    }
-    for i in (1..vpns.len()).rev() {
-        vpns.swap(i, rng.next_index(i + 1));
     }
     let mut walker = EcptWalker::paper_default();
     let mut dram = MemoryModel::paper_default();
     let mut i = 0;
     bench(name, 100_000, move || {
-        i = (i + 1) % PAGES;
-        std::hint::black_box(walker.walk(&hpt, vpns[i].base_addr(PageSize::Base4K), &mut dram));
+        i = (i + 1) % shuffled.len();
+        std::hint::black_box(walker.walk(&hpt, shuffled[i].base_addr(PageSize::Base4K), &mut dram));
+    });
+}
+
+fn bench_maps() {
+    println!(
+        "
+page_table_map:"
+    );
+    bench_gups_map::<()>("  ecpt.map/gups_150k");
+    bench_gups_map::<L2pTable>("  mehpt.map/gups_150k");
+
+    // 100K random pages over a 44-bit VA space: nearly one PTE node each,
+    // as in `radix5`. A batch builds one tree.
+    const PAGES: u64 = 100_000;
+    let vpns = bench::distinct_vpns(PAGES, 1234);
+    let mut m = mem();
+    let mut radix = RadixPageTable::new(&mut m).unwrap();
+    let mut i = 0;
+    bench("  radix.map/sparse_100k", PAGES, move || {
+        if i == vpns.len() {
+            i = 0;
+            std::mem::replace(&mut radix, RadixPageTable::new(&mut m).unwrap()).destroy(&mut m);
+        }
+        radix
+            .map(vpns[i], PageSize::Base4K, Ppn(i as u64), &mut m)
+            .unwrap();
+        i += 1;
+    });
+}
+
+/// Maps a GUPS-sized table's pages ([`gups_vpns`]) in random order, as a
+/// GUPS cell's faults do. A batch builds one table.
+fn bench_gups_map<B: Backing>(name: &str) {
+    let (_, shuffled) = gups_vpns();
+    let mut m = mem();
+    let mut hpt = Hpt::<B>::new(&mut m).unwrap();
+    let mut i = 0;
+    bench(name, shuffled.len() as u64, move || {
+        if i == shuffled.len() {
+            i = 0;
+            std::mem::replace(&mut hpt, Hpt::new(&mut m).unwrap()).destroy(&mut m);
+        }
+        hpt.map(shuffled[i], PageSize::Base4K, Ppn(i as u64), &mut m)
+            .unwrap();
+        i += 1;
     });
 }
 
@@ -224,4 +278,5 @@ fn main() {
     bench_cuckoo();
     bench_buddy();
     bench_walks();
+    bench_maps();
 }

@@ -15,11 +15,11 @@ pub const CLUSTER_PTES: usize = 8;
 /// [`ClusterEntry::BYTES`] = 64).
 ///
 /// That 64-byte line is the *modeled* layout: way and chunk sizes count 64
-/// bytes per entry. On the host, a table way stores its
-/// entries split in two parallel arrays, a `u64` tag per slot and a row of
-/// [`CLUSTER_PTES`] PTEs per slot, so a walk compares 8-byte tags and
-/// reads a PTE row only on a match. A `ClusterEntry` value is how an entry
-/// moves between slots.
+/// bytes per entry. On the host, a table's slots hold only a `u64` tag and
+/// a `u32` row index; the [`CLUSTER_PTES`] PTEs of each stored cluster live
+/// in one row of a dense per-table arena, so host memory grows with the
+/// clusters stored, not with the ways' capacity. A `ClusterEntry` is the
+/// entry as a standalone value: its tag and its PTEs.
 ///
 /// # Examples
 ///
@@ -94,16 +94,6 @@ impl ClusterEntry {
     pub fn clear(&mut self, vpn: Vpn) -> Option<Ppn> {
         debug_assert!(self.covers(vpn));
         pte_clear(&mut self.ptes, vpn)
-    }
-
-    /// An entry from its tag and PTE row.
-    pub(crate) fn from_parts(tag: u64, ptes: [u64; CLUSTER_PTES]) -> ClusterEntry {
-        ClusterEntry { tag, ptes }
-    }
-
-    /// The entry's PTE row.
-    pub(crate) fn ptes(&self) -> &[u64; CLUSTER_PTES] {
-        &self.ptes
     }
 
     /// The number of valid translations in the cluster.

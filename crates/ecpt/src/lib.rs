@@ -19,13 +19,16 @@
 //! generic over a [`Backing`]: where the ways' chunks come from, plus the
 //! few policies that differ between designs. `HptTable` runs the
 //! workspace's one elastic-cuckoo core, `mehpt_hash::ElasticCuckoo`, over
-//! ways of clustered entries (a tag array plus PTE rows over physical-memory
-//! chunks); the library's `mehpt_hash::ElasticCuckooTable` runs the same
-//! core over `Vec` ways. The ECPT baseline is the
-//! backing `()` — [`Ecpt`] and [`EcptTable`]: each way is **one contiguous
-//! physical-memory chunk**, resized **out of place** and all ways at once.
-//! That is the memory-contiguity problem ME-HPT solves: a way can grow to
-//! 64MB, and on a fragmented machine that allocation is slow or impossible.
+//! ways of clustered entries (per slot a tag and the index of the cluster's
+//! PTE row, over physical-memory chunks; the rows live in one dense arena
+//! per table, so host memory follows the clusters stored while the model
+//! counts 64 bytes per slot); the library's
+//! `mehpt_hash::ElasticCuckooTable` runs the same core over `Vec` ways. The
+//! ECPT baseline is the backing `()` — [`Ecpt`] and [`EcptTable`]: each way
+//! is **one contiguous physical-memory chunk**, resized **out of place**
+//! and all ways at once. That is the memory-contiguity problem ME-HPT
+//! solves: a way can grow to 64MB, and on a fragmented machine that
+//! allocation is slow or impossible.
 //! ME-HPT (`mehpt_core`) is the same engine with L2P-registered chunks,
 //! in-place and per-way resizing.
 //!

@@ -125,18 +125,55 @@ fn alloc_chunks(mem: &mut PhysMem, n: usize, bytes: u64) -> Result<Vec<Chunk>, A
 /// One way's physical storage: a flat logical array of cluster entries
 /// over equal, power-of-two chunks (one chunk for an ECPT way).
 ///
-/// On the host the entries are two parallel arrays, so a probe reads 8-byte
-/// tags and touches a PTE row only when its tag matches. The model still
-/// sees one 64-byte line per slot ([`ClusterEntry::BYTES`]).
+/// On the host a slot is 12 bytes: an 8-byte tag and the 4-byte index of
+/// the cluster's PTE row in the table's [`Arena`]. A probe compares tags
+/// and follows a row index only on a match, and kicks and migrations move
+/// 12 bytes. The model still sees one 64-byte line per slot
+/// ([`ClusterEntry::BYTES`]).
 #[derive(Debug)]
 struct Storage {
     /// Per slot: 0 when empty, otherwise the cluster's tag + 1.
     tags: Vec<u64>,
-    /// Per slot: the cluster's PTEs; meaningful only under a nonzero tag.
-    ptes: Vec<[u64; CLUSTER_PTES]>,
+    /// Per slot: the cluster's row in the arena; meaningful only under a
+    /// nonzero tag.
+    rows: Vec<u32>,
     chunks: Vec<Chunk>,
     /// The size of every chunk, a power of two.
     chunk_bytes: u64,
+}
+
+/// A stored cluster as it moves between slots: its tag and its row in the
+/// arena.
+#[derive(Clone, Copy, Debug)]
+struct Handle {
+    tag: u64,
+    row: u32,
+}
+
+/// The PTE rows of a table's clusters, one per stored cluster wherever
+/// its slot is, so host memory follows the clusters stored rather than
+/// the ways' capacity. Rows no slot refers to are zeroed and wait on a
+/// free list for the next new cluster.
+#[derive(Debug, Default)]
+struct Arena {
+    rows: Vec<[u64; CLUSTER_PTES]>,
+    free: Vec<u32>,
+}
+
+impl Arena {
+    /// A zeroed row for a new cluster.
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.rows.push([0; CLUSTER_PTES]);
+            u32::try_from(self.rows.len() - 1).expect("fewer than 2^32 clusters")
+        })
+    }
+
+    /// Zeroes `row` and puts it on the free list.
+    fn give_back(&mut self, row: u32) {
+        self.rows[row as usize] = [0; CLUSTER_PTES];
+        self.free.push(row);
+    }
 }
 
 // The small helpers of `Storage` are `#[inline]`: the engine's methods are
@@ -150,23 +187,23 @@ impl Storage {
         debug_assert!(chunk_bytes.is_power_of_two());
         Ok(Storage {
             tags: vec![0; len],
-            ptes: vec![[0; CLUSTER_PTES]; len],
+            rows: vec![0; len],
             chunks: alloc_chunks(mem, chunks_for(len, chunk_bytes), chunk_bytes)?,
             chunk_bytes,
         })
     }
 
-    /// The PTE row of slot `idx` if it holds the cluster stored under
+    /// The arena row of slot `idx` if it holds the cluster stored under
     /// `key` (a tag + 1).
     #[inline]
-    fn row(&self, idx: usize, key: u64) -> Option<&[u64; CLUSTER_PTES]> {
-        (self.tags[idx] == key).then(|| &self.ptes[idx])
+    fn row(&self, idx: usize, key: u64) -> Option<usize> {
+        (self.tags[idx] == key).then(|| self.rows[idx] as usize)
     }
 
     /// Grows or shrinks the slot arrays to `len` slots; new slots are empty.
     fn set_len(&mut self, len: usize) {
         self.tags.resize(len, 0);
-        self.ptes.resize(len, [0; CLUSTER_PTES]);
+        self.rows.resize(len, 0);
     }
 
     fn register<B: Backing>(&self, b: &mut B, w: usize, ps: PageSize) {
@@ -185,26 +222,29 @@ impl Storage {
 }
 
 impl Slots for Storage {
-    type Entry = ClusterEntry;
+    type Entry = Handle;
 
     #[inline]
-    fn hash(family: &HashFamily, way: usize, entry: &ClusterEntry) -> u64 {
-        family.hash(way, &entry.tag())
+    fn hash(family: &HashFamily, way: usize, entry: &Handle) -> u64 {
+        family.hash(way, &entry.tag)
     }
 
     #[inline]
-    fn take(&mut self, idx: usize) -> Option<ClusterEntry> {
+    fn take(&mut self, idx: usize) -> Option<Handle> {
         match mem::take(&mut self.tags[idx]) {
             0 => None,
-            key => Some(ClusterEntry::from_parts(key - 1, self.ptes[idx])),
+            key => Some(Handle {
+                tag: key - 1,
+                row: self.rows[idx],
+            }),
         }
     }
 
     #[inline]
-    fn replace(&mut self, idx: usize, entry: ClusterEntry) -> Option<ClusterEntry> {
+    fn replace(&mut self, idx: usize, entry: Handle) -> Option<Handle> {
         let prev = self.take(idx);
-        self.tags[idx] = entry.tag() + 1;
-        self.ptes[idx] = *entry.ptes();
+        self.tags[idx] = entry.tag + 1;
+        self.rows[idx] = entry.row;
         prev
     }
 
@@ -284,7 +324,7 @@ impl<B: Backing> Alloc<Storage> for Ctx<'_, B> {
         w: usize,
         slots: &mut Storage,
         len: usize,
-    ) -> Result<Vec<ClusterEntry>, AllocError> {
+    ) -> Result<Vec<Handle>, AllocError> {
         let chunk_bytes = B::switch_chunk(self.cfg, slots.chunk_bytes(), len);
         let mut old = mem::replace(slots, Storage::alloc(self.mem, len, chunk_bytes)?);
         let entries = (0..old.tags.len()).filter_map(|i| old.take(i)).collect();
@@ -297,7 +337,7 @@ impl<B: Backing> Alloc<Storage> for Ctx<'_, B> {
     fn shrink(&mut self, w: usize, slots: &mut Storage, len: usize) {
         slots.set_len(len);
         slots.tags.shrink_to_fit();
-        slots.ptes.shrink_to_fit();
+        slots.rows.shrink_to_fit();
         let keep = chunks_for(len, slots.chunk_bytes());
         while slots.chunks.len() > keep {
             let c = slots.chunks.pop().expect("more chunks than kept");
@@ -317,13 +357,15 @@ impl<B: Backing> Alloc<Storage> for Ctx<'_, B> {
 /// The workspace's elastic-cuckoo core ([`ElasticCuckoo`]) over ways of
 /// [`ClusterEntry`] slots, whose chunks the backing `B` provides; the
 /// backing's configuration picks out-of-place or in-place, all-way or
-/// per-way resizing (see [`ElasticCuckoo`]).
+/// per-way resizing (see [`ElasticCuckoo`]). A slot holds a cluster's tag
+/// and the index of its PTE row in the table's one arena of rows.
 ///
 /// An upsize fails if physical memory cannot supply the new chunks —
 /// exactly how ECPT, whose chunks are whole ways, dies on a highly
 /// fragmented machine in the paper's experiments.
 pub struct HptTable<B: Backing> {
     core: ElasticCuckoo<Storage>,
+    arena: Arena,
     cfg: B::Config,
     ps: PageSize,
     pages: u64,
@@ -388,6 +430,7 @@ impl<B: Backing> HptTable<B> {
         let (hash_seed, rng_seed) = B::seeds(seed, ps);
         Ok(HptTable {
             core: ElasticCuckoo::new(table, ways, hash_seed, rng_seed),
+            arena: Arena::default(),
             cfg,
             ps,
             pages: 0,
@@ -474,8 +517,8 @@ impl<B: Backing> HptTable<B> {
 
     /// Functional lookup (no timing).
     pub fn lookup(&self, vpn: Vpn) -> Option<Ppn> {
-        let (w, in_old, idx) = self.find(ClusterEntry::tag_of(vpn))?;
-        pte_get(&self.core.ways()[w].slots(in_old).ptes[idx], vpn)
+        let row = self.find_row(ClusterEntry::tag_of(vpn))?;
+        pte_get(&self.arena.rows[row], vpn)
     }
 
     /// One walker probe of `vpn`: hashes each way once and reads the way
@@ -494,7 +537,9 @@ impl<B: Backing> HptTable<B> {
             let storage = way.slots(in_old);
             reads += 1;
             if hit.is_none() {
-                hit = storage.row(idx, tag + 1).map(|row| pte_get(row, vpn));
+                hit = storage
+                    .row(idx, tag + 1)
+                    .map(|row| pte_get(&self.arena.rows[row], vpn));
             }
         }
         (hit.flatten(), reads)
@@ -503,6 +548,12 @@ impl<B: Backing> HptTable<B> {
     /// The `(way, in_old_table, index)` of the slot holding cluster `tag`.
     fn find(&self, tag: u64) -> Option<(usize, bool, usize)> {
         self.core.find(&tag, |s, i| s.tags[i] == tag + 1)
+    }
+
+    /// The arena row of cluster `tag`.
+    fn find_row(&self, tag: u64) -> Option<usize> {
+        let (w, in_old, idx) = self.find(tag)?;
+        Some(self.core.ways()[w].slots(in_old).rows[idx] as usize)
     }
 
     /// Inserts (or updates) the translation `vpn → ppn`;
@@ -526,9 +577,8 @@ impl<B: Backing> HptTable<B> {
         backing: &mut B,
     ) -> Result<InsertReport, AllocError> {
         let tag = ClusterEntry::tag_of(vpn);
-        if let Some((w, in_old, idx)) = self.find(tag) {
-            let row = &mut self.core.ways_mut()[w].slots_mut(in_old).ptes[idx];
-            let added = pte_set(row, vpn, ppn).is_none();
+        if let Some(row) = self.find_row(tag) {
+            let added = pte_set(&mut self.arena.rows[row], vpn, ppn).is_none();
             self.pages += u64::from(added);
             return Ok(InsertReport {
                 added,
@@ -536,24 +586,26 @@ impl<B: Backing> HptTable<B> {
             });
         }
         // A new cluster is needed.
-        let mut cluster = ClusterEntry::new(tag);
-        cluster.set(vpn, ppn);
+        let row = self.arena.take();
+        pte_set(&mut self.arena.rows[row as usize], vpn, ppn);
         let mut ctx = Ctx {
             mem,
             backing,
             cfg: &self.cfg,
             ps: self.ps,
         };
-        match self.core.insert(cluster, &mut ctx) {
+        match self.core.insert(Handle { tag, row }, &mut ctx) {
             Ok(report) => {
                 self.pages += 1;
                 Ok(report)
             }
             Err(e) => {
-                // A failed forced upsize leaves the new cluster stored.
+                // A failed forced upsize leaves the new cluster stored; a
+                // failed threshold resize stores nothing.
                 if let Some((w, in_old, idx)) = self.find(tag) {
                     self.core.vacate(w, in_old, idx);
                 }
+                self.arena.give_back(row);
                 Err(e)
             }
         }
@@ -564,11 +616,13 @@ impl<B: Backing> HptTable<B> {
     /// allocation fails.
     pub fn remove(&mut self, vpn: Vpn, mem: &mut PhysMem, backing: &mut B) -> Option<Ppn> {
         let (w, in_old, idx) = self.find(ClusterEntry::tag_of(vpn))?;
-        let row = &mut self.core.ways_mut()[w].slots_mut(in_old).ptes[idx];
-        let ppn = pte_clear(row, vpn)?;
+        let row = self.core.ways()[w].slots(in_old).rows[idx];
+        let ptes = &mut self.arena.rows[row as usize];
+        let ppn = pte_clear(ptes, vpn)?;
         self.pages -= 1;
-        if row.iter().all(|&p| p == 0) {
+        if ptes.iter().all(|&p| p == 0) {
             self.core.vacate(w, in_old, idx);
+            self.arena.give_back(row);
         }
         let mut ctx = Ctx {
             mem,
@@ -578,6 +632,36 @@ impl<B: Backing> HptTable<B> {
         };
         self.core.after_remove(&mut ctx);
         Some(ppn)
+    }
+
+    /// Checks the engine's invariants and the arena's: every stored
+    /// cluster has its own row, in bounds and not empty; free rows are
+    /// zeroed and referenced by no slot; and the arena holds no other
+    /// rows. Test helper.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.core.check_invariants();
+        let arena = &self.arena;
+        let mut owner = vec![false; arena.rows.len()];
+        for s in self.core.ways().iter().flat_map(|w| w.tables()) {
+            for (&key, &row) in s.tags.iter().zip(&s.rows) {
+                if key == 0 {
+                    continue;
+                }
+                let row = row as usize;
+                assert!(row < arena.rows.len(), "row {row} out of bounds");
+                assert!(!owner[row], "row {row} is held by two slots");
+                owner[row] = true;
+                assert!(arena.rows[row].iter().any(|&p| p != 0), "empty cluster");
+            }
+        }
+        for &row in &arena.free {
+            let row = row as usize;
+            assert!(!owner[row], "free row {row} is held by a slot");
+            assert_eq!(arena.rows[row], [0; CLUSTER_PTES], "free row {row}");
+            owner[row] = true;
+        }
+        assert_eq!(arena.rows.len(), self.clusters() + arena.free.len());
     }
 
     /// Releases all physical memory (and the backing's records of it).
@@ -727,12 +811,12 @@ mod tests {
         });
         let downsizes = t.stats().resizes.iter();
         assert!(downsizes.filter(|e| e.kind == ResizeKind::Downsize).count() > 0);
-        t.core.check_invariants();
+        t.check_invariants();
         for way in t.core.ways() {
             assert!(!way.is_resizing() && way.tables().count() == 1);
             let s = way.slots(false);
             assert_eq!(s.tags.len(), way.capacity());
-            assert_eq!(s.ptes.len(), way.capacity());
+            assert_eq!(s.rows.len(), way.capacity());
             assert_eq!(s.tags.iter().filter(|&&k| k != 0).count(), way.occupied());
             assert_eq!(s.chunks.len(), chunks_for(way.capacity(), s.chunk_bytes()));
         }
@@ -769,7 +853,7 @@ mod tests {
         assert_eq!(t.lookup(vpn(failed)), None);
         assert_eq!(t.pages(), failed);
         assert_eq!(t.clusters() as u64, failed);
-        t.core.check_invariants();
+        t.check_invariants();
     }
 
     #[test]

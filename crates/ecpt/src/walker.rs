@@ -161,19 +161,19 @@ impl EcptWalker {
 
         let pud_cached = self.pud_cwc.contains(pud_key);
         let pmd_cached = self.pmd_cwc.contains(pmd_key);
-        let pud_mask = ecpt.pud_mask(va).unwrap_or(0);
-        let pmd_mask = ecpt.pmd_mask(va).unwrap_or(0);
         // Which page sizes to probe. With warm CWCs the masks are known
         // exactly; on a CWC miss the walker does NOT serialize behind the
         // in-memory CWT — per Figure 7 it generates all potential accesses
         // up front, fetching the missing CWT entries *in parallel* with
         // speculative probes of every page size the coarser knowledge
         // allows. Latency stays one memory round trip; the price is extra
-        // (parallel) probes, which is why the CWCs exist at all.
+        // (parallel) probes, which is why the CWCs exist at all. Only the
+        // masks a hit uses are read.
+        let pud_mask = || ecpt.pud_mask(va).unwrap_or(0);
         let sizes = match (pud_cached, pmd_cached) {
-            (true, true) => (pmd_mask & 0b011) | (pud_mask & 0b100),
-            (true, false) => pud_mask, // refine small sizes speculatively
-            (false, _) => 0b111,       // probe everything
+            (true, true) => (ecpt.pmd_mask(va).unwrap_or(0) & 0b011) | (pud_mask() & 0b100),
+            (true, false) => pud_mask(), // refine small sizes speculatively
+            (false, _) => 0b111,         // probe everything
         };
         let mut cwt_fetches = 0;
         if !pud_cached {

@@ -11,7 +11,8 @@ use crate::{Config, HashFamily, ResizeMode, WaySizing};
 ///
 /// The library's [`ElasticCuckooTable`](crate::ElasticCuckooTable) stores a
 /// `Vec` of `(K, V)` slots; the page-table engine (`mehpt_ecpt::HptTable`)
-/// stores a tag array plus PTE rows over physical-memory chunks.
+/// stores a tag and a PTE-row index per slot over physical-memory chunks,
+/// the rows themselves in one arena per table.
 pub trait Slots {
     /// What one slot holds.
     type Entry;

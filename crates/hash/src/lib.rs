@@ -23,11 +23,12 @@
 //!   in-place resizing, used by the Section IX comparison benchmark.
 //!
 //! The page-table engine (`mehpt_ecpt::HptTable`, for ECPT and ME-HPT) is
-//! the core's other user: its slot store is a tag array plus PTE rows over
-//! physical-memory chunks, and its allocation context is the simulated
-//! physical memory plus the design's backing (contiguous ways for ECPT,
-//! chunks registered in `mehpt_core::L2pTable` for ME-HPT). Both tables
-//! share [`CuckooConfig`], [`TableStats`] and [`InsertReport`].
+//! the core's other user: its slot store is a tag and a 4-byte PTE-row
+//! index per slot over physical-memory chunks (the rows live in one arena
+//! per table, so they never move), and its allocation context is the
+//! simulated physical memory plus the design's backing (contiguous ways
+//! for ECPT, chunks registered in `mehpt_core::L2pTable` for ME-HPT). Both
+//! tables share [`CuckooConfig`], [`TableStats`] and [`InsertReport`].
 //!
 //! # Examples
 //!

@@ -56,7 +56,9 @@ impl Deref for WalkPath {
 ///
 /// Functionally complete: maps and unmaps 4KB, 2MB and 1GB pages (huge
 /// pages terminate the tree early at the PMD or PUD level), allocates nodes
-/// one 4KB frame at a time, and frees nodes that become empty. The timed
+/// one 4KB frame at a time, and frees nodes that become empty. On the
+/// host a node keeps only its present entries, so a sparse tree costs
+/// memory in proportion to its mappings, not to its modeled frames. The timed
 /// walk — with page-walk caches — lives in
 /// [`RadixWalker`](crate::RadixWalker).
 #[derive(Debug)]
@@ -69,11 +71,70 @@ pub struct RadixPageTable {
     levels: usize,
 }
 
+/// One node. The model allocates it a whole 4KB frame (`chunk`); on the
+/// host it holds only its nonzero entries, packed in index order, with a
+/// bit per index telling which are present. An entry's place in `entries`
+/// is the number of present indices below it.
 #[derive(Debug)]
 struct Node {
-    entries: Box<[u64]>,
+    present: [u64; FANOUT / 64],
+    entries: Vec<u64>,
     chunk: Chunk,
-    used: u16,
+}
+
+impl Node {
+    fn new(chunk: Chunk) -> Node {
+        Node {
+            present: [0; FANOUT / 64],
+            entries: Vec::new(),
+            chunk,
+        }
+    }
+
+    /// The position entry `idx` has, or would have, in `entries`, and
+    /// whether it is present.
+    #[inline]
+    fn rank(&self, idx: usize) -> (usize, bool) {
+        let (word, bit) = (idx / 64, idx % 64);
+        let below: u32 = self.present[..word].iter().map(|w| w.count_ones()).sum();
+        let low = self.present[word] & ((1 << bit) - 1);
+        let pos = (below + low.count_ones()) as usize;
+        (pos, self.present[word] >> bit & 1 != 0)
+    }
+
+    /// Entry `idx`; 0 when empty.
+    #[inline]
+    fn get(&self, idx: usize) -> u64 {
+        match self.rank(idx) {
+            (pos, true) => self.entries[pos],
+            (_, false) => 0,
+        }
+    }
+
+    /// Sets entry `idx` to the nonzero `entry`.
+    fn set(&mut self, idx: usize, entry: u64) {
+        debug_assert_ne!(entry, 0);
+        match self.rank(idx) {
+            (pos, true) => self.entries[pos] = entry,
+            (pos, false) => {
+                self.entries.insert(pos, entry);
+                self.present[idx / 64] |= 1 << (idx % 64);
+            }
+        }
+    }
+
+    /// Empties entry `idx`, which is present.
+    fn clear(&mut self, idx: usize) {
+        let (pos, present) = self.rank(idx);
+        debug_assert!(present, "clearing an empty entry");
+        self.entries.remove(pos);
+        self.present[idx / 64] &= !(1 << (idx % 64));
+    }
+
+    /// Whether no entry is present.
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 /// Failure to map a page.
@@ -149,12 +210,7 @@ impl RadixPageTable {
     }
 
     fn alloc_node(&mut self, mem: &mut PhysMem) -> Result<usize, AllocError> {
-        let chunk = mem.alloc(4096, AllocTag::PageTable)?;
-        let node = Node {
-            entries: vec![0u64; FANOUT].into_boxed_slice(),
-            chunk,
-            used: 0,
-        };
+        let node = Node::new(mem.alloc(4096, AllocTag::PageTable)?);
         match self.free_ids.pop() {
             Some(id) => {
                 self.nodes[id] = Some(node);
@@ -169,7 +225,7 @@ impl RadixPageTable {
 
     fn free_node(&mut self, id: usize, mem: &mut PhysMem) {
         let node = self.nodes[id].take().expect("freeing a live node");
-        debug_assert_eq!(node.used, 0, "freeing a non-empty node");
+        debug_assert!(node.is_empty(), "freeing a non-empty node");
         mem.free(node.chunk);
         self.free_ids.push(id);
     }
@@ -219,12 +275,10 @@ impl RadixPageTable {
         let mut node_id = self.root;
         for level in 0..leaf_level {
             let idx = self.index(va, level);
-            let entry = self.node(node_id).entries[idx];
+            let entry = self.node(node_id).get(idx);
             node_id = if entry == 0 {
                 let child = self.alloc_node(mem)?;
-                let node = self.node_mut(node_id);
-                node.entries[idx] = TAG_NODE | child as u64;
-                node.used += 1;
+                self.node_mut(node_id).set(idx, TAG_NODE | child as u64);
                 child
             } else if entry & TAG_NODE != 0 {
                 (entry & PAYLOAD_MASK) as usize
@@ -235,11 +289,10 @@ impl RadixPageTable {
         }
         let idx = self.index(va, leaf_level);
         let node = self.node_mut(node_id);
-        if node.entries[idx] != 0 {
+        if node.get(idx) != 0 {
             return Err(MapError::Conflict { vpn, page_size: ps });
         }
-        node.entries[idx] = TAG_LEAF | ppn.0;
-        node.used += 1;
+        node.set(idx, TAG_LEAF | ppn.0);
         self.mapped_pages += 1;
         Ok(())
     }
@@ -254,7 +307,7 @@ impl RadixPageTable {
         let mut node_id = self.root;
         for level in 0..leaf_level {
             let idx = self.index(va, level);
-            let entry = self.node(node_id).entries[idx];
+            let entry = self.node(node_id).get(idx);
             if entry & TAG_NODE == 0 {
                 return None;
             }
@@ -263,24 +316,21 @@ impl RadixPageTable {
         }
         let idx = self.index(va, leaf_level);
         let node = self.node_mut(node_id);
-        let entry = node.entries[idx];
+        let entry = node.get(idx);
         if entry & TAG_LEAF == 0 {
             return None;
         }
-        node.entries[idx] = 0;
-        node.used -= 1;
+        node.clear(idx);
         self.mapped_pages -= 1;
         let ppn = Ppn(entry & PAYLOAD_MASK);
         // Prune now-empty nodes bottom-up (never the root).
         let mut child = node_id;
         for &(parent, pidx) in path.iter().rev() {
-            if self.node(child).used != 0 || child == self.root {
+            if !self.node(child).is_empty() || child == self.root {
                 break;
             }
             self.free_node(child, mem);
-            let pnode = self.node_mut(parent);
-            pnode.entries[pidx] = 0;
-            pnode.used -= 1;
+            self.node_mut(parent).clear(pidx);
             child = parent;
         }
         Some(ppn)
@@ -294,7 +344,7 @@ impl RadixPageTable {
         let mut node_id = self.root;
         for level in 0..leaf_level {
             let idx = self.index(va, level);
-            let entry = self.node(node_id).entries[idx];
+            let entry = self.node(node_id).get(idx);
             if entry & TAG_NODE == 0 {
                 return false;
             }
@@ -302,10 +352,10 @@ impl RadixPageTable {
         }
         let idx = self.index(va, leaf_level);
         let node = self.node_mut(node_id);
-        if node.entries[idx] & TAG_LEAF == 0 {
+        if node.get(idx) & TAG_LEAF == 0 {
             return false;
         }
-        node.entries[idx] = TAG_LEAF | ppn.0;
+        node.set(idx, TAG_LEAF | ppn.0);
         true
     }
 
@@ -314,7 +364,7 @@ impl RadixPageTable {
         let mut node_id = self.root;
         for level in 0..self.levels {
             let idx = self.index(va, level);
-            let entry = self.node(node_id).entries[idx];
+            let entry = self.node(node_id).get(idx);
             if entry == 0 {
                 return None;
             }
@@ -342,7 +392,7 @@ impl RadixPageTable {
         };
         let mut node_id = self.root;
         for level in 0..self.levels {
-            let entry = self.node(node_id).entries[self.index(va, level)];
+            let entry = self.node(node_id).get(self.index(va, level));
             if entry == 0 {
                 steps.push(Step::Empty);
                 return steps;
@@ -396,6 +446,29 @@ mod tests {
 
     fn mem() -> PhysMem {
         PhysMem::with_cost_model(GIB, AllocCostModel::zero_cost())
+    }
+
+    #[test]
+    fn sparse_node_matches_a_dense_array() {
+        let mut m = mem();
+        let mut node = Node::new(m.alloc(4096, AllocTag::PageTable).unwrap());
+        let mut dense = [0u64; FANOUT];
+        let mut rng = mehpt_types::rng::Xoshiro256::seed_from_u64(5);
+        for step in 1..=20_000u64 {
+            let idx = rng.next_index(FANOUT);
+            if dense[idx] != 0 && rng.next_below(3) == 0 {
+                node.clear(idx);
+                dense[idx] = 0;
+            } else {
+                node.set(idx, step);
+                dense[idx] = step;
+            }
+            let probe = rng.next_index(FANOUT);
+            assert_eq!(node.get(probe), dense[probe]);
+        }
+        assert!((0..FANOUT).all(|i| node.get(i) == dense[i]));
+        let live = dense.iter().filter(|&&e| e != 0).count();
+        assert_eq!(node.entries.len(), live);
     }
 
     #[test]

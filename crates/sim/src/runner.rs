@@ -224,8 +224,9 @@ pub(crate) struct ProcState<B: Backing> {
     regions: Vec<Region>,
     /// Owner of each data frame (start frame of the page's block), so
     /// compaction-driven page migrations can be applied to the page table
-    /// and TLB.
-    frame_owner: SplitMixMap<u64, (VirtAddr, PageSize)>,
+    /// and TLB: the page's base address with its page-size index in the
+    /// low bits, which a page-aligned address leaves zero.
+    frame_owner: SplitMixMap<u64, u64>,
     /// What the OS has mapped, by 2MB region.
     os: OsMap,
     /// One-entry translation micro-cache (mappings are only ever added in
@@ -399,8 +400,10 @@ impl<B: Backing> ProcState<B> {
             PageSize::Giant1G => {}
         }
         self.os.insert(va, ps);
-        self.frame_owner
-            .insert((ppn.0 << ps.shift()) >> 12, (va.page_base(ps), ps));
+        self.frame_owner.insert(
+            (ppn.0 << ps.shift()) >> 12,
+            va.page_base(ps).0 | ps.index() as u64,
+        );
         // Compaction (triggered by this fault's data or page-table
         // allocations) may have migrated data pages: rewrite their
         // translations and shoot down stale TLB entries. The cycle cost of
@@ -409,9 +412,13 @@ impl<B: Backing> ProcState<B> {
             if tag != AllocTag::Data {
                 continue;
             }
-            let Some((page_va, mps)) = self.frame_owner.remove(&old_frame) else {
+            let Some(owner) = self.frame_owner.remove(&old_frame) else {
                 continue;
             };
+            let (page_va, mps) = (
+                VirtAddr::new(owner & !0xfff),
+                PageSize::from_index((owner & 0xfff) as usize),
+            );
             let new_ppn = Ppn(new_frame >> (mps.shift() - 12));
             if let Err(e) = self.pt.remap(page_va, mps, new_ppn, mem) {
                 self.aborted = Some(format!("page-table remap failed: {e}"));
@@ -419,7 +426,7 @@ impl<B: Backing> ProcState<B> {
                 return false;
             }
             tlb.invalidate(page_va.vpn(mps), mps);
-            self.frame_owner.insert(new_frame, (page_va, mps));
+            self.frame_owner.insert(new_frame, owner);
         }
         tlb.fill(va.vpn(ps), ps);
         self.last = Some((page4k, ps));

@@ -32,8 +32,7 @@ cargo bench --workspace --no-run --offline --quiet
 echo "==> bench smoke: ctx_switch and ablation run to completion"
 # The step above only compiles the bench targets. These two run on the lab
 # engine at a tiny scale; ctx_switch prices L2P save/restore with the
-# simulator's own l2p_save_restore_cycles. radix5 stays out: its
-# 1,000,000-page row needs several GB of host memory.
+# simulator's own l2p_save_restore_cycles.
 # Their per-cell progress on stderr is kept and printed on failure.
 bench_log=$(mktemp)
 for b in ctx_switch ablation; do
@@ -45,6 +44,22 @@ for b in ctx_switch ablation; do
     fi
 done
 rm -f "$bench_log"
+
+echo "==> radix5: all three rows, within the host-memory bound"
+# The 1,000,000-page row builds three tables of about a million modeled
+# nodes or clusters each. Page tables hold host memory in proportion to
+# their live entries, so the run peaks near 530 MiB; the bound leaves
+# headroom but catches a return to per-node 4KB arrays (~9 GB).
+radix5_bound_mib=768
+radix5_peak=
+if radix5_out=$(cargo bench -p bench --offline --quiet --bench radix5 2>&1); then
+    radix5_peak=$(sed -n 's/^peak host memory (VmHWM): \([0-9]*\) MiB$/\1/p' <<<"$radix5_out")
+fi
+if [ -z "$radix5_peak" ] || [ "$radix5_peak" -gt "$radix5_bound_mib" ]; then
+    printf '%s\n' "$radix5_out" >&2
+    echo "radix5 peaked at ${radix5_peak:-?} MiB (bound ${radix5_bound_mib} MiB)" >&2
+    exit 1
+fi
 
 echo "==> speedbench contract tests (output digests, replay fidelity)"
 cargo test --offline --manifest-path speedbench/Cargo.toml
