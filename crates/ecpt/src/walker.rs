@@ -44,8 +44,8 @@ pub struct HptWalkResult {
 /// page-size mask.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EcptWalker {
-    pmd_cwc: SetAssocCache,
-    pud_cwc: SetAssocCache,
+    pmd_cwc: SetAssocCache<PMD_CWC_ENTRIES>,
+    pud_cwc: SetAssocCache<PUD_CWC_ENTRIES>,
     walks: u64,
     total_cycles: u64,
     total_accesses: u64,
@@ -56,8 +56,8 @@ impl EcptWalker {
     /// Builds the walker with Table III's CWC geometry and latencies.
     pub fn paper_default() -> EcptWalker {
         EcptWalker {
-            pmd_cwc: SetAssocCache::fully_associative(PMD_CWC_ENTRIES),
-            pud_cwc: SetAssocCache::fully_associative(PUD_CWC_ENTRIES),
+            pmd_cwc: SetAssocCache::fully_associative(),
+            pud_cwc: SetAssocCache::fully_associative(),
             walks: 0,
             total_cycles: 0,
             total_accesses: 0,

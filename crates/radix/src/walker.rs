@@ -60,7 +60,7 @@ pub struct WalkResult {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RadixWalker {
     /// One cache per non-leaf tree level (up to 4 for a 5-level tree).
-    pwc: Vec<SetAssocCache>,
+    pwc: [SetAssocCache<PWC_ENTRIES>; 4],
     walks: u64,
     total_cycles: u64,
     total_accesses: u64,
@@ -71,9 +71,7 @@ impl RadixWalker {
     /// Builds a walker with Table III's PWC geometry and latency.
     pub fn paper_default() -> RadixWalker {
         RadixWalker {
-            pwc: (0..4)
-                .map(|_| SetAssocCache::fully_associative(PWC_ENTRIES))
-                .collect(),
+            pwc: std::array::from_fn(|_| SetAssocCache::fully_associative()),
             walks: 0,
             total_cycles: 0,
             total_accesses: 0,

@@ -2,10 +2,13 @@
 //!
 //! Everything in Table III of the paper that is not a page table lives here:
 //!
-//! * [`SetAssocCache`] — a generic set-associative, LRU-replaced cache used
-//!   to model page-walk caches (PWC), cuckoo-walk caches (CWC) and TLBs.
+//! * [`SetAssocCache`] — a set-associative, exact-LRU cache with its
+//!   associativity as a const parameter, used to model page-walk caches
+//!   (PWC), cuckoo-walk caches (CWC) and TLBs.
 //! * [`Tlb`] and [`TlbHierarchy`] — the two-level data TLB with per-page-size
-//!   L1 and L2 arrays (64/32/4-entry L1s; 1024/1024/16-entry L2s).
+//!   L1 and L2 arrays (64/32/4-entry L1s; 1020/1020/16-entry L2s, where
+//!   Table III gives the 12-way L2s 1024 entries: see ROADMAP.md, open
+//!   item 5).
 //! * [`MemoryModel`] — the latency seen by page-walk memory references:
 //!   Table III's 200-cycle average round trip to memory for every access.
 //!
@@ -27,6 +30,8 @@
 
 mod cache;
 mod memmodel;
+#[cfg(test)]
+mod oracle;
 mod tlb;
 
 pub use cache::{CacheStats, SetAssocCache};

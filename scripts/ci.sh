@@ -45,6 +45,18 @@ for b in ctx_switch ablation; do
 done
 rm -f "$bench_log"
 
+echo "==> micro: every micro-benchmark case runs to completion"
+# The compile step above would not notice a case that panics (a cache
+# geometry, a walk on a table that lacks the page). The timings are not
+# checked; the run takes about 10 seconds.
+micro_log=$(mktemp)
+if ! cargo bench -p bench --offline --quiet --bench micro >"$micro_log" 2>&1; then
+    cat "$micro_log" >&2
+    echo "bench micro failed" >&2
+    exit 1
+fi
+rm -f "$micro_log"
+
 echo "==> radix5: all three rows, within the host-memory bound"
 # The 1,000,000-page row builds three tables of about a million modeled
 # nodes or clusters each. Page tables hold host memory in proportion to
