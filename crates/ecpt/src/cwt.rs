@@ -35,13 +35,20 @@ impl CwtSet {
         CwtSet::default()
     }
 
-    /// Records that `vpn` (of size `ps`) was mapped.
-    pub fn note_map(&mut self, vpn: Vpn, ps: PageSize) {
+    /// Records that `vpn` (of size `ps`) was mapped. Returns whether a
+    /// count went from 0 to 1, that is, whether the PUD or PMD mask of
+    /// `vpn`'s region changed.
+    pub fn note_map(&mut self, vpn: Vpn, ps: PageSize) -> bool {
         let va = vpn.base_addr(ps);
-        self.pud.entry(va.0 >> 30).or_default()[ps.index()] += 1;
+        let bump = |count: &mut u64| {
+            *count += 1;
+            *count == 1
+        };
+        let mut grew = bump(&mut self.pud.entry(va.0 >> 30).or_default()[ps.index()]);
         if ps != PageSize::Giant1G {
-            self.pmd.entry(va.0 >> 21).or_default()[ps.index()] += 1;
+            grew |= bump(&mut self.pmd.entry(va.0 >> 21).or_default()[ps.index()]);
         }
+        grew
     }
 
     /// Records that `vpn` (of size `ps`) was unmapped.
@@ -114,13 +121,17 @@ mod tests {
         let mut cwt = CwtSet::new();
         let a = VirtAddr::new(0x1000);
         let b = VirtAddr::new(0x2000); // same 2MB region
-        cwt.note_map(a.vpn(PageSize::Base4K), PageSize::Base4K);
-        cwt.note_map(b.vpn(PageSize::Base4K), PageSize::Base4K);
+        assert!(cwt.note_map(a.vpn(PageSize::Base4K), PageSize::Base4K));
+        assert!(
+            !cwt.note_map(b.vpn(PageSize::Base4K), PageSize::Base4K),
+            "the masks already hold 4KB pages"
+        );
         cwt.note_unmap(a.vpn(PageSize::Base4K), PageSize::Base4K);
         assert_eq!(cwt.pmd_mask(a), Some(0b001));
         cwt.note_unmap(b.vpn(PageSize::Base4K), PageSize::Base4K);
         assert_eq!(cwt.pmd_mask(a), None);
         assert_eq!(cwt.entries(), 0);
+        assert!(cwt.note_map(a.vpn(PageSize::Base4K), PageSize::Base4K));
     }
 
     #[test]
@@ -131,5 +142,13 @@ mod tests {
         cwt.note_map(a.vpn(PageSize::Base4K), PageSize::Base4K);
         assert_eq!(cwt.pmd_mask(b), None);
         assert_eq!(cwt.pud_mask(b), Some(0b001), "same 1GB region");
+        assert!(
+            cwt.note_map(b.vpn(PageSize::Base4K), PageSize::Base4K),
+            "a new PMD-CWT entry changes the masks"
+        );
+        assert!(
+            cwt.note_map(b.vpn(PageSize::Huge2M), PageSize::Huge2M),
+            "a new page size in the region"
+        );
     }
 }

@@ -101,10 +101,10 @@ impl<B: Backing> Hpt<B> {
             *slot = Some(HptTable::new(ps, self.cfg.clone(), mem, &mut self.backing)?);
         }
         let table = slot.as_mut().expect("just created");
-        let report = table.insert(vpn, ppn, mem, &mut self.backing)?;
+        let mut report = table.insert(vpn, ppn, mem, &mut self.backing)?;
         // A rewrite of an existing translation adds no CWT reference.
         if report.added {
-            self.cwt.note_map(vpn, ps);
+            report.cwt_grew = self.cwt.note_map(vpn, ps);
         }
         Ok(report)
     }

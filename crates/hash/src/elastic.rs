@@ -105,6 +105,10 @@ pub struct InsertReport {
     /// Whether the insert added an entry; `false` when it rewrote one
     /// already present.
     pub added: bool,
+    /// Whether the entry was its region's first of its page size, which
+    /// changes the region's walk-table mask. Page tables set it
+    /// (`mehpt_ecpt::Hpt::map`); the hash tables leave it `false`.
+    pub cwt_grew: bool,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -350,12 +354,14 @@ impl<S: Slots> ElasticCuckoo<S> {
         self.len += 1;
         let kicks = placed?;
         self.stats.record_kicks(kicks);
-        self.note_bytes();
+        // Storage bytes change only where a resize starts, completes or
+        // switches chunks, and each of those records them.
         Ok(InsertReport {
             kicks: kicks as u32,
             migrated,
             started_resize,
             added: true,
+            cwt_grew: false,
         })
     }
 
@@ -462,26 +468,22 @@ impl<S: Slots> ElasticCuckoo<S> {
         }
         let min_len = self.min_len();
         let up = self.cfg.base.upsize_threshold;
-        let weights: Vec<u64> = self
-            .ways
-            .iter()
-            .map(|w| {
-                let free = w.len.saturating_sub(w.occupied) as u64;
-                let at_threshold = w.occupied as f64 >= up * w.len as f64;
-                if w.len > min_len && at_threshold {
-                    0
-                } else {
-                    free
-                }
-            })
-            .collect();
-        let total: u64 = weights.iter().sum();
+        let weight = |w: &Way<S>| {
+            let free = w.len.saturating_sub(w.occupied) as u64;
+            let at_threshold = w.occupied as f64 >= up * w.len as f64;
+            if w.len > min_len && at_threshold {
+                0
+            } else {
+                free
+            }
+        };
+        let total: u64 = self.ways.iter().map(weight).sum();
         if total == 0 {
             return self.rng.next_index(self.ways.len());
         }
         let mut r = self.rng.next_below(total);
-        for (i, w) in weights.iter().enumerate() {
-            if r < *w {
+        for (i, w) in self.ways.iter().map(weight).enumerate() {
+            if r < w {
                 return i;
             }
             r -= w;

@@ -199,7 +199,13 @@ impl PhysMem {
             order <= MAX_ORDER,
             "allocation of {bytes} bytes exceeds max order"
         );
-        let fmfi_now = self.fmfi();
+        // Only page-table chunks are priced by the fragmentation, as it
+        // stands before the allocation.
+        let fmfi_now = if tag == AllocTag::PageTable {
+            self.fmfi()
+        } else {
+            0.0
+        };
         let frame = match self.buddy.alloc(order, tag) {
             Some(f) => Some(f),
             None => self.compact_for(order, tag),

@@ -79,7 +79,9 @@ impl MultiReport {
 /// On every context switch the TLB and the incoming/outgoing process's
 /// walker caches are flushed, and the switch costs `SWITCH_CYCLES` plus,
 /// for ME-HPT, [`l2p_save_restore_cycles`] of the L2P table's live
-/// entries.
+/// entries. When compaction during one process's slice moves another
+/// process's data pages, the owner's page table is rewritten at the end of
+/// the slice.
 ///
 /// # Panics
 ///
@@ -100,6 +102,40 @@ fn run_multi_on<B: Backing>(
     cfg: MultiConfig,
     hpt: B::Config,
 ) -> MultiReport {
+    let m = run_slices::<B>(workloads, &cfg, hpt);
+    let pt = m.mem.stats().tag(AllocTag::PageTable);
+    let (peak_pt_bytes, max_contiguous) = (pt.peak_bytes, pt.max_contiguous_bytes);
+    let processes = m
+        .procs
+        .into_iter()
+        .map(|p| p.into_report(&cfg.base, &m.mem))
+        .collect();
+    MultiReport {
+        processes,
+        switches: m.switches,
+        switch_cycles: m.switch_cycles,
+        peak_pt_bytes,
+        max_contiguous,
+    }
+}
+
+/// The machine after a multiprogrammed run's last slice.
+struct Machine<B: Backing> {
+    procs: Vec<ProcState<B>>,
+    mem: PhysMem,
+    switches: u64,
+    switch_cycles: u64,
+    /// Data-page moves handed from the running process to the owner.
+    #[cfg(test)]
+    moves_handed_over: u64,
+}
+
+/// Runs the workloads' slices round-robin until every process finishes.
+fn run_slices<B: Backing>(
+    workloads: Vec<Workload>,
+    cfg: &MultiConfig,
+    hpt: B::Config,
+) -> Machine<B> {
     assert!(!workloads.is_empty(), "need at least one workload");
     let mut mem = PhysMem::new(cfg.base.mem_bytes);
     let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
@@ -111,11 +147,13 @@ fn run_multi_on<B: Backing>(
         .map(|wl| ProcState::new(wl, &cfg.base, hpt.clone(), &mut mem))
         .collect();
 
-    let mut switches = 0u64;
-    let mut switch_cycles_total = 0u64;
+    let (mut switches, mut switch_cycles) = (0, 0);
+    #[cfg(test)]
+    let mut moves_handed_over = 0;
     loop {
         let mut any_ran = false;
-        for proc in procs.iter_mut() {
+        for i in 0..procs.len() {
+            let proc = &mut procs[i];
             if proc.finished() {
                 continue;
             }
@@ -123,12 +161,23 @@ fn run_multi_on<B: Backing>(
             // the switch + L2P restore bill.
             tlb.flush();
             proc.flush_walker();
-            let cost = SWITCH_CYCLES + l2p_save_restore_cycles(proc.l2p_entries_used());
             switches += 1;
-            switch_cycles_total += cost;
+            switch_cycles += SWITCH_CYCLES + l2p_save_restore_cycles(proc.l2p_entries_used());
             for _ in 0..cfg.time_slice {
                 if !proc.step(&cfg.base, &mut mem, &mut tlb, &mut dram) {
                     break;
+                }
+            }
+            // The slice's compactions may have moved other processes'
+            // data pages; their owners rewrite their page tables now.
+            let mut moves = proc.take_foreign_moves();
+            #[cfg(test)]
+            {
+                moves_handed_over += moves.len() as u64;
+            }
+            for (j, other) in procs.iter_mut().enumerate() {
+                if j != i && !moves.is_empty() {
+                    other.adopt_moves(&mut moves, &mut mem);
                 }
             }
             any_ran = true;
@@ -137,18 +186,13 @@ fn run_multi_on<B: Backing>(
             break;
         }
     }
-    let pt = mem.stats().tag(AllocTag::PageTable);
-    let (peak_pt_bytes, max_contiguous) = (pt.peak_bytes, pt.max_contiguous_bytes);
-    let processes = procs
-        .into_iter()
-        .map(|p| p.into_report(&cfg.base, &mem))
-        .collect();
-    MultiReport {
-        processes,
+    Machine {
+        procs,
+        mem,
         switches,
-        switch_cycles: switch_cycles_total,
-        peak_pt_bytes,
-        max_contiguous,
+        switch_cycles,
+        #[cfg(test)]
+        moves_handed_over,
     }
 }
 
@@ -239,6 +283,46 @@ mod tests {
         assert_eq!(l2p_save_restore_cycles(53), 2 * 4 * 28);
         // The full 288-entry table: 1188 bytes -> 149 words.
         assert_eq!(l2p_save_restore_cycles(288), 2 * 4 * 149);
+    }
+
+    /// Two GUPS processes with ECPT on a small, fragmented machine: the
+    /// way doublings compact memory and move data pages of both processes,
+    /// most of them during the other process's slice. Afterwards every
+    /// page of every process still translates to a live data block of its
+    /// size, and no block is mapped twice.
+    #[test]
+    fn data_moves_reach_the_owning_process() {
+        let wls = [1, 2]
+            .iter()
+            .map(|&seed| {
+                App::Gups.build(&WorkloadCfg {
+                    scale: 0.02,
+                    seed,
+                    ..WorkloadCfg::default()
+                })
+            })
+            .collect();
+        let mut cfg = cfg(PtKind::Ecpt);
+        cfg.base.mem_bytes = 256 << 20;
+        cfg.base.fragmentation = 0.99;
+        cfg.time_slice = 2_000;
+        let m = run_slices::<()>(wls, &cfg, CuckooConfig::default());
+        assert!(m.moves_handed_over > 0, "no move crossed processes");
+        let mut frames = std::collections::HashSet::new();
+        for proc in &m.procs {
+            let mut pages = 0;
+            for (va, ps, frame) in proc.mapped_pages() {
+                let order = (ps.shift() - 12) as u8;
+                assert_eq!(
+                    m.mem.buddy().allocated_in(frame, frame + 1).next(),
+                    Some((frame, order, AllocTag::Data)),
+                    "{va:?} maps no live data block"
+                );
+                assert!(frames.insert(frame), "frame {frame} is mapped twice");
+                pages += 1;
+            }
+            assert!(pages > 0);
+        }
     }
 
     #[test]

@@ -85,9 +85,8 @@ impl<B: Backing> Pt<B> {
                 .map(|()| (0, 0))
                 .map_err(|e| e.to_string()),
             Pt::Hashed { table, walker } => {
-                let masks = (table.pud_mask(va), table.pmd_mask(va));
                 let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
-                if masks != (table.pud_mask(va), table.pmd_mask(va)) {
+                if report.cwt_grew {
                     walker.invalidate_region(va);
                 }
                 Ok((report.kicks, report.migrated))
@@ -112,10 +111,11 @@ impl<B: Backing> Pt<B> {
                 Ok(())
             }
             // `map` on an existing VPN updates the translation in place.
-            Pt::Hashed { table, .. } => table
-                .map(vpn, ps, ppn, mem)
-                .map(drop)
-                .map_err(|e| e.to_string()),
+            Pt::Hashed { table, .. } => {
+                let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
+                debug_assert!(!report.added, "relocated frame had no mapping");
+                Ok(())
+            }
         }
     }
 
@@ -147,10 +147,11 @@ struct OsRegion {
 
 /// The OS's own view of what is mapped, keyed by 2MB region (`va >> 21`):
 /// one entry per region the process touched, so a sparse trace costs one
-/// small entry per mapped page at worst. The map is never iterated, so
-/// its hash cannot change any output, and it uses the fixed-seed
+/// small entry per mapped page at worst. It uses the fixed-seed
 /// [`SplitMixMap`]: a trace crafted to collide its region keys can at
-/// worst slow down its own run.
+/// worst slow down its own run. Only [`OsMap::pages`] iterates it, to fill
+/// the frame→page reverse map, whose contents do not depend on the order
+/// they are inserted in; so the hash cannot change any output.
 #[derive(Default)]
 struct OsMap {
     regions: SplitMixMap<u64, OsRegion>,
@@ -197,6 +198,18 @@ impl OsMap {
     fn note_huge_failed(&mut self, va: VirtAddr) {
         self.regions.entry(va.0 >> 21).or_default().huge_failed = true;
     }
+
+    /// Every mapped page's base address and size, in no particular order.
+    fn pages(&self) -> impl Iterator<Item = (VirtAddr, PageSize)> + '_ {
+        self.regions.iter().flat_map(|(&region, r)| {
+            let base = region << 21;
+            let small = (0..512u64)
+                .filter(|&page| r.pages_4k[page as usize / 64] & (1 << (page % 64)) != 0)
+                .map(move |page| (VirtAddr::new(base | page << 12), PageSize::Base4K));
+            let huge = r.huge.then_some((VirtAddr::new(base), PageSize::Huge2M));
+            small.chain(huge)
+        })
+    }
 }
 
 #[derive(Default)]
@@ -222,11 +235,25 @@ pub(crate) struct ProcState<B: Backing> {
     workload: Workload,
     pt: Pt<B>,
     regions: Vec<Region>,
-    /// Owner of each data frame (start frame of the page's block), so
-    /// compaction-driven page migrations can be applied to the page table
-    /// and TLB: the page's base address with its page-size index in the
-    /// low bits, which a page-aligned address leaves zero.
-    frame_owner: SplitMixMap<u64, u64>,
+    /// The page of each data frame this process maps, keyed by the start
+    /// frame of the page's block: the page's base address with its
+    /// page-size index in the low bits, which a page-aligned address leaves
+    /// zero. Compaction's data-page moves are applied through it.
+    ///
+    /// It is `None` until the first move this process handles. The page
+    /// table already records every frame, so the map is built from it on
+    /// demand ([`ProcState::mapped_pages`]) and kept up to date from then
+    /// on; runs that never move a data page pay nothing per fault.
+    frame_owner: Option<SplitMixMap<u64, u64>>,
+    /// Data-page moves drained during this process's steps whose pages
+    /// another process maps (processes share [`PhysMem`]), as
+    /// `(old_frame, new_frame)` in the order compaction made them.
+    /// [`run_multi`](crate::run_multi) hands them to their owners.
+    foreign_moves: Vec<(u64, u64)>,
+    /// The frame→page map kept eagerly on every fault, as the runner once
+    /// did: the oracle the lazy `frame_owner` is checked against.
+    #[cfg(test)]
+    eager_owner: SplitMixMap<u64, u64>,
     /// What the OS has mapped, by 2MB region.
     os: OsMap,
     /// One-entry translation micro-cache (mappings are only ever added in
@@ -261,7 +288,10 @@ impl<B: Backing> ProcState<B> {
             workload,
             pt,
             regions,
-            frame_owner: SplitMixMap::default(),
+            frame_owner: None,
+            foreign_moves: Vec::new(),
+            #[cfg(test)]
+            eager_owner: SplitMixMap::default(),
             os: OsMap::default(),
             last: None,
             counters: Counters::default(),
@@ -283,6 +313,83 @@ impl<B: Backing> ProcState<B> {
             Pt::Radix { .. } => 0,
             Pt::Hashed { table, .. } => table.l2p_entries_used() as u64,
         }
+    }
+
+    /// Every page the OS has mapped: its base address, its size and the
+    /// start frame of its physical block, as the page table translates it.
+    pub(crate) fn mapped_pages(&self) -> impl Iterator<Item = (VirtAddr, PageSize, u64)> + '_ {
+        self.os.pages().map(|(va, ps)| {
+            let (ppn, tps) = self
+                .pt
+                .translate(va)
+                .expect("the page table maps every page the OS maps");
+            debug_assert_eq!(tps, ps, "{va:?} is mapped with another page size");
+            (va, ps, ppn.0 << (ps.shift() - 12))
+        })
+    }
+
+    /// Applies compaction's move of a data page from `old_frame` to
+    /// `new_frame` if this process maps the page: rewrites its translation
+    /// and, given the TLB of the running process, shoots down its entry.
+    /// Returns whether the page is this process's. A failed remap aborts
+    /// the process.
+    fn apply_move(
+        &mut self,
+        old_frame: u64,
+        new_frame: u64,
+        mem: &mut PhysMem,
+        tlb: Option<&mut TlbHierarchy>,
+    ) -> bool {
+        #[cfg(test)]
+        if let Some(owner) = self.eager_owner.remove(&old_frame) {
+            self.eager_owner.insert(new_frame, owner);
+        }
+        if self.frame_owner.is_none() {
+            let mut owners = SplitMixMap::default();
+            owners.reserve((self.counters.pages_4k + self.counters.pages_2m) as usize);
+            owners.extend(
+                self.mapped_pages()
+                    .map(|(va, ps, frame)| (frame, va.0 | ps.index() as u64)),
+            );
+            self.frame_owner = Some(owners);
+        }
+        let owners = self.frame_owner.as_mut().expect("built above");
+        let Some(owner) = owners.remove(&old_frame) else {
+            return false;
+        };
+        owners.insert(new_frame, owner);
+        let (va, ps) = (
+            VirtAddr::new(owner & !0xfff),
+            PageSize::from_index((owner & 0xfff) as usize),
+        );
+        let new_ppn = Ppn(new_frame >> (ps.shift() - 12));
+        match self.pt.remap(va, ps, new_ppn, mem) {
+            Ok(()) => {
+                if let Some(tlb) = tlb {
+                    tlb.invalidate(va.vpn(ps), ps);
+                }
+            }
+            Err(e) => {
+                self.aborted = Some(format!("page-table remap failed: {e}"));
+                self.done = true;
+            }
+        }
+        true
+    }
+
+    /// Applies, while this process sleeps, the moves in `moves` whose
+    /// pages it maps, and keeps the others in `moves` in their order. It
+    /// shoots down no TLB entry: the shared TLB holds only the running
+    /// process's entries and is flushed at every switch, and every process
+    /// uses the same virtual addresses.
+    pub(crate) fn adopt_moves(&mut self, moves: &mut Vec<(u64, u64)>, mem: &mut PhysMem) {
+        moves.retain(|&(old_frame, new_frame)| !self.apply_move(old_frame, new_frame, mem, None));
+    }
+
+    /// The data-page moves drained since the last call whose pages this
+    /// process does not map.
+    pub(crate) fn take_foreign_moves(&mut self) -> Vec<(u64, u64)> {
+        std::mem::take(&mut self.foreign_moves)
     }
 
     /// Simulates one memory access. Returns `false` when the trace is
@@ -400,33 +507,28 @@ impl<B: Backing> ProcState<B> {
             PageSize::Giant1G => {}
         }
         self.os.insert(va, ps);
-        self.frame_owner.insert(
-            (ppn.0 << ps.shift()) >> 12,
-            va.page_base(ps).0 | ps.index() as u64,
-        );
+        let frame = ppn.0 << (ps.shift() - 12);
+        let owner = va.page_base(ps).0 | ps.index() as u64;
+        if let Some(owners) = &mut self.frame_owner {
+            owners.insert(frame, owner);
+        }
+        #[cfg(test)]
+        self.eager_owner.insert(frame, owner);
         // Compaction (triggered by this fault's data or page-table
         // allocations) may have migrated data pages: rewrite their
-        // translations and shoot down stale TLB entries. The cycle cost of
-        // the moves is part of the calibrated allocation cost.
+        // translations and shoot down stale TLB entries. Pages of other
+        // processes sharing the memory wait in `foreign_moves`. The cycle
+        // cost of the moves is part of the calibrated allocation cost.
         for (old_frame, new_frame, tag) in mem.take_relocations() {
             if tag != AllocTag::Data {
                 continue;
             }
-            let Some(owner) = self.frame_owner.remove(&old_frame) else {
-                continue;
-            };
-            let (page_va, mps) = (
-                VirtAddr::new(owner & !0xfff),
-                PageSize::from_index((owner & 0xfff) as usize),
-            );
-            let new_ppn = Ppn(new_frame >> (mps.shift() - 12));
-            if let Err(e) = self.pt.remap(page_va, mps, new_ppn, mem) {
-                self.aborted = Some(format!("page-table remap failed: {e}"));
-                self.done = true;
+            if !self.apply_move(old_frame, new_frame, mem, Some(&mut *tlb)) {
+                self.foreign_moves.push((old_frame, new_frame));
+            }
+            if self.done {
                 return false;
             }
-            tlb.invalidate(page_va.vpn(mps), mps);
-            self.frame_owner.insert(new_frame, owner);
         }
         tlb.fill(va.vpn(ps), ps);
         self.last = Some((page4k, ps));
@@ -532,6 +634,10 @@ impl Simulator {
         let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
         while proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
+        debug_assert!(
+            proc.foreign_moves.is_empty(),
+            "a lone process owns every data page"
+        );
         let mut report = proc.into_report(&cfg, &mem);
         let m = &mut report.metrics;
         m.tlb_miss_rate = tlb.l2_stats().misses as f64 / m.accesses.max(1) as f64;
@@ -849,6 +955,52 @@ mod tests {
         ] {
             assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
         }
+    }
+
+    /// GUPS at scale 0.02 on a 128MB machine at FMFI 0.99: ECPT's way
+    /// doublings compact memory and move data pages. After every step
+    /// whose compactions moved pages, the lazily built frame→page map must
+    /// equal the eager one kept on every fault, and at the end both must
+    /// match the page table.
+    #[test]
+    fn lazy_frame_owner_matches_the_eager_map() {
+        let mut cfg = SimConfig::paper(PtKind::Ecpt, false);
+        cfg.mem_bytes = 128 * mehpt_types::MIB;
+        cfg.fragmentation = 0.99;
+        let mut mem = PhysMem::new(cfg.mem_bytes);
+        let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
+        Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
+        let mut tlb = TlbHierarchy::paper_default();
+        let mut dram = MemoryModel::paper_default();
+        let wl = scaled(App::Gups, 0.02);
+        let mut proc = ProcState::<()>::new(wl, &cfg, CuckooConfig::default(), &mut mem);
+        let mut checked = 0;
+        loop {
+            let moved = mem.stats().compaction_moved_bytes;
+            let more = proc.step(&cfg, &mut mem, &mut tlb, &mut dram);
+            if mem.stats().compaction_moved_bytes != moved {
+                if let Some(lazy) = &proc.frame_owner {
+                    assert_eq!(
+                        lazy, &proc.eager_owner,
+                        "after {} faults",
+                        proc.counters.faults
+                    );
+                    checked += 1;
+                }
+            }
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(proc.aborted, None);
+        assert!(checked > 0, "no data page moved");
+        let rebuilt: SplitMixMap<u64, u64> = proc
+            .mapped_pages()
+            .map(|(va, ps, frame)| (frame, va.0 | ps.index() as u64))
+            .collect();
+        assert_eq!(proc.frame_owner.as_ref(), Some(&rebuilt));
+        assert_eq!(rebuilt, proc.eager_owner);
+        assert!(proc.foreign_moves.is_empty());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! std's default SipHash is keyed per process and built to resist
 //! hash-flooding; the simulator's maps (region maps, frame owners, the
 //! buddy allocator's block record) hash one `u64` per lookup on the hot
-//! path and are never iterated, so their output cannot depend on the hash.
+//! path and are iterated only to fill another map, so their output cannot
+//! depend on the hash.
 //! [`SplitMixHasher`] stores the key and finishes with the splitmix64
 //! finalizer — the same mixing as [`rng::splitmix64`](crate::rng::splitmix64)
 //! — which spreads keys with power-of-two strides across all buckets, as a

@@ -117,6 +117,14 @@ if ! ./target/checked/release/mehpt-lab all --jobs 2 --quick \
     exit 1
 fi
 
+echo "==> checked relocation golden: compaction moves data pages"
+# Neither checked sweep moves a data page: no quick cell and no speedbench
+# cell compacts memory under one. The relocation golden's ECPT cell moves
+# 510, so the OS's remaps, TLB shootdowns and on-demand frame→page map run
+# here with the walk cross-checks on, and the digests must still match.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release --offline --quiet \
+    --target-dir target/checked --test relocation_golden
+
 echo "==> checked speedbench: the walk cross-checks on paper-scale cells"
 # The checked sweep above runs scale-0.005 cells, whose tables barely
 # resize. speedbench's gups_hpt (scale 0.1) and mummer_thp (scale 1.0) cells
