@@ -367,3 +367,17 @@ fn remap_then_unmap_leaves_no_cwt_entry() {
     let tables = ecpt.table(PageSize::Base4K).unwrap().memory_bytes();
     assert_eq!(ecpt.memory_bytes(), tables, "no CWT bytes left");
 }
+
+#[test]
+#[should_panic(expected = "beyond the 4KB pages of 48-bit virtual addresses")]
+fn a_vpn_beyond_48_bit_addresses_is_refused() {
+    let mut m = mem(64 * MIB);
+    let mut hpt = Ecpt::new(&mut m).unwrap();
+    let last = Vpn((1 << 36) - 1);
+    hpt.map(last, PageSize::Base4K, Ppn(1), &mut m).unwrap();
+    assert_eq!(
+        hpt.translate(last.base_addr(PageSize::Base4K)),
+        Some((Ppn(1), PageSize::Base4K))
+    );
+    let _ = hpt.map(Vpn(1 << 36), PageSize::Base4K, Ppn(2), &mut m);
+}

@@ -38,6 +38,7 @@
 
 mod config;
 mod multi;
+mod os_map;
 mod report;
 mod runner;
 

@@ -190,6 +190,13 @@ impl Workload {
 
     /// Wraps a recorded access sequence (e.g. loaded from a trace file) as
     /// a replayable workload.
+    ///
+    /// Every access must lie inside one of `regions`: the simulated OS
+    /// maps pages only inside regions, and the simulator aborts a run at
+    /// the first access outside them. [`FileTrace::parse`] refuses such a
+    /// trace up front.
+    ///
+    /// [`FileTrace::parse`]: crate::FileTrace::parse
     pub fn from_recorded(
         name: &'static str,
         regions: Vec<Region>,
