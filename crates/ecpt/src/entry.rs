@@ -15,11 +15,13 @@ pub const CLUSTER_PTES: usize = 8;
 /// [`ClusterEntry::BYTES`] = 64).
 ///
 /// That 64-byte line is the *modeled* layout: way and chunk sizes count 64
-/// bytes per entry. On the host, a table's slots hold only a `u64` tag and
-/// a `u32` row index; the [`CLUSTER_PTES`] PTEs of each stored cluster live
-/// in one row of a dense per-table arena, so host memory grows with the
-/// clusters stored, not with the ways' capacity. A `ClusterEntry` is the
-/// entry as a standalone value: its tag and its PTEs.
+/// bytes per entry. On the host, a table's slot is one 8-byte word,
+/// `tag << 31 | (row + 1)` (0 when empty), holding the cluster's tag
+/// (below 2^33) and the index of its row (below 2^31 − 1); the
+/// [`CLUSTER_PTES`] PTEs of each stored cluster live in that row of a
+/// dense per-table arena, so host memory grows with the clusters stored,
+/// not with the ways' capacity. A `ClusterEntry` is the entry as a
+/// standalone value: its tag and its PTEs.
 ///
 /// # Examples
 ///

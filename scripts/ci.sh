@@ -121,7 +121,9 @@ echo "==> checked relocation golden: compaction moves data pages"
 # Neither checked sweep moves a data page: no quick cell and no speedbench
 # cell compacts memory under one. The relocation golden's ECPT cell moves
 # 510, so the OS's remaps, TLB shootdowns and on-demand frame→page map run
-# here with the walk cross-checks on, and the digests must still match.
+# here with the walk cross-checks on, and the digests must still match. A
+# walked page's frame must start a live data block of the page's size, so a
+# move whose new frame never reached the page table fails here.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release --offline --quiet \
     --target-dir target/checked --test relocation_golden
 
