@@ -11,6 +11,21 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> release profile: the benchmark's speedbench build links with fat LTO"
+# .cargo/config.toml sets lto = "fat" for every release build started in the
+# repository. speedbench is a workspace of its own, so a [profile] moved into
+# the root Cargo.toml would silently stop reaching it. Build it the way the
+# benchmark's command does, into a fresh target dir so that -v prints every
+# rustc line, and require fat LTO on the binary's link.
+rm -rf target/ci-profile
+if ! profile_log=$(cargo build --release --offline -v \
+    --manifest-path speedbench/Cargo.toml --target-dir target/ci-profile 2>&1) ||
+    ! grep -- '--crate-name mehpt_speedbench' <<<"$profile_log" | grep -q -- '-C lto=fat'; then
+    printf '%s\n' "$profile_log" >&2
+    echo "speedbench's release build failed or does not link with -C lto=fat" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 # --all-targets: tests, benches and examples are linted too.
 cargo clippy --workspace --all-targets --offline --quiet -- -D warnings

@@ -3,12 +3,17 @@
 #
 #   scripts/pairs.sh <base-rev> <label> [pairs] [seconds] [seed]
 #
-# Exports <base-rev> into target/pairs/base (git archive, so no network and
-# no worktree bookkeeping), builds its speedbench and the working tree's,
-# each into its own target dir under target/pairs, then runs <pairs> pairs
-# (default 10) of <seconds>-second runs (default 30) per workload at
-# workload seed <seed> (default 0x5eed). Within a pair the order alternates:
-# base first in even pairs, the working tree first in odd ones.
+# Exports <base-rev> into a fresh temporary directory outside the repository
+# (git archive, so no network and no worktree bookkeeping) and builds its
+# speedbench from that tree's root and the working tree's from the
+# repository root, each into its own target dir under target/pairs. Cargo
+# reads .cargo/config.toml from the current directory upward, so building
+# each side from its own root gives each revision its own release profile;
+# an export inside the repository would build under the working tree's.
+# Then it runs <pairs> pairs (default 10) of <seconds>-second runs (default
+# 30) per workload at workload seed <seed> (default 0x5eed). Within a pair
+# the order alternates: base first in even pairs, the working tree first in
+# odd ones.
 #
 # Writes BENCH_<label>.json at the repository root: both revisions, and per
 # workload and metric the median, q1 and q3 of each side, the pairs the
@@ -36,15 +41,17 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
     head_rev="$head_rev+dirty"
 fi
 
-root=target/pairs
+root=$PWD/target/pairs
 out=$root/$label
-rm -rf "$root/base" "$out"
-mkdir -p "$root/base" "$out"
-git archive "$base_rev" | tar -x -C "$root/base"
+rm -rf "$out"
+mkdir -p "$out"
+base_tree=$(mktemp -d)
+trap 'rm -rf "$base_tree"' EXIT
+git archive "$base_rev" | tar -x -C "$base_tree"
 
 echo "==> building speedbench at $base_rev and in the working tree" >&2
-cargo build --release --offline --quiet --manifest-path "$root/base/speedbench/Cargo.toml" \
-    --target-dir "$root/base-target"
+(cd "$base_tree" && cargo build --release --offline --quiet \
+    --manifest-path speedbench/Cargo.toml --target-dir "$root/base-target")
 cargo build --release --offline --quiet --manifest-path speedbench/Cargo.toml \
     --target-dir "$root/head-target"
 bin_base=$root/base-target/release/mehpt-speedbench

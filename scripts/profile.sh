@@ -14,10 +14,14 @@
 # (default 25) functions by self samples and by inclusive samples.
 #
 # Samples under speedbench's reference kernel (speedbench/src/host.rs),
-# which times the host beside the cells, are counted apart and left out of
-# both tables. Needs gcc, addr2line and python3; installs nothing and
-# edits nothing under speedbench/. Raw samples stay in
-# target/profile/<workload>.samples.
+# which times the host beside the cells, and under its setup_pass, the
+# untimed set-up sweeps behind setup_s, are counted apart and left out of
+# both tables: maccess_per_s times neither. The cells' own set-up inside
+# the timed passes stays in. The release profile builds with fat LTO, so
+# most of the runner inlines into Simulator::run and the self table names
+# few functions: read the inclusive table. Needs gcc, addr2line and
+# python3; installs nothing and edits nothing under speedbench/. Raw
+# samples stay in target/profile/<workload>.samples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,12 +92,15 @@ def label(frame):
     return name
 
 
-host = 0
+host = setup = 0
 self_count, incl = collections.Counter(), collections.Counter()
 for s in stacks:
     fs = [f for a in s for f in frames.get(a, [("??", "??:0")])]
     if any("speedbench/src/host.rs" in loc for _, loc in fs):
         host += 1
+        continue
+    if any("setup_pass" in name for name, _ in fs):
+        setup += 1
         continue
     self_count[label(fs[0])] += 1
     # Inclusive counts cover the workspace's own functions, not the
@@ -101,10 +108,12 @@ for s in stacks:
     for name in {label(f) for f in fs if "/crates/" in f[1]}:
         incl[name] += 1
 
-n = len(stacks) - host
-print(f"{len(stacks)} samples; {host} ({100 * host / len(stacks):.1f}%) under "
-      f"speedbench/src/host.rs, left out; {n} counted")
+n = len(stacks) - host - setup
+print(f"{len(stacks)} samples; left out: {host} ({100 * host / len(stacks):.1f}%) under "
+      f"speedbench/src/host.rs, {setup} ({100 * setup / len(stacks):.1f}%) under the "
+      f"untimed setup_pass; {n} counted")
 print("inclusive: functions under crates/ only; [file] marks an inlined frame")
+print("under fat LTO most of the runner inlines into Simulator::run: read the inclusive table")
 for title, counts in (("self", self_count), ("inclusive", incl)):
     print(f"\ntop {top} by {title} samples:")
     for name, c in counts.most_common(top):
