@@ -197,9 +197,9 @@ fn bench_buddy() {
 fn bench_walks() {
     println!("\npage_walk:");
     const PAGES: u64 = 50_000;
-    // Every case walks a mapped 4KB page, so each design is timed twice on
-    // the same table and VPN stream: the reference `walk`, and `time_walk`,
-    // which the runner calls for every walk to a mapped page.
+    // Every case but the GUPS faults walks a mapped 4KB page, so each
+    // design is timed twice on the same table and VPN stream: the reference
+    // `walk`, and `time_walk`, which the runner calls for every walk.
     let strided = |i: &mut u64| {
         *i = (*i + 13) % PAGES;
         Vpn(*i * 7).base_addr(PageSize::Base4K)
@@ -220,14 +220,10 @@ fn bench_walks() {
     bench("  radix", 100_000, || {
         std::hint::black_box(walker.walk(&radix, strided(&mut i), &mut dram));
     });
-    let (mut walker, mut dram, mut i) = (
-        RadixWalker::paper_default(),
-        MemoryModel::paper_default(),
-        0,
-    );
+    let (mut walker, mut i) = (RadixWalker::paper_default(), 0);
     bench("  radix.time_walk", 100_000, || {
         let va = strided(&mut i);
-        std::hint::black_box(walker.time_walk(&radix, va, PageSize::Base4K, &mut dram));
+        std::hint::black_box(walker.time_walk(&radix, va, Some(PageSize::Base4K)));
     });
 
     let mut m = mem();
@@ -259,10 +255,9 @@ fn bench_hpt_walks<T: HptView>(name: &str, hpt: &T, next: impl Fn(&mut u64) -> V
     bench(name, 100_000, || {
         std::hint::black_box(walker.walk(hpt, next(&mut i), &mut dram));
     });
-    let (mut walker, mut dram, mut i) =
-        (EcptWalker::paper_default(), MemoryModel::paper_default(), 0);
+    let (mut walker, mut i) = (EcptWalker::paper_default(), 0);
     bench(&format!("{name}.time_walk"), 100_000, || {
-        std::hint::black_box(walker.time_walk(hpt, next(&mut i), &mut dram));
+        std::hint::black_box(walker.time_walk(hpt, next(&mut i)));
     });
 }
 
@@ -284,9 +279,10 @@ fn gups_vpns() -> (Vec<Vpn>, Vec<Vpn>) {
 }
 
 /// Walks a GUPS-sized table ([`gups_vpns`]) in random order, as
-/// `{design}/gups_150k` and `{design}.time_walk/gups_150k`. The ways outgrow
-/// the host's caches as in a full GUPS run, which the 50K-page strided cases
-/// above never do.
+/// `{design}/gups_150k` and `{design}.time_walk/gups_150k`, and times walks
+/// that fault, to the unmapped neighbour of each page in its cluster, as
+/// `{design}.time_walk/fault_gups_150k`. The ways outgrow the host's caches
+/// as in a full GUPS run, which the 50K-page strided cases above never do.
 fn bench_gups_walk<B: Backing>(design: &str) {
     let (vpns, shuffled) = gups_vpns();
     let mut m = mem();
@@ -301,13 +297,22 @@ fn bench_gups_walk<B: Backing>(design: &str) {
         i = (i + 1) % shuffled.len();
         std::hint::black_box(walker.walk(&hpt, shuffled[i].base_addr(PageSize::Base4K), &mut dram));
     });
-    let (mut walker, mut dram, mut i) =
-        (EcptWalker::paper_default(), MemoryModel::paper_default(), 0);
+    let (mut walker, mut i) = (EcptWalker::paper_default(), 0);
     bench(&format!("{design}.time_walk/gups_150k"), 100_000, || {
         i = (i + 1) % shuffled.len();
         let va = shuffled[i].base_addr(PageSize::Base4K);
-        std::hint::black_box(walker.time_walk(&hpt, va, &mut dram));
+        std::hint::black_box(walker.time_walk(&hpt, va));
     });
+    let (mut walker, mut i) = (EcptWalker::paper_default(), 0);
+    bench(
+        &format!("{design}.time_walk/fault_gups_150k"),
+        100_000,
+        || {
+            i = (i + 1) % shuffled.len();
+            let va = Vpn(shuffled[i].0 ^ 1).base_addr(PageSize::Base4K);
+            std::hint::black_box(walker.time_walk(&hpt, va));
+        },
+    );
 }
 
 fn bench_maps() {

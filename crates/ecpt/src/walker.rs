@@ -35,9 +35,11 @@ pub struct HptWalkResult {
 ///
 /// Two walks share the CWC step. [`EcptWalker::walk`] is the reference: it
 /// hashes each probed table's ways, reads their slots and returns the
-/// translation. [`EcptWalker::time_walk`] returns only the timing: it
-/// counts each probed table's [`HptView::probe_width`] instead of probing,
-/// and builds with debug assertions check it against `walk`.
+/// translation. [`EcptWalker::time_walk`] returns only the timing, of
+/// mapped and faulting walks alike: it counts each probed table's
+/// [`HptView::probe_width`] instead of probing, and builds with debug
+/// assertions check it against `walk`. The simulator times every walk
+/// with it.
 ///
 /// CWC entries mirror CWT state; the OS must call
 /// [`EcptWalker::invalidate_region`] when a mapping changes a region's
@@ -67,7 +69,7 @@ impl EcptWalker {
 
     /// Performs one timed walk for `va` over any hashed page table: the
     /// reference walk, which probes the tables' way slots and returns the
-    /// translation they hold.
+    /// translation they hold. It also charges its accesses to `mem`.
     pub fn walk<T: HptView>(
         &mut self,
         ecpt: &T,
@@ -90,33 +92,29 @@ impl EcptWalker {
             }
         }
         debug_assert_eq!(translation, ecpt.translate(va));
+        mem.charge(accesses);
         HptWalkResult {
             translation,
-            cycles: self.charge(cycles, accesses, mem),
+            cycles: self.charge(cycles, accesses),
             memory_accesses: accesses,
         }
     }
 
-    /// Performs one timed walk for `va` and returns only its cycles and
-    /// memory accesses, with the same effect on the walker and on `mem` as
-    /// [`EcptWalker::walk`].
+    /// Performs one timed walk for `va`, mapped or faulting, and returns
+    /// only its cycles and memory accesses, with the same effect on the
+    /// walker as [`EcptWalker::walk`].
     ///
     /// Every access costs the same latency, so the walk's timing depends
     /// only on the CWC state, the CWT masks and each probed table's
     /// [`HptView::probe_width`]: this walk neither hashes nor reads way
     /// slots. Builds with debug assertions also run the reference walk on
-    /// copies of the walker and `mem` and assert that both walks agree.
-    pub fn time_walk<T: HptView>(
-        &mut self,
-        ecpt: &T,
-        va: VirtAddr,
-        mem: &mut MemoryModel,
-    ) -> (u64, u32) {
+    /// a copy of the walker and assert that both walks agree.
+    pub fn time_walk<T: HptView>(&mut self, ecpt: &T, va: VirtAddr) -> (u64, u32) {
         #[cfg(debug_assertions)]
         let reference = {
-            let (mut walker, mut mem) = (self.clone(), mem.clone());
-            let r = walker.walk(ecpt, va, &mut mem);
-            (walker, mem, r)
+            let mut walker = self.clone();
+            let r = walker.walk(ecpt, va, &mut MemoryModel::paper_default());
+            (walker, r)
         };
         let (cycles, sizes, mut accesses) = self.cwc_step(ecpt, va);
         for ps in PAGE_SIZES {
@@ -124,10 +122,10 @@ impl EcptWalker {
                 accesses += ecpt.probe_width(ps);
             }
         }
-        let cycles = self.charge(cycles, accesses, mem);
+        let cycles = self.charge(cycles, accesses);
         #[cfg(debug_assertions)]
         {
-            let (walker, ref_mem, r) = reference;
+            let (walker, r) = reference;
             assert_eq!(
                 (cycles, accesses),
                 (r.cycles, r.memory_accesses),
@@ -136,11 +134,6 @@ impl EcptWalker {
             assert!(
                 *self == walker,
                 "time_walk of {va:?} left other walker state"
-            );
-            assert_eq!(
-                (mem.accesses(), mem.total_cycles()),
-                (ref_mem.accesses(), ref_mem.total_cycles()),
-                "time_walk of {va:?} charged memory differently"
             );
         }
         (cycles, accesses)
@@ -189,10 +182,9 @@ impl EcptWalker {
     }
 
     /// Charges a walk's `accesses`, issued in parallel after `cycles` of
-    /// CWC lookup, to `mem` and the walker's totals; returns the walk's
-    /// cycles.
-    fn charge(&mut self, cycles: u64, accesses: u32, mem: &mut MemoryModel) -> u64 {
-        let cycles = cycles + mem.charge(accesses);
+    /// CWC lookup, to the walker's totals; returns the walk's cycles.
+    fn charge(&mut self, cycles: u64, accesses: u32) -> u64 {
+        let cycles = cycles + MemoryModel::round_trip(accesses);
         self.total_cycles += cycles;
         self.total_accesses += u64::from(accesses);
         cycles

@@ -31,10 +31,11 @@ pub struct WalkResult {
 /// accesses — the radix scalability problem the paper opens with.
 ///
 /// Two walks share the PWC model. [`RadixWalker::walk`] is the reference:
-/// it reads the table's entries and returns the translation, and it times
-/// faulting walks. [`RadixWalker::time_walk`] times a walk to a page the OS
-/// mapped at a known size: it reads no entry, and builds with debug
-/// assertions check it against `walk`.
+/// it reads the table's entries and returns the translation.
+/// [`RadixWalker::time_walk`] returns only the timing, given the page size
+/// the OS mapped or `None` for a fault: it reads no entry of a mapped
+/// walk's path, and builds with debug assertions check it against `walk`.
+/// The simulator times every walk with it.
 ///
 /// # Examples
 ///
@@ -88,12 +89,14 @@ impl RadixWalker {
     /// reads the table's entries and returns the translation it finds.
     ///
     /// Memory accesses for the levels not covered by a PWC hit are charged
-    /// through `mem`; traversed node entries are installed in the PWC.
+    /// to `mem`, one at a time; traversed node entries are installed in the
+    /// PWC.
     pub fn walk(&mut self, pt: &RadixPageTable, va: VirtAddr, mem: &mut MemoryModel) -> WalkResult {
         let path = pt.walk_path(va);
-        // Node entries are a prefix of the path.
-        let nodes = path.iter().take_while(|&&step| step == Step::Node);
-        let (cycles, accesses) = self.charge(va, pt.levels(), path.len(), nodes.count(), mem);
+        let (cycles, accesses) = self.charge(va, pt.levels(), path.len());
+        for _ in 0..accesses {
+            mem.charge(1);
+        }
         let translation = match path.last() {
             Some(Step::Leaf(ppn, ps)) => Some((*ppn, *ps)),
             _ => None,
@@ -106,39 +109,42 @@ impl RadixWalker {
     }
 
     /// Performs one timed walk for `va`, which `pt` maps with a page of
-    /// size `ps`, and returns only its cycles and memory accesses, with the
-    /// same effect on the walker and on `mem` as [`RadixWalker::walk`].
+    /// size `ps`, or does not map if `ps` is `None`, and returns only its
+    /// cycles and memory accesses, with the same effect on the walker as
+    /// [`RadixWalker::walk`].
     ///
-    /// A mapped walk reads node entries down to `ps`'s leaf level, so its
-    /// length, PWC hits and PWC fills follow from `va`, `ps` and the tree's
-    /// depth, and every access costs the same latency. So this walk reads
-    /// no entry of `pt`. A walk that faults stops at the first empty entry,
-    /// so it needs `walk`. Builds with debug assertions also run the
-    /// reference walk on copies of the walker and `mem` and assert that
-    /// both walks agree and that it finds a `ps` page.
+    /// Every access costs the same latency, so a walk's timing follows
+    /// from how many entries it reads. A mapped walk reads node entries
+    /// down to `ps`'s leaf level, so this walk reads no entry of `pt`; a
+    /// faulting walk reads the nodes that exist and then the empty entry,
+    /// so it takes the path's depth from `pt`. Builds with debug assertions
+    /// also run the reference walk on a copy of the walker and assert that
+    /// both walks agree and that it finds a `ps` page, or none.
     pub fn time_walk(
         &mut self,
         pt: &RadixPageTable,
         va: VirtAddr,
-        ps: PageSize,
-        mem: &mut MemoryModel,
+        ps: Option<PageSize>,
     ) -> (u64, u32) {
         #[cfg(debug_assertions)]
         let reference = {
-            let (mut walker, mut mem) = (self.clone(), mem.clone());
-            let r = walker.walk(pt, va, &mut mem);
-            (walker, mem, r)
+            let mut walker = self.clone();
+            let r = walker.walk(pt, va, &mut MemoryModel::paper_default());
+            (walker, r)
         };
-        // The leaf sits one level above the last for each size step up.
-        let depth = pt.levels() - ps.index();
-        let (cycles, accesses) = self.charge(va, pt.levels(), depth, depth - 1, mem);
+        let depth = match ps {
+            // The leaf sits one level above the last for each size step up.
+            Some(ps) => pt.levels() - ps.index(),
+            None => pt.walk_path(va).len(),
+        };
+        let (cycles, accesses) = self.charge(va, pt.levels(), depth);
         #[cfg(debug_assertions)]
         {
-            let (walker, ref_mem, r) = reference;
+            let (walker, r) = reference;
             assert_eq!(
                 r.translation.map(|(_, wps)| wps),
-                Some(ps),
-                "the walk for {va:?} finds no {ps:?} page"
+                ps,
+                "the walk for {va:?} disagrees with the page size {ps:?}"
             );
             assert_eq!(
                 (cycles, accesses),
@@ -149,35 +155,21 @@ impl RadixWalker {
                 *self == walker,
                 "time_walk of {va:?} left other walker state"
             );
-            assert_eq!(
-                (mem.accesses(), mem.total_cycles()),
-                (ref_mem.accesses(), ref_mem.total_cycles()),
-                "time_walk of {va:?} charged memory differently"
-            );
         }
         (cycles, accesses)
     }
 
-    /// Times a walk that reads `depth` entries, the first `nodes` of them
+    /// Times a walk that reads `depth` entries, all but the last of them
     /// node entries: probes the PWCs, charges the entries below the
-    /// deepest PWC hit to `mem` one dependent access at a time, and fills
-    /// the PWCs. Returns the walk's cycles and memory accesses.
-    fn charge(
-        &mut self,
-        va: VirtAddr,
-        levels: usize,
-        depth: usize,
-        nodes: usize,
-        mem: &mut MemoryModel,
-    ) -> (u64, u32) {
+    /// deepest PWC hit one dependent round trip each, and fills the PWCs
+    /// with the node entries. Returns the walk's cycles and memory
+    /// accesses.
+    fn charge(&mut self, va: VirtAddr, levels: usize, depth: usize) -> (u64, u32) {
         self.walks += 1;
         let start_level = self.probe_pwc(va, levels, depth);
         let accesses = (depth - start_level) as u32;
-        let mut cycles = PWC_LATENCY;
-        for _ in 0..accesses {
-            cycles += mem.charge(1);
-        }
-        self.fill_pwc(va, levels, nodes);
+        let cycles = PWC_LATENCY + u64::from(accesses) * MemoryModel::round_trip(1);
+        self.fill_pwc(va, levels, depth - 1);
         self.total_cycles += cycles;
         self.total_accesses += u64::from(accesses);
         (cycles, accesses)

@@ -1,7 +1,7 @@
 use mehpt_core::L2pTable;
 use mehpt_ecpt::{Backing, CuckooConfig};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
-use mehpt_tlb::{MemoryModel, TlbHierarchy};
+use mehpt_tlb::TlbHierarchy;
 use mehpt_types::rng::Xoshiro256;
 use mehpt_workloads::Workload;
 
@@ -141,7 +141,6 @@ fn run_slices<B: Backing>(
     let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
     Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
     let mut tlb = TlbHierarchy::paper_default();
-    let mut dram = MemoryModel::paper_default();
     let mut procs: Vec<ProcState<B>> = workloads
         .into_iter()
         .map(|wl| ProcState::new(wl, &cfg.base, hpt.clone(), &mut mem))
@@ -164,7 +163,7 @@ fn run_slices<B: Backing>(
             switches += 1;
             switch_cycles += SWITCH_CYCLES + l2p_save_restore_cycles(proc.l2p_entries_used());
             for _ in 0..cfg.time_slice {
-                if !proc.step(&cfg.base, &mut mem, &mut tlb, &mut dram) {
+                if !proc.step(&cfg.base, &mut mem, &mut tlb) {
                     break;
                 }
             }

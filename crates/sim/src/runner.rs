@@ -2,7 +2,7 @@ use mehpt_core::L2pTable;
 use mehpt_ecpt::{Backing, CuckooConfig, EcptWalker, Hpt};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
-use mehpt_tlb::{MemoryModel, TlbHierarchy};
+use mehpt_tlb::TlbHierarchy;
 use mehpt_types::hashmap::SplitMixMap;
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
@@ -28,36 +28,32 @@ enum Pt<B: Backing> {
 }
 
 impl<B: Backing> Pt<B> {
-    /// A timed walk for `va`, which the OS maps with a page of size `ps`;
-    /// returns its cycles. The walkers' timing walks read no table
-    /// contents, so builds with debug assertions first check the table's
-    /// translation against the OS's mapping, and that it starts a live
-    /// data block of the page's size in `mem` (a relocated page's new
-    /// frame).
-    fn time_walk(
-        &mut self,
-        va: VirtAddr,
-        ps: PageSize,
-        mem: &PhysMem,
-        dram: &mut MemoryModel,
-    ) -> u64 {
+    /// A timed walk for `va`, which the OS maps with a page of size `ps`,
+    /// or does not map if `ps` is `None` (the walk faults); returns its
+    /// cycles. The walkers' timing walks read no translation, so builds
+    /// with debug assertions first check the table's translation against
+    /// the OS's mapping, and that a mapped page starts a live data block
+    /// of its size in `mem` (a relocated page's new frame).
+    fn time_walk(&mut self, va: VirtAddr, ps: Option<PageSize>, mem: &PhysMem) -> u64 {
         if cfg!(debug_assertions) {
             let walked = self.translate(va);
             assert_eq!(
                 walked.map(|(_, wps)| wps),
-                Some(ps),
+                ps,
                 "the walk for {va:?} disagrees with the OS's mapping"
             );
-            let frame = walked.map_or(0, |(ppn, _)| ppn.0 << (ps.shift() - 12));
-            assert_eq!(
-                mem.buddy().live_block(frame),
-                Some(((ps.shift() - 12) as u8, AllocTag::Data)),
-                "the walk for {va:?} reaches frame {frame:#x}, which starts no live data block of its size"
-            );
+            if let Some((ppn, ps)) = walked {
+                let frame = ppn.0 << (ps.shift() - 12);
+                assert_eq!(
+                    mem.buddy().live_block(frame),
+                    Some(((ps.shift() - 12) as u8, AllocTag::Data)),
+                    "the walk for {va:?} reaches frame {frame:#x}, which starts no live data block of its size"
+                );
+            }
         }
         match self {
-            Pt::Radix { table, walker } => walker.time_walk(table, va, ps, dram).0,
-            Pt::Hashed { table, walker } => walker.time_walk(table, va, dram).0,
+            Pt::Radix { table, walker } => walker.time_walk(table, va, ps).0,
+            Pt::Hashed { table, walker } => walker.time_walk(table, va).0,
         }
     }
 
@@ -66,21 +62,6 @@ impl<B: Backing> Pt<B> {
         match self {
             Pt::Radix { table, .. } => table.translate(va),
             Pt::Hashed { table, .. } => table.translate(va),
-        }
-    }
-
-    /// A timed reference walk; returns its cycles and the walker's
-    /// translation. Walks that fault take it.
-    fn walk(&mut self, va: VirtAddr, dram: &mut MemoryModel) -> (u64, Option<(Ppn, PageSize)>) {
-        match self {
-            Pt::Radix { table, walker } => {
-                let r = walker.walk(table, va, dram);
-                (r.cycles, r.translation)
-            }
-            Pt::Hashed { table, walker } => {
-                let r = walker.walk(table, va, dram);
-                (r.cycles, r.translation)
-            }
         }
     }
 
@@ -341,7 +322,6 @@ impl<B: Backing> ProcState<B> {
         cfg: &SimConfig,
         mem: &mut PhysMem,
         tlb: &mut TlbHierarchy,
-        dram: &mut MemoryModel,
     ) -> bool {
         if self.counters.accesses >= cfg.max_accesses.unwrap_or(u64::MAX) {
             self.done = true;
@@ -369,7 +349,7 @@ impl<B: Backing> ProcState<B> {
             c.translation += out.cycles();
             c.total += out.cycles();
             if out.is_miss() {
-                let wc = self.pt.time_walk(va, ps, mem, dram);
+                let wc = self.pt.time_walk(va, Some(ps), mem);
                 c.translation += wc;
                 c.total += wc;
                 tlb.fill(va.vpn(ps), ps);
@@ -385,8 +365,7 @@ impl<B: Backing> ProcState<B> {
         };
         c.faults += 1;
         let out = tlb.lookup(va, PageSize::Base4K);
-        let (wc, walked) = self.pt.walk(va, dram); // the walk that faults
-        debug_assert_eq!(walked, None, "the walk for unmapped {va:?} found a page");
+        let wc = self.pt.time_walk(va, None, mem); // the walk that faults
         c.translation += out.cycles() + wc;
         c.total += out.cycles() + wc;
         c.total += PAGE_FAULT_CYCLES;
@@ -572,9 +551,8 @@ impl Simulator {
         let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
         Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
-        while proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
+        while proc.step(&cfg, &mut mem, &mut tlb) {}
         debug_assert!(
             proc.foreign_moves.is_empty(),
             "a lone process owns every data page"
@@ -728,6 +706,15 @@ mod tests {
         );
     }
 
+    /// The translation a reference walk of `va` finds.
+    fn reference_walk<B: Backing>(pt: &mut Pt<B>, va: VirtAddr) -> Option<(Ppn, PageSize)> {
+        let mut dram = mehpt_tlb::MemoryModel::paper_default();
+        match pt {
+            Pt::Radix { table, walker } => walker.walk(table, va, &mut dram).translation,
+            Pt::Hashed { table, walker } => walker.walk(table, va, &mut dram).translation,
+        }
+    }
+
     /// Runs `workload` under THP with the TLB flushed before every access,
     /// so every access to a mapped page walks (2MB pages too) and the
     /// step's debug checks compare each walk with the OS's map. Then walks
@@ -742,11 +729,10 @@ mod tests {
         cfg.mem_bytes = 2 * mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
         for _ in 0..100_000 {
             tlb.flush();
-            if !proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {
+            if !proc.step(&cfg, &mut mem, &mut tlb) {
                 break;
             }
         }
@@ -757,7 +743,7 @@ mod tests {
         let mut checked = [0; 2];
         for (va, ps) in proc.os.pages() {
             assert_eq!(proc.os.lookup(va), Some(ps), "{kind:?} {va:?}");
-            let walked = proc.pt.walk(va, &mut dram).1;
+            let walked = reference_walk(&mut proc.pt, va);
             assert_eq!(walked.map(|(_, wps)| wps), Some(ps), "{kind:?} {va:?}");
             checked[ps.index()] += 1;
         }
@@ -814,12 +800,11 @@ mod tests {
         cfg.mem_bytes = mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut dram = MemoryModel::paper_default();
         let mut proc = ProcState::<B>::new(wl, &cfg, hpt, &mut mem);
         proc.os.insert(VirtAddr::new(0x1000_1000), PageSize::Base4K);
-        assert!(proc.step(&cfg, &mut mem, &mut tlb, &mut dram), "the fault");
+        assert!(proc.step(&cfg, &mut mem, &mut tlb), "the fault");
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            proc.step(&cfg, &mut mem, &mut tlb, &mut dram)
+            proc.step(&cfg, &mut mem, &mut tlb)
         }))
         .expect_err("the walk must disagree with the OS's mapping");
         panic.downcast_ref::<String>().cloned().unwrap_or_default()
@@ -834,6 +819,45 @@ mod tests {
             walk_of_a_page_only_the_os_maps::<()>(PtKind::Radix, ecpt.clone()),
             walk_of_a_page_only_the_os_maps::<()>(PtKind::Ecpt, ecpt),
             walk_of_a_page_only_the_os_maps::<L2pTable>(PtKind::MeHpt, mehpt),
+        ] {
+            assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
+        }
+    }
+
+    /// Steps a one-access trace after the page table, but not the OS map,
+    /// was given the access's page, and returns the panic message of the
+    /// walk that faults.
+    #[cfg(debug_assertions)]
+    fn fault_on_a_page_only_the_table_maps<B: Backing>(kind: PtKind, hpt: B::Config) -> String {
+        let trace = "region heap 0x10000000 0x100000 nothp\n0x10001040\n";
+        let wl = mehpt_workloads::FileTrace::parse(trace.as_bytes())
+            .unwrap()
+            .into_workload("stale");
+        let mut cfg = SimConfig::paper(kind, false);
+        cfg.mem_bytes = mehpt_types::GIB;
+        let mut mem = PhysMem::new(cfg.mem_bytes);
+        let mut tlb = TlbHierarchy::paper_default();
+        let mut proc = ProcState::<B>::new(wl, &cfg, hpt, &mut mem);
+        let frame = mem.alloc(PageSize::Base4K.bytes(), AllocTag::Data).unwrap();
+        let ppn = Ppn(frame.base().0 >> PageSize::Base4K.shift());
+        let va = VirtAddr::new(0x1000_1000);
+        proc.pt.map(va, PageSize::Base4K, ppn, &mut mem).unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proc.step(&cfg, &mut mem, &mut tlb)
+        }))
+        .expect_err("the faulting walk must disagree with the OS's mapping");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_fault_on_a_page_the_table_maps_panics_in_debug_builds() {
+        let ecpt = CuckooConfig::default();
+        let mehpt = SimConfig::paper(PtKind::MeHpt, false).mehpt;
+        for msg in [
+            fault_on_a_page_only_the_table_maps::<()>(PtKind::Radix, ecpt.clone()),
+            fault_on_a_page_only_the_table_maps::<()>(PtKind::Ecpt, ecpt),
+            fault_on_a_page_only_the_table_maps::<L2pTable>(PtKind::MeHpt, mehpt),
         ] {
             assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
         }
@@ -883,10 +907,9 @@ mod tests {
                 cfg.mem_bytes = mehpt_types::GIB;
                 let mut mem = PhysMem::new(cfg.mem_bytes);
                 let mut tlb = TlbHierarchy::paper_default();
-                let mut dram = MemoryModel::paper_default();
                 let wl = trace.clone().into_workload("sparse");
                 let mut proc = ProcState::<()>::new(wl, &cfg, CuckooConfig::default(), &mut mem);
-                while proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {}
+                while proc.step(&cfg, &mut mem, &mut tlb) {}
                 assert_eq!(proc.aborted, None, "{kind:?}");
                 assert_eq!(proc.counters.faults, faults, "{kind:?}");
                 assert_eq!(proc.os.pages().count() as u64, faults, "{kind:?}");
@@ -909,13 +932,12 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
         Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut dram = MemoryModel::paper_default();
         let wl = scaled(App::Gups, 0.02);
         let mut proc = ProcState::<()>::new(wl, &cfg, CuckooConfig::default(), &mut mem);
         let mut checked = 0;
         loop {
             let moved = mem.stats().compaction_moved_bytes;
-            let more = proc.step(&cfg, &mut mem, &mut tlb, &mut dram);
+            let more = proc.step(&cfg, &mut mem, &mut tlb);
             if mem.stats().compaction_moved_bytes != moved {
                 if let Some(lazy) = &proc.frame_owner {
                     assert_eq!(

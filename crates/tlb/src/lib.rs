@@ -10,7 +10,9 @@
 //!   Table III gives the 12-way L2s 1024 entries: see ROADMAP.md, open
 //!   item 5).
 //! * [`MemoryModel`] — the latency seen by page-walk memory references:
-//!   Table III's 200-cycle average round trip to memory for every access.
+//!   Table III's 200-cycle average round trip per batch of parallel
+//!   accesses ([`MemoryModel::round_trip`], the walkers' one latency rule),
+//!   and an access counter that reference walks charge.
 //!
 //! # Examples
 //!

@@ -8,7 +8,9 @@ use crate::CacheStats;
 /// one memory access", Figure 7). The dedicated translation caches (PWC for
 /// radix, CWC for HPTs) are modeled by the walkers, and page-table lines
 /// see little reuse in the data hierarchy of a busy 8-core machine. So the
-/// model is a counter of accesses and cycles.
+/// model is a counter of accesses and cycles. Its one latency rule,
+/// [`MemoryModel::round_trip`], also times the walkers' timing walks,
+/// which charge no model: the simulator's record is the walkers' counters.
 ///
 /// # Examples
 ///
@@ -18,6 +20,7 @@ use crate::CacheStats;
 /// let mut mem = MemoryModel::paper_default();
 /// assert_eq!(mem.charge(3), MemoryModel::LATENCY); // one parallel round trip
 /// assert_eq!(mem.charge(0), 0);
+/// assert_eq!(MemoryModel::round_trip(3), MemoryModel::LATENCY);
 /// assert_eq!((mem.accesses(), mem.total_cycles()), (3, 600));
 /// ```
 #[derive(Clone, Debug)]
@@ -38,21 +41,28 @@ impl MemoryModel {
         }
     }
 
-    /// Charges `n` accesses issued in parallel and returns their latency:
-    /// one round trip, or 0 for no access. Each access still counts in
-    /// [`MemoryModel::accesses`] and [`MemoryModel::total_cycles`].
+    /// The latency of `n` accesses issued in parallel: one round trip, or
+    /// 0 for no access.
     ///
     /// HPT lookups probe all W ways in parallel (Section II-B); a radix
-    /// walk's dependent accesses are one charge each.
+    /// walk's dependent accesses are one round trip each.
     #[inline]
-    pub fn charge(&mut self, n: u32) -> u64 {
-        self.accesses += u64::from(n);
-        self.total_cycles += u64::from(n) * Self::LATENCY;
+    pub const fn round_trip(n: u32) -> u64 {
         if n == 0 {
             0
         } else {
             Self::LATENCY
         }
+    }
+
+    /// Charges `n` accesses issued in parallel and returns their latency,
+    /// [`MemoryModel::round_trip`]. Each access still counts in
+    /// [`MemoryModel::accesses`] and [`MemoryModel::total_cycles`].
+    #[inline]
+    pub fn charge(&mut self, n: u32) -> u64 {
+        self.accesses += u64::from(n);
+        self.total_cycles += u64::from(n) * Self::LATENCY;
+        Self::round_trip(n)
     }
 
     /// Total accesses served.

@@ -121,9 +121,10 @@ echo "==> mehpt-lab table1 --jobs 2 --quick (smoke)"
 
 echo "==> checked build: every --quick cell with debug assertions on"
 # An optimised build with debug assertions, in its own target dir, runs the
-# walker's translate() cross-check and the runner's check that every timed
-# walk returns the OS's mapping over the cells of every paper preset. A
-# failed check panics its cell, and the sweep exits 1.
+# walkers' check of every timing-only walk against the reference walk and
+# the runner's check that every walk, faults included, agrees with the OS's
+# mapping (a fault's address must translate to nothing) over the cells of
+# every paper preset. A failed check panics its cell, and the sweep exits 1.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo build --release --quiet \
     --target-dir target/checked --bin mehpt-lab
 if ! ./target/checked/release/mehpt-lab all --jobs 2 --quick \
@@ -145,8 +146,9 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release --offline --qui
 echo "==> checked speedbench: the walk cross-checks on paper-scale cells"
 # The checked sweep above runs scale-0.005 cells, whose tables barely
 # resize. speedbench's gups_hpt (scale 0.1) and mummer_thp (scale 1.0) cells
-# built with debug assertions check every timing-only walk against the
-# reference walk and the OS's mapping through many resizes. A failed check
+# built with debug assertions check every timing-only walk, faults
+# included, against the reference walk and the OS's mapping through many
+# resizes. A failed check
 # panics its cell, and speedbench reports "correct": false.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo build --release --offline --quiet \
     --manifest-path speedbench/Cargo.toml --target-dir target/checked-speedbench

@@ -11,15 +11,20 @@
 # kernel's tick, so on a 250 Hz kernel a sample comes every 4 ms of CPU
 # time, about 250 per second per busy thread). Then it symbolises the
 # samples with addr2line (inlined frames included) and prints the <top>
-# (default 25) functions by self samples and by inclusive samples.
+# (default 25) functions by self samples and by inclusive samples, and the
+# workspace's source files (crates/<crate>/src/<file>.rs) by inclusive
+# samples.
 #
 # Samples under speedbench's reference kernel (speedbench/src/host.rs),
 # which times the host beside the cells, and under its setup_pass, the
 # untimed set-up sweeps behind setup_s, are counted apart and left out of
 # both tables: maccess_per_s times neither. The cells' own set-up inside
-# the timed passes stays in. The release profile builds with fat LTO, so
-# most of the runner inlines into Simulator::run and the self table names
-# few functions: read the inclusive table. Needs gcc, addr2line and
+# the timed passes stays in. The release profile builds with fat LTO, and
+# addr2line -f -i then pairs some names with the wrong frame's location
+# (an inlined library frame's location under the physical function's name,
+# so an outer function can read ~98% inclusive). The file table takes each
+# frame's location alone, so it does not depend on that pairing: read it
+# first, and the function tables only as hints. Needs gcc, addr2line and
 # python3; installs nothing and edits nothing under speedbench/. Raw
 # samples stay in target/profile/<workload>.samples.
 set -euo pipefail
@@ -49,6 +54,8 @@ SAMPLER_OUT=$samples LD_PRELOAD=$PWD/$dir/sampler.so \
 
 python3 - "$bin" "$samples" "$top" <<'EOF'
 import collections
+import os
+import re
 import subprocess
 import sys
 
@@ -92,8 +99,18 @@ def label(frame):
     return name
 
 
+CRATES = set(os.listdir("crates"))
+
+
+def source(loc):
+    """The workspace source file of a frame's location, or None (the
+    standard library's sources sit under /rustc/, some in crates/ dirs)."""
+    m = re.search(r"crates/([^/]+)/src/[^:]*\.rs", loc)
+    return m.group(0) if m and m.group(1) in CRATES and "/rustc/" not in loc else None
+
+
 host = setup = 0
-self_count, incl = collections.Counter(), collections.Counter()
+self_count, incl, files = collections.Counter(), collections.Counter(), collections.Counter()
 for s in stacks:
     fs = [f for a in s for f in frames.get(a, [("??", "??:0")])]
     if any("speedbench/src/host.rs" in loc for _, loc in fs):
@@ -107,14 +124,17 @@ for s in stacks:
     # runtime and harness frames above them.
     for name in {label(f) for f in fs if "/crates/" in f[1]}:
         incl[name] += 1
+    for file in {source(loc) for _, loc in fs} - {None}:
+        files[file] += 1
 
 n = len(stacks) - host - setup
 print(f"{len(stacks)} samples; left out: {host} ({100 * host / len(stacks):.1f}%) under "
       f"speedbench/src/host.rs, {setup} ({100 * setup / len(stacks):.1f}%) under the "
       f"untimed setup_pass; {n} counted")
-print("inclusive: functions under crates/ only; [file] marks an inlined frame")
-print("under fat LTO most of the runner inlines into Simulator::run: read the inclusive table")
-for title, counts in (("self", self_count), ("inclusive", incl)):
+print("trust the file table: it reads only frame locations; under fat LTO addr2line")
+print("pairs some function names with the wrong location, so the function tables mislead")
+print("function inclusive: functions under crates/ only; [file] marks an inlined frame")
+for title, counts in (("file inclusive", files), ("self", self_count), ("function inclusive", incl)):
     print(f"\ntop {top} by {title} samples:")
     for name, c in counts.most_common(top):
         print(f"{100 * c / max(n, 1):6.1f}%  {c:7}  {name}")

@@ -1,11 +1,13 @@
 //! Differential tests of the timing-only walks: on random map sequences,
 //! `EcptWalker::time_walk` and `RadixWalker::time_walk` must charge exactly
 //! what the reference `walk` charges and leave the walkers' counters where
-//! `walk` leaves them. The hashed tables run ECPT and ME-HPT under each of
-//! the lab's five variants, through upsizes and mid-resize states (in place
-//! and out of place, all-way and per-way); the radix trees have 4 and 5
-//! levels and map 4KB and 2MB pages. They assert with `assert_eq!`, so they
-//! hold in release builds too, where the walkers' own debug cross-check is
+//! `walk` leaves them, for walks to mapped pages and walks that fault. The
+//! hashed tables run ECPT and ME-HPT under each of the lab's five variants,
+//! through upsizes and mid-resize states (in place and out of place,
+//! all-way and per-way), and fault in 2MB regions whose 4KB pages warm the
+//! CWCs; the radix trees have 4 and 5 levels, map 4KB and 2MB pages, and
+//! fault at every path depth. They assert with `assert_eq!`, so they hold
+//! in release builds too, where the walkers' own debug cross-check is
 //! compiled out.
 
 use mehpt::ecpt::{Backing, EcptWalker, Hpt, HptView};
@@ -30,43 +32,36 @@ fn random_page(g: &mut Gen) -> (VirtAddr, PageSize) {
     (VirtAddr::new(g.below(8 * GIB)).page_base(ps), ps)
 }
 
-/// A walker that takes reference walks and one that takes timing walks,
-/// each with its own memory model.
+/// A walker that takes reference walks, with its memory model, and one
+/// that takes timing walks.
 struct HptPair {
     reference: (EcptWalker, MemoryModel),
-    timed: (EcptWalker, MemoryModel),
+    timed: EcptWalker,
 }
 
 impl HptPair {
     fn new() -> HptPair {
-        let walker = || (EcptWalker::paper_default(), MemoryModel::paper_default());
         HptPair {
-            reference: walker(),
-            timed: walker(),
+            reference: (EcptWalker::paper_default(), MemoryModel::paper_default()),
+            timed: EcptWalker::paper_default(),
         }
     }
 
-    fn walk<T: HptView>(&mut self, t: &T, va: VirtAddr) {
+    /// Walks `va` both ways; returns the reference walk's translation.
+    fn walk<T: HptView>(&mut self, t: &T, va: VirtAddr) -> Option<(Ppn, PageSize)> {
         let (rw, rm) = &mut self.reference;
-        let (tw, tm) = &mut self.timed;
+        let tw = &mut self.timed;
         let r = rw.walk(t, va, rm);
-        assert_eq!(
-            tw.time_walk(t, va, tm),
-            (r.cycles, r.memory_accesses),
-            "{va:?}"
-        );
+        assert_eq!(tw.time_walk(t, va), (r.cycles, r.memory_accesses), "{va:?}");
         assert_eq!((tw.walks(), tw.cwt_walks()), (rw.walks(), rw.cwt_walks()));
         assert_eq!(tw.mean_cycles(), rw.mean_cycles());
         assert_eq!(tw.mean_accesses(), rw.mean_accesses());
-        assert_eq!(
-            (tm.accesses(), tm.total_cycles()),
-            (rm.accesses(), rm.total_cycles())
-        );
+        r.translation
     }
 
     fn flush(&mut self) {
         self.reference.0.flush();
-        self.timed.0.flush();
+        self.timed.flush();
     }
 }
 
@@ -78,25 +73,32 @@ fn resizing<B: Backing>(hpt: &Hpt<B>) -> bool {
 }
 
 /// Maps a random sequence of pages into `hpt`; after every map, walks the
-/// new page, an earlier one and a (mostly unmapped) random address both
-/// ways. Returns how many maps left a table mid-resize.
+/// new page, an earlier one, an unmapped 4KB page in the earlier page's 2MB
+/// region (its CWC entries are warm) and a (mostly unmapped) random address
+/// both ways. Returns how many maps left a table mid-resize.
 fn hpt_trace<B: Backing>(g: &mut Gen, mut hpt: Hpt<B>, m: &mut PhysMem) -> u32 {
     let mut pair = HptPair::new();
     let mut mapped = Vec::new();
-    let mut mid_resize = 0;
+    let (mut mid_resize, mut warm_faults, mut faults) = (0, 0, 0);
     for i in 0..1500 {
         let (va, ps) = random_page(g);
         hpt.map(va.vpn(ps), ps, Ppn(i), m).unwrap();
         mapped.push(va);
         mid_resize += u32::from(resizing(&hpt));
         let earlier = mapped[g.index(mapped.len())];
-        for va in [va, earlier, VirtAddr::new(g.below(16 * GIB))] {
-            pair.walk(&hpt, va + g.below(4096));
+        pair.walk(&hpt, va + g.below(4096));
+        pair.walk(&hpt, earlier + g.below(4096));
+        let near = earlier.page_base(PageSize::Huge2M) + g.below(2 << 20);
+        if hpt.translate(near).is_none() {
+            assert_eq!(pair.walk(&hpt, near), None, "{near:?}");
+            warm_faults += 1;
         }
+        faults += u32::from(pair.walk(&hpt, VirtAddr::new(g.below(16 * GIB))).is_none());
         if g.below(64) == 0 {
             pair.flush();
         }
     }
+    assert!(warm_faults > 100 && faults > 100, "{warm_faults} {faults}");
     hpt.destroy(m);
     mid_resize
 }
@@ -131,15 +133,73 @@ fn mehpt_time_walk_matches_walk_in_every_variant() {
     }
 }
 
+/// How many entries a walk of `va` reads: a cold walk's memory accesses.
+fn path_depth(pt: &RadixPageTable, va: VirtAddr) -> usize {
+    let mut cold = RadixWalker::paper_default();
+    cold.walk(pt, va, &mut MemoryModel::paper_default())
+        .memory_accesses as usize
+}
+
+/// An unmapped address whose walk reads `depth` entries: `base` with its
+/// index at level `depth - 1` (0 is the root) changed to one whose entry is
+/// empty, or `None` if eight random tries find no such index.
+fn fault_at_depth(
+    g: &mut Gen,
+    pt: &RadixPageTable,
+    base: VirtAddr,
+    depth: usize,
+) -> Option<VirtAddr> {
+    let shift = 12 + 9 * (pt.levels() - depth);
+    (0..8)
+        .map(|_| VirtAddr::new(base.0 & !(0x1ff << shift) | g.below(512) << shift | g.below(4096)))
+        .find(|&va| pt.translate(va).is_none() && path_depth(pt, va) == depth)
+}
+
+/// The radix counterpart of [`HptPair`].
+struct RadixPair {
+    reference: (RadixWalker, MemoryModel),
+    timed: RadixWalker,
+}
+
+impl RadixPair {
+    /// Walks `va` both ways, the timing walk with the page size `pt` maps
+    /// `va` with; returns the reference walk's translation.
+    fn walk(&mut self, pt: &RadixPageTable, va: VirtAddr) -> Option<(Ppn, PageSize)> {
+        let (rw, rm) = &mut self.reference;
+        let tw = &mut self.timed;
+        let r = rw.walk(pt, va, rm);
+        let ps = r.translation.map(|(_, ps)| ps);
+        assert_eq!(ps, pt.translate(va).map(|(_, ps)| ps), "{va:?}");
+        let timed = tw.time_walk(pt, va, ps);
+        assert_eq!(timed, (r.cycles, r.memory_accesses), "{va:?} {ps:?}");
+        assert_eq!(tw.walks(), rw.walks());
+        assert_eq!(tw.mean_cycles(), rw.mean_cycles());
+        assert_eq!(tw.mean_accesses(), rw.mean_accesses());
+        assert_eq!(tw.pwc_hit_counts(), rw.pwc_hit_counts());
+        r.translation
+    }
+
+    fn flush(&mut self) {
+        self.reference.0.flush();
+        self.timed.flush();
+    }
+}
+
 /// Maps random 4KB and 2MB pages into a radix tree of `levels` levels;
-/// after every map, times the new page and an earlier one both ways, and
-/// takes a reference walk of a random address on both walkers (faulting
-/// walks have only the reference walk).
+/// after every map, walks the new page, an earlier one, a random address
+/// and an unmapped address whose walk faults at a random depth both ways.
+/// The first walk, on the empty tree, faults at the root.
 fn radix_trace(g: &mut Gen, levels: usize) {
     let mut m = mem();
     let mut pt = RadixPageTable::with_levels(levels, &mut m).unwrap();
-    let walker = || (RadixWalker::paper_default(), MemoryModel::paper_default());
-    let ((mut rw, mut rm), (mut tw, mut tm)) = (walker(), walker());
+    let mut pair = RadixPair {
+        reference: (RadixWalker::paper_default(), MemoryModel::paper_default()),
+        timed: RadixWalker::paper_default(),
+    };
+    let mut faults_at = vec![0; levels + 1];
+    let va = VirtAddr::new(g.below(16 * GIB));
+    assert_eq!((pair.walk(&pt, va), path_depth(&pt, va)), (None, 1));
+    faults_at[1] += 1;
     let mut mapped = Vec::new();
     for i in 0..600 {
         let (va, ps) = random_page(g);
@@ -153,27 +213,20 @@ fn radix_trace(g: &mut Gen, levels: usize) {
         let earlier = mapped[g.index(mapped.len())];
         for (va, ps) in [*mapped.last().unwrap(), earlier] {
             let va = va + g.below(ps.bytes());
-            let r = rw.walk(&pt, va, &mut rm);
-            assert_eq!(r.translation.map(|(_, wps)| wps), Some(ps));
-            let timed = tw.time_walk(&pt, va, ps, &mut tm);
-            assert_eq!(timed, (r.cycles, r.memory_accesses), "{va:?} {ps:?}");
+            assert_eq!(pair.walk(&pt, va).map(|(_, wps)| wps), Some(ps));
         }
-        let va = VirtAddr::new(g.below(16 * GIB));
-        assert_eq!(rw.walk(&pt, va, &mut rm), tw.walk(&pt, va, &mut tm));
+        pair.walk(&pt, VirtAddr::new(g.below(16 * GIB)));
+        let depth = 1 + g.index(levels);
+        if let Some(va) = fault_at_depth(g, &pt, earlier.0, depth) {
+            assert_eq!(pair.walk(&pt, va), None);
+            faults_at[depth] += 1;
+        }
         if g.below(64) == 0 {
-            rw.flush();
-            tw.flush();
+            pair.flush();
         }
-        assert_eq!(tw.walks(), rw.walks());
-        assert_eq!(tw.mean_cycles(), rw.mean_cycles());
-        assert_eq!(tw.mean_accesses(), rw.mean_accesses());
-        assert_eq!(tw.pwc_hit_counts(), rw.pwc_hit_counts());
-        assert_eq!(
-            (tm.accesses(), tm.total_cycles()),
-            (rm.accesses(), rm.total_cycles())
-        );
     }
     assert!(mapped.iter().any(|&(_, ps)| ps == PageSize::Huge2M));
+    assert!(faults_at[1..].iter().all(|&n| n > 0), "{faults_at:?}");
     pt.destroy(&mut m);
 }
 
