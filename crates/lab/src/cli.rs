@@ -74,11 +74,13 @@ OPTIONS:
                        hash); a kind* rule also fires on retries
     -h, --help         this text
 
-DIFF OPTIONS:
+DIFF OPTIONS (every metric is compared: the headline stat fields from
+each cell's stats, every other value of replicate 0's metrics):
     --abs-tol X        absolute tolerance per metric (default 0 = exact)
     --rel-tol X        relative tolerance per metric (default 0 = exact)
-    --no-ci            ignore 95% CI overlap (flag drift even when the two
-                       sweeps' own confidence bands already cover it)
+    --no-ci            ignore 95% CI overlap of the stat fields (flag drift
+                       even when the two sweeps' own confidence bands
+                       already cover it)
 
 Reports land in <out>/<preset>/report.{json,csv} (written atomically and
 fsynced). JSON and CSV are pure functions of the cell grid, seeds,
@@ -311,7 +313,10 @@ pub fn parse_args(args: &[String]) -> Result<LabArgs, String> {
         out.tuning.scale = s;
     }
     if let Some(gb) = mem_gb {
-        out.tuning.mem_bytes = gb * mehpt_types::GIB;
+        out.tuning.mem_bytes = gb
+            .checked_mul(mehpt_types::GIB)
+            .filter(|&bytes| bytes > 0)
+            .ok_or("--mem-gb must be between 1 and 17179869183")?;
     }
     if !out.list && out.presets.is_empty() {
         return Err("no preset given (try `mehpt-lab list`)".to_string());

@@ -2,24 +2,31 @@
 //!
 //! Two reports of the same grid (before/after a model change, two `--jobs`
 //! settings, two machines) are matched by cell identity and compared on
-//! the [`STAT_FIELDS`] headline metrics. A pair
-//! of values counts as drift only if it falls outside *both* acceptance
-//! bands:
+//! every metric, each exactly once:
 //!
-//! * the **tolerance band**: `|a - b| <= abs_tol + rel_tol * max(|a|, |b|)`
-//!   (defaults are zero — exact equality, the right setting for
-//!   determinism checks);
-//! * the **CI band** (when both reports carry multi-seed stats and
-//!   [`DiffOptions::ci_overlap`] is on): if the two 95% confidence
-//!   intervals overlap, the difference is within the sweeps' own
-//!   run-to-run noise and is not flagged.
+//! * the [`STAT_FIELDS`] headline metrics, read from the cell's `stats`
+//!   block (mean and 95% CI over its replicates);
+//! * every other key of the cell's `metrics` object (replicate 0's
+//!   measurements): each scalar, and each vector's length and elements.
+//!   A stat field missing from `stats` is compared here too.
 //!
-//! Cells present on only one side and per-cell status changes are always
-//! drift. Cells that *failed* (panicked or timed out) on either side carry
-//! no comparable metrics; their statuses are still compared, but their
-//! fields are skipped and counted ([`DiffReport::cells_skipped`]) instead
-//! of flagged as missing. Every field is read from the per-cell `stats`
-//! block, which schema v2, v3 and v4 reports share.
+//! A value counts as drift only if it falls outside every acceptance band
+//! that applies to it:
+//!
+//! * the **tolerance band**, for every value: `|a - b| <= abs_tol +
+//!   rel_tol * max(|a|, |b|)` (defaults are zero — exact equality, the
+//!   right setting for determinism checks);
+//! * the **CI band**, for the stat fields only (when both reports carry
+//!   multi-seed stats and [`DiffOptions::ci_overlap`] is on): if the two
+//!   95% confidence intervals overlap, the difference is within the
+//!   sweeps' own run-to-run noise and is not flagged.
+//!
+//! Cells present on only one side, per-cell status changes and metrics
+//! present on only one side are always drift. Cells that *failed*
+//! (panicked or timed out) on either side carry no comparable metrics;
+//! their statuses are still compared, but their fields are skipped and
+//! counted ([`DiffReport::cells_skipped`]) instead of flagged as missing.
+//! Schema v2, v3 and v4 reports share the `stats` and `metrics` layout.
 
 use std::fmt::Write as _;
 
@@ -165,6 +172,20 @@ impl<'a> CellView<'a> {
         let f = self.cell.get("stats")?.get(name)?;
         Some((f.get("mean")?.as_f64()?, f.get("ci95")?.as_f64()?))
     }
+
+    /// The entries of the cell's `metrics` object other than the stat
+    /// fields that [`CellView::field`] reads from `stats`; none when it
+    /// has no metrics.
+    fn metrics(&self) -> Vec<(&'a str, &'a Json)> {
+        match self.cell.get("metrics") {
+            Some(Json::Obj(entries)) => entries
+                .iter()
+                .filter(|(key, _)| self.field(key).is_none())
+                .map(|(key, value)| (key.as_str(), value))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
 }
 
 fn cells_by_id(doc: &Json) -> Result<Vec<(&str, CellView<'_>)>, String> {
@@ -194,6 +215,52 @@ fn within(a: (f64, f64), b: (f64, f64), opts: &DiffOptions) -> bool {
     // CI-overlap acceptance: only meaningful when at least one side
     // actually has a band (multi-seed stats), otherwise exactness rules.
     opts.ci_overlap && (ca > 0.0 || cb > 0.0) && va - ca <= vb + cb && vb - cb <= va + ca
+}
+
+/// Compares one `metrics` value of both sides under the tolerance band:
+/// a number, a vector (its length, then its common elements), or anything
+/// else (a `null` non-finite number), which must be equal.
+fn compare_metric(
+    id: &str,
+    field: &str,
+    a: &Json,
+    b: &Json,
+    opts: &DiffOptions,
+    report: &mut DiffReport,
+) {
+    let mut drift = |field: String, a: String, b: String| {
+        report.drifts.push(Drift {
+            id: id.to_string(),
+            field,
+            a,
+            b,
+        })
+    };
+    report.values_compared += 1;
+    match (a, b) {
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            if xs.len() != ys.len() {
+                drift(
+                    format!("{field}.len"),
+                    xs.len().to_string(),
+                    ys.len().to_string(),
+                );
+            }
+            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+                compare_metric(id, &format!("{field}[{i}]"), x, y, opts, report);
+            }
+        }
+        _ => match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) if within((x, 0.0), (y, 0.0), opts) => {}
+            (Some(x), Some(y)) => drift(field.to_string(), fmt_value(x, 0.0), fmt_value(y, 0.0)),
+            _ if a == b => {}
+            _ => drift(
+                field.to_string(),
+                a.render().trim_end().into(),
+                b.render().trim_end().into(),
+            ),
+        },
+    }
 }
 
 fn fmt_value(value: f64, ci: f64) -> String {
@@ -251,14 +318,19 @@ pub fn diff_documents(a: &Json, b: &Json, opts: &DiffOptions) -> Result<DiffRepo
                     }
                 }
                 (None, None) => {}
-                (fa, fb) => {
-                    report.drifts.push(Drift {
-                        id: id.to_string(),
-                        field: name.to_string(),
-                        a: if fa.is_some() { "present" } else { "missing" }.to_string(),
-                        b: if fb.is_some() { "present" } else { "missing" }.to_string(),
-                    });
-                }
+                (fa, _) => report.drifts.push(one_sided(id, name, fa.is_some())),
+            }
+        }
+        let (metrics_a, metrics_b) = (va.metrics(), vb.metrics());
+        for &(key, ma) in &metrics_a {
+            match metrics_b.iter().find(|(k, _)| *k == key) {
+                Some((_, mb)) => compare_metric(id, key, ma, mb, opts, &mut report),
+                None => report.drifts.push(one_sided(id, key, true)),
+            }
+        }
+        for (key, _) in metrics_b {
+            if !metrics_a.iter().any(|(k, _)| *k == key) {
+                report.drifts.push(one_sided(id, key, false));
             }
         }
     }
@@ -268,6 +340,22 @@ pub fn diff_documents(a: &Json, b: &Json, opts: &DiffOptions) -> Result<DiffRepo
         }
     }
     Ok(report)
+}
+
+/// The drift of a field that only one report's cell has: the first's if
+/// `in_a`.
+fn one_sided(id: &str, field: &str, in_a: bool) -> Drift {
+    let (a, b) = if in_a {
+        ("present", "missing")
+    } else {
+        ("missing", "present")
+    };
+    Drift {
+        id: id.to_string(),
+        field: field.to_string(),
+        a: a.to_string(),
+        b: b.to_string(),
+    }
 }
 
 /// Convenience wrapper: parse two report texts and diff them.
@@ -405,6 +493,83 @@ mod tests {
             ("failed", "timed_out")
         );
         assert_eq!(d.cells_skipped, 1);
+    }
+
+    /// An ok cell with stat fields at 1.0 ± 0.5 and the given `metrics`
+    /// object.
+    fn with_metrics(metrics: &str) -> String {
+        let cell = cell("c1", "ok", 1.0, 0.5);
+        doc(&[format!(
+            "{}, \"metrics\": {metrics}}}",
+            &cell[..cell.len() - 1]
+        )])
+    }
+
+    #[test]
+    fn every_metric_is_compared_once_under_the_tolerance_band() {
+        let a = with_metrics(r#"{"faults": 1, "walks": 10, "kicks_histogram": [5, 1]}"#);
+        let d = diff_texts(&a, &a, &DiffOptions::default()).unwrap();
+        assert!(d.clean(), "{}", d.render());
+        // The 8 stat fields, then `walks` and the vector's length and two
+        // elements; `faults` is a stat field, compared through `stats`.
+        assert_eq!(d.values_compared, STAT_FIELDS.len() + 4);
+
+        // Without a `stats` block, the stat fields are compared from
+        // `metrics`.
+        let flat = doc(&[r#"{"id": "c1", "status": "ok", "metrics": {"faults": 1}}"#.into()]);
+        let d = diff_texts(&flat, &flat, &DiffOptions::default()).unwrap();
+        assert_eq!(d.values_compared, 1);
+
+        // A metric's drift is not forgiven by the stat fields' CI band,
+        // only by the tolerance band.
+        let b = with_metrics(r#"{"faults": 1, "walks": 11, "kicks_histogram": [5, 1]}"#);
+        let d = diff_texts(&a, &b, &DiffOptions::default()).unwrap();
+        assert_eq!(d.drifts.len(), 1);
+        assert_eq!(
+            (d.drifts[0].a.as_str(), d.drifts[0].b.as_str()),
+            ("10", "11")
+        );
+        let rel = DiffOptions {
+            rel_tol: 0.1,
+            ..DiffOptions::default()
+        };
+        assert!(diff_texts(&a, &b, &rel).unwrap().clean());
+        // `faults` differs only in `metrics`: the stat field rules it.
+        let b = with_metrics(r#"{"faults": 2, "walks": 10, "kicks_histogram": [5, 1]}"#);
+        assert!(diff_texts(&a, &b, &DiffOptions::default()).unwrap().clean());
+    }
+
+    #[test]
+    fn vector_lengths_elements_and_one_sided_metrics_are_drift() {
+        let a = with_metrics(r#"{"walks": 10, "kicks_histogram": [5, 1]}"#);
+        let b = with_metrics(r#"{"walks": 10, "kicks_histogram": [5, 2, 1]}"#);
+        let d = diff_texts(&a, &b, &DiffOptions::default()).unwrap();
+        let fields: Vec<&str> = d.drifts.iter().map(|x| x.field.as_str()).collect();
+        assert_eq!(fields, ["kicks_histogram.len", "kicks_histogram[1]"]);
+
+        let b = with_metrics(r#"{"kicks_histogram": [5, 1], "chunk_switches": 0}"#);
+        let d = diff_texts(&a, &b, &DiffOptions::default()).unwrap();
+        let sides: Vec<(&str, &str, &str)> = d
+            .drifts
+            .iter()
+            .map(|x| (x.field.as_str(), x.a.as_str(), x.b.as_str()))
+            .collect();
+        assert_eq!(
+            sides,
+            [
+                ("walks", "present", "missing"),
+                ("chunk_switches", "missing", "present")
+            ]
+        );
+
+        // A non-finite value is written as null and equals only null.
+        let nan = with_metrics(r#"{"walks": null, "kicks_histogram": [5, 1]}"#);
+        assert!(diff_texts(&nan, &nan, &DiffOptions::default())
+            .unwrap()
+            .clean());
+        assert!(!diff_texts(&a, &nan, &DiffOptions::default())
+            .unwrap()
+            .clean());
     }
 
     #[test]

@@ -15,10 +15,19 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 /// A minimal but structurally complete schema-v4 report.
 fn tiny_report(total_cycles: u64) -> String {
+    report_with(mehpt_sim::Metrics {
+        accesses: 100,
+        total_cycles,
+        ..mehpt_sim::Metrics::default()
+    })
+}
+
+/// A minimal schema-v4 report whose one cell measured `metrics`.
+fn report_with(metrics: mehpt_sim::Metrics) -> String {
     use mehpt_lab::engine::{run_cells_with, RunOptions};
     use mehpt_lab::grid::{ExperimentGrid, Tuning};
     use mehpt_lab::report::LabReport;
-    use mehpt_sim::{Metrics, PtKind, SimReport};
+    use mehpt_sim::{PtKind, SimReport};
     use mehpt_workloads::App;
 
     let grid = ExperimentGrid::paper(vec![App::Gups], vec![PtKind::MeHpt], vec![false]);
@@ -31,11 +40,7 @@ fn tiny_report(total_cycles: u64) -> String {
             kind: spec.kind,
             thp: spec.thp,
             aborted: None,
-            metrics: Metrics {
-                accesses: 100,
-                total_cycles,
-                ..Metrics::default()
-            },
+            metrics: metrics.clone(),
         },
         &|_| {},
     );
@@ -95,6 +100,41 @@ fn diff_exit_codes_follow_the_contract() {
 }
 
 #[test]
+fn diff_compares_every_metric_not_only_the_stat_fields() {
+    let dir = tmp_dir("every-metric");
+    let a = dir.join("a.json");
+    let b = dir.join("b.json");
+    let base = mehpt_sim::Metrics {
+        accesses: 100,
+        total_cycles: 10_000,
+        mean_walk_accesses: 1.0005,
+        kicks_histogram: vec![90, 8, 2],
+        ..mehpt_sim::Metrics::default()
+    };
+    std::fs::write(&a, report_with(base.clone())).unwrap();
+    std::fs::write(&b, report_with(base.clone())).unwrap();
+    assert_eq!(run_diff(&diff_args(a.clone(), b.clone())), 0);
+
+    // 1: a metric outside the stat fields drifted, and nothing else.
+    let walk = mehpt_sim::Metrics {
+        mean_walk_accesses: 9.999,
+        ..base.clone()
+    };
+    std::fs::write(&b, report_with(walk)).unwrap();
+    assert_eq!(run_diff(&diff_args(a.clone(), b.clone())), 1);
+
+    // 1: one bucket of a vector metric drifted.
+    let kicks = mehpt_sim::Metrics {
+        kicks_histogram: vec![90, 9, 2],
+        ..base
+    };
+    std::fs::write(&b, report_with(kicks)).unwrap();
+    assert_eq!(run_diff(&diff_args(a, b)), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn usage_errors_are_distinct_from_io_errors() {
     // Exit 2 comes from the parse layer: the binary maps a parse error to
     // 2 before run_diff is ever reached. Pin the split here: bad flags
@@ -109,4 +149,22 @@ fn usage_errors_are_distinct_from_io_errors() {
         .map(|s| s.to_string())
         .collect();
     assert!(parse_command(&args).is_err());
+}
+
+#[test]
+fn impossible_memory_sizes_are_usage_errors() {
+    // `--mem-gb 17179869184` is 2^34 GB, whose byte count wraps to 0.
+    let parse = |mem_gb: &str| {
+        let args: Vec<String> = ["table1", "--quick", "--mem-gb", mem_gb]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        parse_command(&args)
+    };
+    for bad in ["0", "17179869184"] {
+        let err = parse(bad).err().unwrap_or_else(|| panic!("{bad} parsed"));
+        assert!(err.contains("--mem-gb"), "{err}");
+    }
+    assert!(parse("1").is_ok());
+    assert!(parse("17179869183").is_ok());
 }

@@ -16,6 +16,14 @@
 //! * an ECPT run **aborts** when a contiguous way allocation fails, exactly
 //!   like the paper's runs at FMFI > 0.7.
 //!
+//! There is one simulated machine: physical memory fragmented to the
+//! configured FMFI, one core with one TLB hierarchy, and processes that
+//! run round-robin in time slices, each with its own page table of the
+//! configured design (chosen in one place, when a process is created).
+//! [`run_multi`] runs several processes on it; [`Simulator::run`] runs one
+//! process with an unbounded slice, as in the paper's single-application
+//! experiments.
+//!
 //! The output is a [`SimReport`] whose [`Metrics`] carry everything the
 //! paper's tables and figures need: cycles (total and per component),
 //! page-table memory (final, peak, max contiguous), per-way sizes and

@@ -1,15 +1,12 @@
 use mehpt_core::L2pTable;
-use mehpt_ecpt::{Backing, CuckooConfig};
-use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
-use mehpt_tlb::TlbHierarchy;
-use mehpt_types::rng::Xoshiro256;
+use mehpt_mem::AllocTag;
 use mehpt_workloads::Workload;
 
-use crate::runner::ProcState;
-use crate::{PtKind, SimConfig, SimReport};
+use crate::runner::run_slices;
+use crate::{SimConfig, SimReport};
 
 /// Fixed OS cost of a context switch (register state, scheduler).
-const SWITCH_CYCLES: u64 = 1_000;
+pub(crate) const SWITCH_CYCLES: u64 = 1_000;
 /// Cycles per 8 bytes of L2P state saved or restored on a switch
 /// (streaming MMU register I/O).
 const L2P_QWORD_CYCLES: u64 = 4;
@@ -88,21 +85,7 @@ impl MultiReport {
 /// Panics if `workloads` is empty or the initial page tables cannot be
 /// allocated.
 pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
-    match cfg.base.kind {
-        PtKind::MeHpt => {
-            let hpt = cfg.base.mehpt.clone();
-            run_multi_on::<L2pTable>(workloads, cfg, hpt)
-        }
-        PtKind::Radix | PtKind::Ecpt => run_multi_on::<()>(workloads, cfg, CuckooConfig::default()),
-    }
-}
-
-fn run_multi_on<B: Backing>(
-    workloads: Vec<Workload>,
-    cfg: MultiConfig,
-    hpt: B::Config,
-) -> MultiReport {
-    let m = run_slices::<B>(workloads, &cfg, hpt);
+    let m = run_slices(workloads, &cfg);
     let pt = m.mem.stats().tag(AllocTag::PageTable);
     let (peak_pt_bytes, max_contiguous) = (pt.peak_bytes, pt.max_contiguous_bytes);
     let processes = m
@@ -116,82 +99,6 @@ fn run_multi_on<B: Backing>(
         switch_cycles: m.switch_cycles,
         peak_pt_bytes,
         max_contiguous,
-    }
-}
-
-/// The machine after a multiprogrammed run's last slice.
-struct Machine<B: Backing> {
-    procs: Vec<ProcState<B>>,
-    mem: PhysMem,
-    switches: u64,
-    switch_cycles: u64,
-    /// Data-page moves handed from the running process to the owner.
-    #[cfg(test)]
-    moves_handed_over: u64,
-}
-
-/// Runs the workloads' slices round-robin until every process finishes.
-fn run_slices<B: Backing>(
-    workloads: Vec<Workload>,
-    cfg: &MultiConfig,
-    hpt: B::Config,
-) -> Machine<B> {
-    assert!(!workloads.is_empty(), "need at least one workload");
-    let mut mem = PhysMem::new(cfg.base.mem_bytes);
-    let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
-    Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
-    let mut tlb = TlbHierarchy::paper_default();
-    let mut procs: Vec<ProcState<B>> = workloads
-        .into_iter()
-        .map(|wl| ProcState::new(wl, &cfg.base, hpt.clone(), &mut mem))
-        .collect();
-
-    let (mut switches, mut switch_cycles) = (0, 0);
-    #[cfg(test)]
-    let mut moves_handed_over = 0;
-    loop {
-        let mut any_ran = false;
-        for i in 0..procs.len() {
-            let proc = &mut procs[i];
-            if proc.finished() {
-                continue;
-            }
-            // Context switch in: flush shared translation state and pay
-            // the switch + L2P restore bill.
-            tlb.flush();
-            proc.flush_walker();
-            switches += 1;
-            switch_cycles += SWITCH_CYCLES + l2p_save_restore_cycles(proc.l2p_entries_used());
-            for _ in 0..cfg.time_slice {
-                if !proc.step(&cfg.base, &mut mem, &mut tlb) {
-                    break;
-                }
-            }
-            // The slice's compactions may have moved other processes'
-            // data pages; their owners rewrite their page tables now.
-            let mut moves = proc.take_foreign_moves();
-            #[cfg(test)]
-            {
-                moves_handed_over += moves.len() as u64;
-            }
-            for (j, other) in procs.iter_mut().enumerate() {
-                if j != i && !moves.is_empty() {
-                    other.adopt_moves(&mut moves, &mut mem);
-                }
-            }
-            any_ran = true;
-        }
-        if !any_ran {
-            break;
-        }
-    }
-    Machine {
-        procs,
-        mem,
-        switches,
-        switch_cycles,
-        #[cfg(test)]
-        moves_handed_over,
     }
 }
 
@@ -305,7 +212,7 @@ mod tests {
         cfg.base.mem_bytes = 256 << 20;
         cfg.base.fragmentation = 0.99;
         cfg.time_slice = 2_000;
-        let m = run_slices::<()>(wls, &cfg, CuckooConfig::default());
+        let m = run_slices(wls, &cfg);
         assert!(m.moves_handed_over > 0, "no move crossed processes");
         let mut frames = std::collections::HashSet::new();
         for proc in &m.procs {

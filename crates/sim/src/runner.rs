@@ -1,33 +1,48 @@
-use mehpt_core::L2pTable;
-use mehpt_ecpt::{Backing, CuckooConfig, EcptWalker, Hpt};
+use mehpt_core::MeHpt;
+use mehpt_ecpt::{Backing, Ecpt, EcptWalker, Hpt, InsertReport};
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::TlbHierarchy;
 use mehpt_types::hashmap::SplitMixMap;
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, Ppn, VirtAddr, PAGE_SIZES};
-use mehpt_workloads::{Region, Workload};
+use mehpt_workloads::Workload;
 
 use crate::config::{
     BASE_ACCESS_CYCLES, INSERT_CYCLES, KICK_CYCLES, MIGRATE_ENTRY_CYCLES, PAGE_FAULT_CYCLES,
 };
+use crate::multi::SWITCH_CYCLES;
 use crate::os_map::OsMap;
-use crate::{Metrics, PtKind, SimConfig, SimReport};
+use crate::{l2p_save_restore_cycles, Metrics, MultiConfig, PtKind, SimConfig, SimReport};
 
-/// The page table under simulation, with its hardware walker: radix, or a
-/// hashed page table of design `B` (ECPT or ME-HPT).
-enum Pt<B: Backing> {
-    Radix {
-        table: RadixPageTable,
-        walker: RadixWalker,
-    },
-    Hashed {
-        table: Hpt<B>,
-        walker: EcptWalker,
-    },
+/// A process's page table under simulation, with its hardware walker: one
+/// variant per design.
+enum Pt {
+    Radix(RadixPageTable, RadixWalker),
+    Ecpt(Ecpt, EcptWalker),
+    MeHpt(MeHpt, EcptWalker),
 }
 
-impl<B: Backing> Pt<B> {
+impl Pt {
+    /// A new process's page table of the design `cfg.kind`: the only place
+    /// the simulator maps a [`PtKind`] to a page table.
+    fn new(cfg: &SimConfig, mem: &mut PhysMem) -> Pt {
+        match cfg.kind {
+            PtKind::Radix => Pt::Radix(
+                RadixPageTable::new(mem).expect("initial radix root"),
+                RadixWalker::paper_default(),
+            ),
+            PtKind::Ecpt => Pt::Ecpt(
+                Ecpt::new(mem).expect("ECPT process state"),
+                EcptWalker::paper_default(),
+            ),
+            PtKind::MeHpt => Pt::MeHpt(
+                MeHpt::with_config(cfg.mehpt.clone(), mem).expect("ME-HPT process state"),
+                EcptWalker::paper_default(),
+            ),
+        }
+    }
+
     /// A timed walk for `va`, which the OS maps with a page of size `ps`,
     /// or does not map if `ps` is `None` (the walk faults); returns its
     /// cycles. The walkers' timing walks read no translation, so builds
@@ -52,24 +67,22 @@ impl<B: Backing> Pt<B> {
             }
         }
         match self {
-            Pt::Radix { table, walker } => walker.time_walk(table, va, ps).0,
-            Pt::Hashed { table, walker } => walker.time_walk(table, va).0,
+            Pt::Radix(table, walker) => walker.time_walk(table, va, ps).0,
+            Pt::Ecpt(table, walker) => walker.time_walk(table, va).0,
+            Pt::MeHpt(table, walker) => walker.time_walk(table, va).0,
         }
     }
 
     /// Functional translation (no timing).
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {
         match self {
-            Pt::Radix { table, .. } => table.translate(va),
-            Pt::Hashed { table, .. } => table.translate(va),
+            Pt::Radix(table, _) => table.translate(va),
+            Pt::Ecpt(table, _) => table.translate(va),
+            Pt::MeHpt(table, _) => table.translate(va),
         }
     }
 
     /// Maps a page; returns `(kicks, migrated_entries)` for OS costing.
-    ///
-    /// The walker's CWC entries mirror the CWT; they only need a shootdown
-    /// when the region's page-size *mask* changes (the first mapping of a
-    /// size in a region), not on every insert.
     fn map(
         &mut self,
         va: VirtAddr,
@@ -77,20 +90,15 @@ impl<B: Backing> Pt<B> {
         ppn: Ppn,
         mem: &mut PhysMem,
     ) -> Result<(u32, u32), String> {
-        let vpn = va.vpn(ps);
-        match self {
-            Pt::Radix { table, .. } => table
-                .map(vpn, ps, ppn, mem)
-                .map(|()| (0, 0))
-                .map_err(|e| e.to_string()),
-            Pt::Hashed { table, walker } => {
-                let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
-                if report.cwt_grew {
-                    walker.invalidate_region(va);
-                }
-                Ok((report.kicks, report.migrated))
+        let report = match self {
+            Pt::Radix(table, _) => {
+                let mapped = table.map(va.vpn(ps), ps, ppn, mem);
+                return mapped.map(|()| (0, 0)).map_err(|e| e.to_string());
             }
-        }
+            Pt::Ecpt(table, walker) => map_hashed(table, walker, va, ps, ppn, mem)?,
+            Pt::MeHpt(table, walker) => map_hashed(table, walker, va, ps, ppn, mem)?,
+        };
+        Ok((report.kicks, report.migrated))
     }
 
     /// Rewrites the PPN of an existing mapping (compaction migrated the
@@ -102,60 +110,96 @@ impl<B: Backing> Pt<B> {
         ppn: Ppn,
         mem: &mut PhysMem,
     ) -> Result<(), String> {
-        let vpn = va.vpn(ps);
-        match self {
-            Pt::Radix { table, .. } => {
-                let ok = table.remap(vpn, ps, ppn);
-                debug_assert!(ok, "relocated frame had no mapping");
-                Ok(())
-            }
-            // `map` on an existing VPN updates the translation in place.
-            Pt::Hashed { table, .. } => {
-                let report = table.map(vpn, ps, ppn, mem).map_err(|e| e.to_string())?;
-                debug_assert!(!report.added, "relocated frame had no mapping");
-                Ok(())
-            }
-        }
+        let had_mapping = match self {
+            Pt::Radix(table, _) => table.remap(va.vpn(ps), ps, ppn),
+            Pt::Ecpt(table, walker) => !map_hashed(table, walker, va, ps, ppn, mem)?.added,
+            Pt::MeHpt(table, walker) => !map_hashed(table, walker, va, ps, ppn, mem)?.added,
+        };
+        debug_assert!(had_mapping, "relocated frame had no mapping");
+        Ok(())
     }
 
     fn flush_walker(&mut self) {
         match self {
-            Pt::Radix { walker, .. } => walker.flush(),
-            Pt::Hashed { walker, .. } => walker.flush(),
+            Pt::Radix(_, walker) => walker.flush(),
+            Pt::Ecpt(_, walker) | Pt::MeHpt(_, walker) => walker.flush(),
         }
     }
 
     fn bytes(&self) -> u64 {
         match self {
-            Pt::Radix { table, .. } => table.memory_bytes(),
-            Pt::Hashed { table, .. } => table.memory_bytes(),
+            Pt::Radix(table, _) => table.memory_bytes(),
+            Pt::Ecpt(table, _) => table.memory_bytes(),
+            Pt::MeHpt(table, _) => table.memory_bytes(),
+        }
+    }
+
+    fn l2p_entries(&self) -> u64 {
+        match self {
+            Pt::MeHpt(table, _) => table.l2p_entries_used() as u64,
+            Pt::Radix(..) | Pt::Ecpt(..) => 0,
+        }
+    }
+
+    /// Fills the walker's and the page table's fields of `m`.
+    fn measure(&self, m: &mut Metrics) {
+        m.pt_final_bytes = self.bytes();
+        m.l2p_entries_used = self.l2p_entries();
+        (m.walks, m.mean_walk_accesses, m.mean_walk_cycles) = match self {
+            Pt::Radix(_, w) => (w.walks(), w.mean_accesses(), w.mean_cycles()),
+            Pt::Ecpt(_, w) | Pt::MeHpt(_, w) => (w.walks(), w.mean_accesses(), w.mean_cycles()),
+        };
+        match self {
+            Pt::Radix(..) => {}
+            Pt::Ecpt(table, _) => measure_ways(table, m),
+            Pt::MeHpt(table, _) => measure_ways(table, m),
         }
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    accesses: u64,
-    total: u64,
-    base: u64,
-    translation: u64,
-    fault: u64,
-    alloc: u64,
-    os_pt: u64,
-    faults: u64,
-    pages_4k: u64,
-    pages_2m: u64,
-    pt_peak: u64,
+/// Maps a page in a hashed page table, or rewrites the PPN of an existing
+/// mapping. The walker's CWC entries mirror the CWT; they only need a
+/// shootdown when the region's page-size *mask* changes (the first mapping
+/// of a size in a region), not on every insert.
+fn map_hashed<B: Backing>(
+    table: &mut Hpt<B>,
+    walker: &mut EcptWalker,
+    va: VirtAddr,
+    ps: PageSize,
+    ppn: Ppn,
+    mem: &mut PhysMem,
+) -> Result<InsertReport, String> {
+    let report = table
+        .map(va.vpn(ps), ps, ppn, mem)
+        .map_err(|e| e.to_string())?;
+    if report.cwt_grew {
+        walker.invalidate_region(va);
+    }
+    Ok(report)
+}
+
+/// Fills the per-way fields of `m` from a hashed page table.
+fn measure_ways<B: Backing>(table: &Hpt<B>, m: &mut Metrics) {
+    if let Some(t4k) = table.table(PageSize::Base4K) {
+        m.way_sizes_4k = t4k.way_sizes();
+        m.way_phys_4k = t4k.way_phys_bytes();
+        m.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
+        m.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
+    }
+    if let Some(t2m) = table.table(PageSize::Huge2M) {
+        m.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
+    }
+    for t in PAGE_SIZES.iter().filter_map(|&ps| table.table(ps)) {
+        merge_hist(&mut m.kicks_histogram, &t.stats().kicks_histogram);
+        m.chunk_switches += t.stats().chunk_switches;
+    }
 }
 
 /// One simulated process: its page table, walker, OS bookkeeping and
-/// counters. Used directly by [`Simulator::run`] and round-robin by
-/// [`run_multi`](crate::run_multi). `B` is the hashed page table's design;
-/// radix runs leave it at `()`.
-pub(crate) struct ProcState<B: Backing> {
+/// measurements. The machine ([`run_slices`]) runs one or more of them.
+pub(crate) struct ProcState {
     workload: Workload,
-    pt: Pt<B>,
-    regions: Vec<Region>,
+    pt: Pt,
     /// The page of each data frame this process maps, keyed by the start
     /// frame of the page's block: the page's base address with its
     /// page-size index in the low bits, which a page-aligned address leaves
@@ -168,8 +212,8 @@ pub(crate) struct ProcState<B: Backing> {
     frame_owner: Option<SplitMixMap<u64, u64>>,
     /// Data-page moves drained during this process's steps whose pages
     /// another process maps (processes share [`PhysMem`]), as
-    /// `(old_frame, new_frame)` in the order compaction made them.
-    /// [`run_multi`](crate::run_multi) hands them to their owners.
+    /// `(old_frame, new_frame)` in the order compaction made them. The
+    /// machine hands them to their owners at the end of the slice.
     foreign_moves: Vec<(u64, u64)>,
     /// The frame→page map kept eagerly on every fault, as the runner once
     /// did: the oracle the lazy `frame_owner` is checked against.
@@ -180,61 +224,39 @@ pub(crate) struct ProcState<B: Backing> {
     /// One-entry translation micro-cache (mappings are only ever added in
     /// these traces, so entries never go stale; remaps keep the page size).
     last: Option<(u64, PageSize)>,
-    counters: Counters,
+    /// The measurements so far. Its `pt_peak_bytes` is the page table's
+    /// size sampled every 4096 faults; the page table's and walker's own
+    /// fields are filled in by [`ProcState::into_report`].
+    m: Metrics,
     aborted: Option<String>,
     done: bool,
 }
 
-impl<B: Backing> ProcState<B> {
-    /// A process whose hashed page table, unless `cfg` asks for radix, is
-    /// design `B` configured by `hpt`.
-    pub(crate) fn new(
-        workload: Workload,
-        cfg: &SimConfig,
-        hpt: B::Config,
-        mem: &mut PhysMem,
-    ) -> ProcState<B> {
-        let pt = match cfg.kind {
-            PtKind::Radix => Pt::Radix {
-                table: RadixPageTable::new(mem).expect("initial radix root"),
-                walker: RadixWalker::paper_default(),
-            },
-            PtKind::Ecpt | PtKind::MeHpt => Pt::Hashed {
-                table: Hpt::with_config(hpt, mem).expect("hashed page table process state"),
-                walker: EcptWalker::paper_default(),
-            },
-        };
-        let regions = workload.regions().to_vec();
-        let os = OsMap::new(&regions);
+impl ProcState {
+    fn new(workload: Workload, cfg: &SimConfig, mem: &mut PhysMem) -> ProcState {
         ProcState {
+            pt: Pt::new(cfg, mem),
+            os: OsMap::new(workload.regions()),
             workload,
-            pt,
-            regions,
             frame_owner: None,
             foreign_moves: Vec::new(),
             #[cfg(test)]
             eager_owner: SplitMixMap::default(),
-            os,
             last: None,
-            counters: Counters::default(),
+            m: Metrics::default(),
             aborted: None,
             done: false,
         }
     }
 
-    pub(crate) fn finished(&self) -> bool {
-        self.done
-    }
-
-    pub(crate) fn flush_walker(&mut self) {
-        self.pt.flush_walker();
-    }
-
-    pub(crate) fn l2p_entries_used(&self) -> u64 {
-        match &self.pt {
-            Pt::Radix { .. } => 0,
-            Pt::Hashed { table, .. } => table.l2p_entries_used() as u64,
-        }
+    /// Ends the process's run with `why`; returns `false`, as a [`step`]
+    /// that ends the run does.
+    ///
+    /// [`step`]: ProcState::step
+    fn abort(&mut self, why: String) -> bool {
+        self.aborted = Some(why);
+        self.done = true;
+        false
     }
 
     /// Every page the OS has mapped: its base address, its size and the
@@ -268,7 +290,7 @@ impl<B: Backing> ProcState<B> {
         }
         if self.frame_owner.is_none() {
             let mut owners = SplitMixMap::default();
-            owners.reserve((self.counters.pages_4k + self.counters.pages_2m) as usize);
+            owners.reserve((self.m.pages_4k + self.m.pages_2m) as usize);
             owners.extend(
                 self.mapped_pages()
                     .map(|(va, ps, frame)| (frame, va.0 | ps.index() as u64)),
@@ -292,26 +314,10 @@ impl<B: Backing> ProcState<B> {
                 }
             }
             Err(e) => {
-                self.aborted = Some(format!("page-table remap failed: {e}"));
-                self.done = true;
+                self.abort(format!("page-table remap failed: {e}"));
             }
         }
         true
-    }
-
-    /// Applies, while this process sleeps, the moves in `moves` whose
-    /// pages it maps, and keeps the others in `moves` in their order. It
-    /// shoots down no TLB entry: the shared TLB holds only the running
-    /// process's entries and is flushed at every switch, and every process
-    /// uses the same virtual addresses.
-    pub(crate) fn adopt_moves(&mut self, moves: &mut Vec<(u64, u64)>, mem: &mut PhysMem) {
-        moves.retain(|&(old_frame, new_frame)| !self.apply_move(old_frame, new_frame, mem, None));
-    }
-
-    /// The data-page moves drained since the last call whose pages this
-    /// process does not map.
-    pub(crate) fn take_foreign_moves(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.foreign_moves)
     }
 
     /// Simulates one memory access. Returns `false` when the trace is
@@ -323,7 +329,7 @@ impl<B: Backing> ProcState<B> {
         mem: &mut PhysMem,
         tlb: &mut TlbHierarchy,
     ) -> bool {
-        if self.counters.accesses >= cfg.max_accesses.unwrap_or(u64::MAX) {
+        if self.m.accesses >= cfg.max_accesses.unwrap_or(u64::MAX) {
             self.done = true;
         }
         if self.done {
@@ -333,10 +339,10 @@ impl<B: Backing> ProcState<B> {
             self.done = true;
             return false;
         };
-        let c = &mut self.counters;
-        c.accesses += 1;
-        c.total += BASE_ACCESS_CYCLES;
-        c.base += BASE_ACCESS_CYCLES;
+        let m = &mut self.m;
+        m.accesses += 1;
+        m.total_cycles += BASE_ACCESS_CYCLES;
+        m.base_cycles += BASE_ACCESS_CYCLES;
 
         let page4k = va.0 >> 12;
         let mapped = match self.last {
@@ -346,84 +352,67 @@ impl<B: Backing> ProcState<B> {
         if let Some(ps) = mapped {
             self.last = Some((page4k, ps));
             let out = tlb.lookup(va, ps);
-            c.translation += out.cycles();
-            c.total += out.cycles();
+            m.translation_cycles += out.cycles();
+            m.total_cycles += out.cycles();
             if out.is_miss() {
                 let wc = self.pt.time_walk(va, Some(ps), mem);
-                c.translation += wc;
-                c.total += wc;
+                m.translation_cycles += wc;
+                m.total_cycles += wc;
                 tlb.fill(va.vpn(ps), ps);
             }
             return true;
         }
 
         // ---- page fault ----
-        let Some(region) = self.regions.iter().find(|r| r.contains(va)) else {
-            self.aborted = Some(format!("access to {va} lies outside every region"));
-            self.done = true;
-            return false;
+        let regions = self.workload.regions();
+        let Some(thp_eligible) = regions
+            .iter()
+            .find(|r| r.contains(va))
+            .map(|r| r.thp_eligible)
+        else {
+            return self.abort(format!("access to {va} lies outside every region"));
         };
-        c.faults += 1;
+        m.faults += 1;
         let out = tlb.lookup(va, PageSize::Base4K);
         let wc = self.pt.time_walk(va, None, mem); // the walk that faults
-        c.translation += out.cycles() + wc;
-        c.total += out.cycles() + wc;
-        c.total += PAGE_FAULT_CYCLES;
-        c.fault += PAGE_FAULT_CYCLES;
+        m.translation_cycles += out.cycles() + wc;
+        m.total_cycles += out.cycles() + wc;
+        m.total_cycles += PAGE_FAULT_CYCLES;
+        m.fault_cycles += PAGE_FAULT_CYCLES;
 
         let alloc_before = mem.stats().total_alloc_cycles();
-        let thp_ok = cfg.thp && region.thp_eligible;
-        let mut chosen: Option<(PageSize, Ppn)> = None;
-        if thp_ok && !self.os.huge_blocked(va) {
-            match mem.alloc(PageSize::Huge2M.bytes(), AllocTag::Data) {
-                Ok(chunk) => {
-                    chosen = Some((
-                        PageSize::Huge2M,
-                        Ppn(chunk.base().0 >> PageSize::Huge2M.shift()),
-                    ));
-                }
-                Err(_) => {
-                    // Fall back to 4KB for this region permanently, like a
-                    // failed khugepaged attempt.
-                    self.os.note_huge_failed(va);
-                }
+        let mut data = None;
+        if cfg.thp && thp_eligible && !self.os.huge_blocked(va) {
+            data = mem.alloc(PageSize::Huge2M.bytes(), AllocTag::Data).ok();
+            if data.is_none() {
+                // Fall back to 4KB for this region permanently, like a
+                // failed khugepaged attempt.
+                self.os.note_huge_failed(va);
             }
         }
-        if chosen.is_none() {
-            match mem.alloc(PageSize::Base4K.bytes(), AllocTag::Data) {
-                Ok(chunk) => {
-                    chosen = Some((
-                        PageSize::Base4K,
-                        Ppn(chunk.base().0 >> PageSize::Base4K.shift()),
-                    ));
-                }
-                Err(e) => {
-                    self.aborted = Some(format!("data allocation failed: {e}"));
-                    self.done = true;
-                    return false;
-                }
-            }
-        }
-        let (ps, ppn) = chosen.expect("a frame was allocated");
+        let (ps, chunk) = match data {
+            Some(chunk) => (PageSize::Huge2M, chunk),
+            None => match mem.alloc(PageSize::Base4K.bytes(), AllocTag::Data) {
+                Ok(chunk) => (PageSize::Base4K, chunk),
+                Err(e) => return self.abort(format!("data allocation failed: {e}")),
+            },
+        };
+        let ppn = Ppn(chunk.base().0 >> ps.shift());
         match self.pt.map(va, ps, ppn, mem) {
             Ok((kicks, migrated)) => {
                 let os = INSERT_CYCLES
                     + kicks as u64 * KICK_CYCLES
                     + migrated as u64 * MIGRATE_ENTRY_CYCLES;
-                c.os_pt += os;
-                c.total += os;
+                self.m.os_pt_cycles += os;
+                self.m.total_cycles += os;
             }
-            Err(e) => {
-                // The paper's ECPT failure mode: a contiguous way could not
-                // be allocated; the run cannot finish.
-                self.aborted = Some(format!("page-table insertion failed: {e}"));
-                self.done = true;
-                return false;
-            }
+            // The paper's ECPT failure mode: a contiguous way could not be
+            // allocated; the run cannot finish.
+            Err(e) => return self.abort(format!("page-table insertion failed: {e}")),
         }
         match ps {
-            PageSize::Base4K => c.pages_4k += 1,
-            PageSize::Huge2M => c.pages_2m += 1,
+            PageSize::Base4K => self.m.pages_4k += 1,
+            PageSize::Huge2M => self.m.pages_2m += 1,
             PageSize::Giant1G => {}
         }
         self.os.insert(va, ps);
@@ -452,10 +441,12 @@ impl<B: Backing> ProcState<B> {
         }
         tlb.fill(va.vpn(ps), ps);
         self.last = Some((page4k, ps));
-        let c = &mut self.counters;
-        c.alloc += mem.stats().total_alloc_cycles() - alloc_before;
-        if c.faults.is_multiple_of(4096) {
-            c.pt_peak = c.pt_peak.max(self.pt.bytes());
+        let m = &mut self.m;
+        let alloc = mem.stats().total_alloc_cycles() - alloc_before;
+        m.alloc_cycles += alloc;
+        m.total_cycles += alloc;
+        if m.faults.is_multiple_of(4096) {
+            m.pt_peak_bytes = m.pt_peak_bytes.max(self.pt.bytes());
         }
         true
     }
@@ -466,52 +457,11 @@ impl<B: Backing> ProcState<B> {
     /// one process. [`Simulator::run`] fills in the miss rate and raises
     /// the peak to the allocator's page-table high-water mark.
     pub(crate) fn into_report(self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
-        let c = &self.counters;
-        let total = c.total + c.alloc;
-        let (walks, mean_walk_cycles, mean_walk_accesses) = match &self.pt {
-            Pt::Radix { walker, .. } => {
-                (walker.walks(), walker.mean_cycles(), walker.mean_accesses())
-            }
-            Pt::Hashed { walker, .. } => {
-                (walker.walks(), walker.mean_cycles(), walker.mean_accesses())
-            }
-        };
-        let mut m = Metrics {
-            accesses: c.accesses,
-            total_cycles: total,
-            base_cycles: c.base,
-            translation_cycles: c.translation,
-            fault_cycles: c.fault,
-            alloc_cycles: c.alloc,
-            os_pt_cycles: c.os_pt,
-            faults: c.faults,
-            pages_4k: c.pages_4k,
-            pages_2m: c.pages_2m,
-            walks,
-            mean_walk_accesses,
-            mean_walk_cycles,
-            pt_final_bytes: self.pt.bytes(),
-            pt_peak_bytes: c.pt_peak.max(self.pt.bytes()),
-            pt_max_contiguous: mem.stats().tag(AllocTag::PageTable).max_contiguous_bytes,
-            l2p_entries_used: self.l2p_entries_used(),
-            data_bytes_nominal: self.workload.nominal_data_bytes(),
-            ..Metrics::default()
-        };
-        if let Pt::Hashed { table, .. } = &self.pt {
-            if let Some(t4k) = table.table(PageSize::Base4K) {
-                m.way_sizes_4k = t4k.way_sizes();
-                m.way_phys_4k = t4k.way_phys_bytes();
-                m.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
-                m.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
-            }
-            if let Some(t2m) = table.table(PageSize::Huge2M) {
-                m.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
-            }
-            for t in PAGE_SIZES.iter().filter_map(|&ps| table.table(ps)) {
-                merge_hist(&mut m.kicks_histogram, &t.stats().kicks_histogram);
-                m.chunk_switches += t.stats().chunk_switches;
-            }
-        }
+        let mut m = self.m;
+        self.pt.measure(&mut m);
+        m.pt_peak_bytes = m.pt_peak_bytes.max(m.pt_final_bytes);
+        m.pt_max_contiguous = mem.stats().tag(AllocTag::PageTable).max_contiguous_bytes;
+        m.data_bytes_nominal = self.workload.nominal_data_bytes();
         SimReport {
             app: self.workload.name().to_string(),
             kind: cfg.kind,
@@ -522,42 +472,115 @@ impl<B: Backing> ProcState<B> {
     }
 }
 
+/// The simulated machine after its last slice: the processes it ran, the
+/// physical memory they shared, and the TLB they shared.
+pub(crate) struct Machine {
+    pub(crate) procs: Vec<ProcState>,
+    pub(crate) mem: PhysMem,
+    pub(crate) tlb: TlbHierarchy,
+    pub(crate) switches: u64,
+    pub(crate) switch_cycles: u64,
+    /// Data-page moves handed from the running process to the owner.
+    #[cfg(test)]
+    pub(crate) moves_handed_over: u64,
+}
+
+/// Runs the workloads as the processes of one machine: physical memory of
+/// `cfg.base.mem_bytes` fragmented to `cfg.base.fragmentation`, one core
+/// and one TLB, each process with its own page table of `cfg.base.kind`.
+/// Processes run round-robin, `cfg.time_slice` accesses at a time, until
+/// every one finishes.
+///
+/// Every switch in, the first included, flushes the TLB and the incoming
+/// process's walker caches and costs `SWITCH_CYCLES` plus
+/// [`l2p_save_restore_cycles`] of the process's live L2P entries. Data
+/// pages that compaction moves during one process's slice but another
+/// process maps are rewritten in the owner's page table at the end of the
+/// slice.
+pub(crate) fn run_slices(workloads: Vec<Workload>, cfg: &MultiConfig) -> Machine {
+    assert!(!workloads.is_empty(), "need at least one workload");
+    let base = &cfg.base;
+    let mut mem = PhysMem::new(base.mem_bytes);
+    let mut rng = Xoshiro256::seed_from_u64(base.seed);
+    Fragmenter::fragment(&mut mem, base.fragmentation, &mut rng);
+    let mut tlb = TlbHierarchy::paper_default();
+    let mut procs: Vec<ProcState> = workloads
+        .into_iter()
+        .map(|wl| ProcState::new(wl, base, &mut mem))
+        .collect();
+    let lone = procs.len() == 1;
+    let (mut switches, mut switch_cycles) = (0, 0);
+    #[cfg(test)]
+    let mut moves_handed_over = 0;
+    while procs.iter().any(|p| !p.done) {
+        for i in 0..procs.len() {
+            let proc = &mut procs[i];
+            if proc.done {
+                continue;
+            }
+            tlb.flush();
+            proc.pt.flush_walker();
+            switches += 1;
+            switch_cycles += SWITCH_CYCLES + l2p_save_restore_cycles(proc.pt.l2p_entries());
+            for _ in 0..cfg.time_slice {
+                if !proc.step(base, &mut mem, &mut tlb) {
+                    break;
+                }
+            }
+            let mut moves = std::mem::take(&mut proc.foreign_moves);
+            debug_assert!(
+                !lone || moves.is_empty(),
+                "a lone process owns every data page"
+            );
+            #[cfg(test)]
+            {
+                moves_handed_over += moves.len() as u64;
+            }
+            // The sleeping owners shoot down no TLB entry: the TLB holds
+            // only the running process's entries and is flushed at every
+            // switch.
+            for (j, other) in procs.iter_mut().enumerate() {
+                if j != i && !moves.is_empty() {
+                    moves.retain(|&(old, new)| !other.apply_move(old, new, &mut mem, None));
+                }
+            }
+        }
+    }
+    Machine {
+        procs,
+        mem,
+        tlb,
+        switches,
+        switch_cycles,
+        #[cfg(test)]
+        moves_handed_over,
+    }
+}
+
 /// The trace-driven simulator. See the crate docs for the model.
 #[derive(Debug)]
 pub struct Simulator;
 
 impl Simulator {
     /// Runs `workload` to completion (or `cfg.max_accesses`) under `cfg`
-    /// and returns the measurements.
+    /// and returns the measurements: the machine of
+    /// [`run_multi`](crate::run_multi) with one process and an unbounded
+    /// time slice.
     ///
     /// # Panics
     ///
     /// Panics if even the initial page table cannot be allocated (the
     /// configured memory is impossibly small).
     pub fn run(workload: Workload, cfg: SimConfig) -> SimReport {
-        match cfg.kind {
-            PtKind::MeHpt => {
-                let hpt = cfg.mehpt.clone();
-                Simulator::run_on::<L2pTable>(workload, cfg, hpt)
-            }
-            PtKind::Radix | PtKind::Ecpt => {
-                Simulator::run_on::<()>(workload, cfg, CuckooConfig::default())
-            }
-        }
-    }
-
-    fn run_on<B: Backing>(workload: Workload, cfg: SimConfig, hpt: B::Config) -> SimReport {
-        let mut mem = PhysMem::new(cfg.mem_bytes);
-        let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-        Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
-        let mut tlb = TlbHierarchy::paper_default();
-        let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
-        while proc.step(&cfg, &mut mem, &mut tlb) {}
-        debug_assert!(
-            proc.foreign_moves.is_empty(),
-            "a lone process owns every data page"
-        );
-        let mut report = proc.into_report(&cfg, &mem);
+        let cfg = MultiConfig {
+            base: cfg,
+            time_slice: u64::MAX,
+        };
+        let Machine {
+            procs, mem, tlb, ..
+        } = run_slices(vec![workload], &cfg);
+        let proc = procs.into_iter().next().expect("one process");
+        let mut report = proc.into_report(&cfg.base, &mem);
         let m = &mut report.metrics;
         m.tlb_miss_rate = tlb.l2_stats().misses as f64 / m.accesses.max(1) as f64;
         m.pt_peak_bytes = m
@@ -579,7 +602,10 @@ fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mehpt_workloads::{App, FileTrace, WorkloadCfg};
+    use crate::run_multi;
+    use mehpt_workloads::{App, FileTrace, Region, WorkloadCfg};
+
+    const KINDS: [PtKind; 3] = [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt];
 
     fn tiny(app: App) -> Workload {
         scaled(app, 0.002)
@@ -600,7 +626,7 @@ mod tests {
 
     #[test]
     fn all_kinds_complete_a_small_run() {
-        for kind in [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt] {
+        for kind in KINDS {
             let r = run(App::Mummer, kind, false);
             assert!(r.aborted.is_none(), "{kind:?}: {:?}", r.aborted);
             let r = r.metrics;
@@ -707,11 +733,12 @@ mod tests {
     }
 
     /// The translation a reference walk of `va` finds.
-    fn reference_walk<B: Backing>(pt: &mut Pt<B>, va: VirtAddr) -> Option<(Ppn, PageSize)> {
+    fn reference_walk(pt: &mut Pt, va: VirtAddr) -> Option<(Ppn, PageSize)> {
         let mut dram = mehpt_tlb::MemoryModel::paper_default();
         match pt {
-            Pt::Radix { table, walker } => walker.walk(table, va, &mut dram).translation,
-            Pt::Hashed { table, walker } => walker.walk(table, va, &mut dram).translation,
+            Pt::Radix(table, walker) => walker.walk(table, va, &mut dram).translation,
+            Pt::Ecpt(table, walker) => walker.walk(table, va, &mut dram).translation,
+            Pt::MeHpt(table, walker) => walker.walk(table, va, &mut dram).translation,
         }
     }
 
@@ -720,16 +747,12 @@ mod tests {
     /// step's debug checks compare each walk with the OS's map. Then walks
     /// every page the OS mapped and checks the translation's page size.
     /// Returns the 4KB and 2MB pages mapped.
-    fn walk_every_access<B: Backing>(
-        workload: Workload,
-        kind: PtKind,
-        hpt: B::Config,
-    ) -> (u64, u64) {
+    fn walk_every_access(workload: Workload, kind: PtKind) -> (u64, u64) {
         let mut cfg = SimConfig::paper(kind, true);
         cfg.mem_bytes = 2 * mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut proc = ProcState::<B>::new(workload, &cfg, hpt, &mut mem);
+        let mut proc = ProcState::new(workload, &cfg, &mut mem);
         for _ in 0..100_000 {
             tlb.flush();
             if !proc.step(&cfg, &mut mem, &mut tlb) {
@@ -737,7 +760,7 @@ mod tests {
             }
         }
         assert_eq!(proc.aborted, None, "{kind:?}");
-        let c = &proc.counters;
+        let c = &proc.m;
         assert!(c.pages_4k > 0 && c.pages_2m > 0, "{kind:?}: mixed sizes");
         assert!(c.accesses > 2 * c.faults, "{kind:?}: mapped pages walk");
         let mut checked = [0; 2];
@@ -753,11 +776,9 @@ mod tests {
 
     #[test]
     fn walks_return_the_os_mapping() {
-        let wl = || tiny(App::Mummer);
-        walk_every_access::<()>(wl(), PtKind::Radix, CuckooConfig::default());
-        walk_every_access::<()>(wl(), PtKind::Ecpt, CuckooConfig::default());
-        let mehpt = SimConfig::paper(PtKind::MeHpt, true).mehpt;
-        walk_every_access::<L2pTable>(wl(), PtKind::MeHpt, mehpt);
+        for kind in KINDS {
+            walk_every_access(tiny(App::Mummer), kind);
+        }
     }
 
     /// A THP region that starts inside a 2MB region where a non-THP region
@@ -774,24 +795,16 @@ mod tests {
                 .unwrap()
                 .into_workload("mixed")
         };
-        let ecpt = CuckooConfig::default();
-        assert_eq!(
-            walk_every_access::<()>(wl(), PtKind::Radix, ecpt.clone()),
-            (2, 1)
-        );
-        assert_eq!(walk_every_access::<()>(wl(), PtKind::Ecpt, ecpt), (2, 1));
-        let mehpt = SimConfig::paper(PtKind::MeHpt, true).mehpt;
-        assert_eq!(
-            walk_every_access::<L2pTable>(wl(), PtKind::MeHpt, mehpt),
-            (2, 1)
-        );
+        for kind in KINDS {
+            assert_eq!(walk_every_access(wl(), kind), (2, 1), "{kind:?}");
+        }
     }
 
     /// Steps a two-access trace after the OS map was told that the second
     /// access's page is mapped, which the page table never heard of, and
     /// returns the panic message of that access's walk.
     #[cfg(debug_assertions)]
-    fn walk_of_a_page_only_the_os_maps<B: Backing>(kind: PtKind, hpt: B::Config) -> String {
+    fn walk_of_a_page_only_the_os_maps(kind: PtKind) -> String {
         let trace = "region heap 0x10000000 0x100000 nothp\n0x10000040\n0x10001040\n";
         let wl = mehpt_workloads::FileTrace::parse(trace.as_bytes())
             .unwrap()
@@ -800,7 +813,7 @@ mod tests {
         cfg.mem_bytes = mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut proc = ProcState::<B>::new(wl, &cfg, hpt, &mut mem);
+        let mut proc = ProcState::new(wl, &cfg, &mut mem);
         proc.os.insert(VirtAddr::new(0x1000_1000), PageSize::Base4K);
         assert!(proc.step(&cfg, &mut mem, &mut tlb), "the fault");
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -813,13 +826,8 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn a_walk_that_disagrees_with_the_os_panics_in_debug_builds() {
-        let ecpt = CuckooConfig::default();
-        let mehpt = SimConfig::paper(PtKind::MeHpt, false).mehpt;
-        for msg in [
-            walk_of_a_page_only_the_os_maps::<()>(PtKind::Radix, ecpt.clone()),
-            walk_of_a_page_only_the_os_maps::<()>(PtKind::Ecpt, ecpt),
-            walk_of_a_page_only_the_os_maps::<L2pTable>(PtKind::MeHpt, mehpt),
-        ] {
+        for kind in KINDS {
+            let msg = walk_of_a_page_only_the_os_maps(kind);
             assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
         }
     }
@@ -828,7 +836,7 @@ mod tests {
     /// was given the access's page, and returns the panic message of the
     /// walk that faults.
     #[cfg(debug_assertions)]
-    fn fault_on_a_page_only_the_table_maps<B: Backing>(kind: PtKind, hpt: B::Config) -> String {
+    fn fault_on_a_page_only_the_table_maps(kind: PtKind) -> String {
         let trace = "region heap 0x10000000 0x100000 nothp\n0x10001040\n";
         let wl = mehpt_workloads::FileTrace::parse(trace.as_bytes())
             .unwrap()
@@ -837,7 +845,7 @@ mod tests {
         cfg.mem_bytes = mehpt_types::GIB;
         let mut mem = PhysMem::new(cfg.mem_bytes);
         let mut tlb = TlbHierarchy::paper_default();
-        let mut proc = ProcState::<B>::new(wl, &cfg, hpt, &mut mem);
+        let mut proc = ProcState::new(wl, &cfg, &mut mem);
         let frame = mem.alloc(PageSize::Base4K.bytes(), AllocTag::Data).unwrap();
         let ppn = Ppn(frame.base().0 >> PageSize::Base4K.shift());
         let va = VirtAddr::new(0x1000_1000);
@@ -852,13 +860,8 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn a_fault_on_a_page_the_table_maps_panics_in_debug_builds() {
-        let ecpt = CuckooConfig::default();
-        let mehpt = SimConfig::paper(PtKind::MeHpt, false).mehpt;
-        for msg in [
-            fault_on_a_page_only_the_table_maps::<()>(PtKind::Radix, ecpt.clone()),
-            fault_on_a_page_only_the_table_maps::<()>(PtKind::Ecpt, ecpt),
-            fault_on_a_page_only_the_table_maps::<L2pTable>(PtKind::MeHpt, mehpt),
-        ] {
+        for kind in KINDS {
+            let msg = fault_on_a_page_only_the_table_maps(kind);
             assert!(msg.contains("disagrees with the OS's mapping"), "{msg}");
         }
     }
@@ -872,7 +875,7 @@ mod tests {
             thp_eligible: true,
         };
         let accesses = [0x1000_0040, 0x1020_0000, 0x1000_1040].map(VirtAddr::new);
-        for kind in [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt] {
+        for kind in KINDS {
             let wl = Workload::from_recorded("stray", vec![region.clone()], accesses.to_vec());
             let mut cfg = SimConfig::paper(kind, true);
             cfg.mem_bytes = mehpt_types::GIB;
@@ -902,16 +905,16 @@ mod tests {
         };
         let wide = FileTrace::from_parts(vec![everything], accesses.to_vec());
         for (trace, faults) in [(regionless, 2), (wide, 3)] {
-            for kind in [PtKind::Radix, PtKind::Ecpt, PtKind::MeHpt] {
+            for kind in KINDS {
                 let mut cfg = SimConfig::paper(kind, false);
                 cfg.mem_bytes = mehpt_types::GIB;
                 let mut mem = PhysMem::new(cfg.mem_bytes);
                 let mut tlb = TlbHierarchy::paper_default();
                 let wl = trace.clone().into_workload("sparse");
-                let mut proc = ProcState::<()>::new(wl, &cfg, CuckooConfig::default(), &mut mem);
+                let mut proc = ProcState::new(wl, &cfg, &mut mem);
                 while proc.step(&cfg, &mut mem, &mut tlb) {}
                 assert_eq!(proc.aborted, None, "{kind:?}");
-                assert_eq!(proc.counters.faults, faults, "{kind:?}");
+                assert_eq!(proc.m.faults, faults, "{kind:?}");
                 assert_eq!(proc.os.pages().count() as u64, faults, "{kind:?}");
                 assert_eq!(proc.os.span_count() as u64, faults, "{kind:?}");
             }
@@ -933,18 +936,14 @@ mod tests {
         Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
         let mut tlb = TlbHierarchy::paper_default();
         let wl = scaled(App::Gups, 0.02);
-        let mut proc = ProcState::<()>::new(wl, &cfg, CuckooConfig::default(), &mut mem);
+        let mut proc = ProcState::new(wl, &cfg, &mut mem);
         let mut checked = 0;
         loop {
             let moved = mem.stats().compaction_moved_bytes;
             let more = proc.step(&cfg, &mut mem, &mut tlb);
             if mem.stats().compaction_moved_bytes != moved {
                 if let Some(lazy) = &proc.frame_owner {
-                    assert_eq!(
-                        lazy, &proc.eager_owner,
-                        "after {} faults",
-                        proc.counters.faults
-                    );
+                    assert_eq!(lazy, &proc.eager_owner, "after {} faults", proc.m.faults);
                     checked += 1;
                 }
             }
@@ -961,6 +960,34 @@ mod tests {
         assert_eq!(proc.frame_owner.as_ref(), Some(&rebuilt));
         assert_eq!(rebuilt, proc.eager_owner);
         assert!(proc.foreign_moves.is_empty());
+    }
+
+    /// `Simulator::run` is the machine with one process and an unbounded
+    /// slice, so `run_multi` with one such process reports the same
+    /// metrics, except the two only `Simulator::run` completes: the TLB
+    /// miss rate (a shared TLB's misses belong to no one process) and the
+    /// page-table peak, which it raises to the allocator's high-water mark.
+    #[test]
+    fn a_lone_process_of_run_multi_reports_what_simulator_run_does() {
+        for kind in KINDS {
+            let mut cfg = SimConfig::paper(kind, true);
+            cfg.mem_bytes = 2 * mehpt_types::GIB;
+            let alone = Simulator::run(tiny(App::Gups), cfg.clone()).metrics;
+            let multi = run_multi(
+                vec![tiny(App::Gups)],
+                MultiConfig {
+                    base: cfg,
+                    time_slice: u64::MAX,
+                },
+            );
+            assert_eq!(multi.switches, 1, "{kind:?}");
+            let mut m = multi.processes[0].metrics.clone();
+            assert_eq!(m.tlb_miss_rate, 0.0, "{kind:?}");
+            assert!(alone.tlb_miss_rate > 0.0, "{kind:?}");
+            assert!(m.pt_peak_bytes <= alone.pt_peak_bytes, "{kind:?}");
+            (m.tlb_miss_rate, m.pt_peak_bytes) = (alone.tlb_miss_rate, alone.pt_peak_bytes);
+            assert_eq!(m, alone, "{kind:?}");
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl FileTrace {
     ///
     /// # Errors
     ///
-    /// Propagates writer failures.
+    /// Propagates writer failures, the final flush's included.
     pub fn write_to<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(
             w,
@@ -186,7 +186,7 @@ impl FileTrace {
         for a in &self.accesses {
             writeln!(w, "{:#x}", a.0)?;
         }
-        Ok(())
+        w.flush()
     }
 
     /// Converts into a replayable [`Workload`].
@@ -251,6 +251,27 @@ region table 0x20000000 0x200000 thp
         let again = FileTrace::parse(&out[..]).unwrap();
         assert_eq!(again.regions(), t.regions());
         assert_eq!(again.accesses(), t.accesses());
+    }
+
+    /// A writer whose every write fails.
+    struct FailingWriter;
+
+    impl Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_buffered_write_error_is_returned() {
+        let t = FileTrace::parse(SAMPLE.as_bytes()).unwrap();
+        let err = t
+            .write_to(std::io::BufWriter::new(FailingWriter))
+            .expect_err("the buffered bytes never reach the writer");
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]

@@ -174,6 +174,23 @@ echo "==> determinism: --jobs 1 and --jobs 4 must emit identical reports"
     target/lab-ci-j1/fig7/report.json target/lab-ci-j4/fig7/report.json
 cmp target/lab-ci-j1/fig7/report.csv target/lab-ci-j4/fig7/report.csv
 
+echo "==> negative control: diff must see a metric outside the stat fields"
+# One cell's mean_walk_accesses, which no stat field carries, changed in a
+# copy: the diff must report drift (exit 1), not "no drift" and not ≥2.
+sed '0,/"mean_walk_accesses": [^,]*/s//"mean_walk_accesses": 12345.678/' \
+    target/lab-ci-j1/fig7/report.json >target/lab-ci-j1/fig7/drifted.json
+if cmp -s target/lab-ci-j1/fig7/report.json target/lab-ci-j1/fig7/drifted.json; then
+    echo "negative control: no mean_walk_accesses to change" >&2
+    exit 1
+fi
+status=0
+./target/release/mehpt-lab diff target/lab-ci-j1/fig7/report.json \
+    target/lab-ci-j1/fig7/drifted.json >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "expected exit 1 (drift) from diff on a changed mean_walk_accesses (got $status)" >&2
+    exit 1
+fi
+
 # A faulted sweep exits 1 (failed cells in the report) — that exact code,
 # not 0 (fault silently skipped) and not ≥2 (crash), is the contract.
 expect_failed_cells() {

@@ -119,7 +119,14 @@ fn build_workload(flags: &Flags) -> Result<Workload, String> {
 fn build_config(flags: &Flags, kind: PtKind) -> Result<SimConfig, String> {
     let mut cfg = SimConfig::paper(kind, flags.has("--thp"));
     cfg.fragmentation = flags.parse("--frag", 0.7)?;
-    cfg.mem_bytes = flags.parse("--mem-gb", 64u64)? * GIB;
+    if !(0.0..=1.0).contains(&cfg.fragmentation) {
+        return Err("--frag must be in 0.0..=1.0".to_string());
+    }
+    cfg.mem_bytes = flags
+        .parse("--mem-gb", 64u64)?
+        .checked_mul(GIB)
+        .filter(|&bytes| bytes > 0)
+        .ok_or("--mem-gb must be between 1 and 17179869183")?;
     Ok(cfg)
 }
 
@@ -249,4 +256,36 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let report = Simulator::run(wl, cfg);
     print_report(&report);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(args: &[&str]) -> Result<SimConfig, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        build_config(&Flags(&args), PtKind::MeHpt)
+    }
+
+    #[test]
+    fn memory_sizes_that_cannot_exist_are_rejected() {
+        // 2^34 GB wraps to 0 bytes.
+        for bad in ["0", "17179869184"] {
+            let err = config(&["--mem-gb", bad]).expect_err(bad);
+            assert!(err.contains("--mem-gb"), "{err}");
+        }
+        assert_eq!(config(&["--mem-gb", "1"]).unwrap().mem_bytes, GIB);
+        assert_eq!(config(&[]).unwrap().mem_bytes, 64 * GIB);
+    }
+
+    #[test]
+    fn fragmentation_outside_0_to_1_is_rejected() {
+        for bad in ["1.5", "-0.1", "NaN"] {
+            let err = config(&["--frag", bad]).expect_err(bad);
+            assert!(err.contains("--frag"), "{err}");
+        }
+        for ok in ["0", "1", "0.7"] {
+            assert!(config(&["--frag", ok]).is_ok(), "{ok}");
+        }
+    }
 }
