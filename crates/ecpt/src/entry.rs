@@ -20,39 +20,26 @@ pub const CLUSTER_PTES: usize = 8;
 /// (below 2^33) and the index of its row (below 2^31 − 1); the
 /// [`CLUSTER_PTES`] PTEs of each stored cluster live in that row of a
 /// dense per-table arena, so host memory grows with the clusters stored,
-/// not with the ways' capacity. A `ClusterEntry` is the entry as a
-/// standalone value: its tag and its PTEs.
+/// not with the ways' capacity. `ClusterEntry` carries the entry's
+/// constants and key math: its modeled size and a VPN's tag and slot.
 ///
 /// # Examples
 ///
 /// ```
 /// use mehpt_ecpt::ClusterEntry;
-/// use mehpt_types::{Ppn, Vpn};
+/// use mehpt_types::Vpn;
 ///
 /// let vpn = Vpn(0x1234);
-/// let mut e = ClusterEntry::new(ClusterEntry::tag_of(vpn));
-/// e.set(vpn, Ppn(55));
-/// assert_eq!(e.get(vpn), Some(Ppn(55)));
-/// assert_eq!(e.get(Vpn(0x1235)), None); // same cluster, different slot
+/// assert_eq!(ClusterEntry::tag_of(vpn), 0x246);
+/// assert_eq!(ClusterEntry::slot_of(vpn), 4);
+/// assert_eq!(ClusterEntry::tag_of(Vpn(0x1235)), 0x246); // same cluster
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClusterEntry {
-    tag: u64,
-    /// `0` marks an invalid translation; otherwise `ppn + 1`.
-    ptes: [u64; CLUSTER_PTES],
-}
+pub struct ClusterEntry;
 
 impl ClusterEntry {
     /// The modeled size of one entry: a 64-byte cache line.
     pub const BYTES: u64 = 64;
-
-    /// Creates an empty cluster with the given tag.
-    pub fn new(tag: u64) -> ClusterEntry {
-        ClusterEntry {
-            tag,
-            ptes: [0; CLUSTER_PTES],
-        }
-    }
 
     /// The cluster tag (hash key) of a VPN.
     #[inline]
@@ -64,48 +51,6 @@ impl ClusterEntry {
     #[inline]
     pub fn slot_of(vpn: Vpn) -> usize {
         (vpn.0 % CLUSTER_PTES as u64) as usize
-    }
-
-    /// This cluster's tag.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Whether this cluster holds `vpn`'s translation slot.
-    pub fn covers(&self, vpn: Vpn) -> bool {
-        self.tag == Self::tag_of(vpn)
-    }
-
-    /// Reads the translation for `vpn`, if valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `vpn` belongs to a different cluster.
-    pub fn get(&self, vpn: Vpn) -> Option<Ppn> {
-        debug_assert!(self.covers(vpn));
-        pte_get(&self.ptes, vpn)
-    }
-
-    /// Writes the translation for `vpn`; returns the previous one.
-    pub fn set(&mut self, vpn: Vpn, ppn: Ppn) -> Option<Ppn> {
-        debug_assert!(self.covers(vpn));
-        pte_set(&mut self.ptes, vpn, ppn)
-    }
-
-    /// Invalidates the translation for `vpn`; returns it.
-    pub fn clear(&mut self, vpn: Vpn) -> Option<Ppn> {
-        debug_assert!(self.covers(vpn));
-        pte_clear(&mut self.ptes, vpn)
-    }
-
-    /// The number of valid translations in the cluster.
-    pub fn valid_count(&self) -> usize {
-        self.ptes.iter().filter(|&&p| p != 0).count()
-    }
-
-    /// Whether no translation is valid.
-    pub fn is_empty(&self) -> bool {
-        self.valid_count() == 0
     }
 }
 
@@ -150,35 +95,18 @@ mod tests {
     }
 
     #[test]
-    fn set_get_clear_roundtrip() {
+    fn pte_rows_set_get_and_clear() {
+        let mut row = [0; CLUSTER_PTES];
         let vpn = Vpn(42);
-        let mut e = ClusterEntry::new(ClusterEntry::tag_of(vpn));
-        assert_eq!(e.get(vpn), None);
-        assert_eq!(e.set(vpn, Ppn(7)), None);
-        assert_eq!(e.get(vpn), Some(Ppn(7)));
-        assert_eq!(e.set(vpn, Ppn(8)), Some(Ppn(7)));
-        assert_eq!(e.clear(vpn), Some(Ppn(8)));
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn ppn_zero_is_representable() {
-        let vpn = Vpn(0);
-        let mut e = ClusterEntry::new(0);
-        e.set(vpn, Ppn(0));
-        assert_eq!(e.get(vpn), Some(Ppn(0)));
-        assert_eq!(e.valid_count(), 1);
-    }
-
-    #[test]
-    fn valid_count_tracks_slots() {
-        let mut e = ClusterEntry::new(0);
-        for i in 0..8u64 {
-            e.set(Vpn(i), Ppn(i + 100));
-        }
-        assert_eq!(e.valid_count(), 8);
-        e.clear(Vpn(3));
-        assert_eq!(e.valid_count(), 7);
-        assert!(!e.is_empty());
+        assert_eq!(pte_get(&row, vpn), None);
+        assert_eq!(
+            pte_set(&mut row, vpn, Ppn(0)),
+            None,
+            "PPN 0 is representable"
+        );
+        assert_eq!(pte_set(&mut row, vpn, Ppn(8)), Some(Ppn(0)));
+        assert_eq!(pte_get(&row, Vpn(43)), None, "same cluster, different slot");
+        assert_eq!(pte_clear(&mut row, vpn), Some(Ppn(8)));
+        assert_eq!(row, [0; CLUSTER_PTES]);
     }
 }

@@ -195,6 +195,12 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     r.map_err(|_| format!("not a number: {s}"))
 }
 
+/// Parses the value of the count flag `name`, refusing one its type
+/// cannot hold (rather than wrapping it).
+fn parse_count<T: TryFrom<u64>>(s: &str, name: &str) -> Result<T, String> {
+    T::try_from(parse_u64(s)?).map_err(|_| format!("{name} is out of range: {s}"))
+}
+
 /// Parses a full invocation: dispatches to [`parse_args`] (sweep runner,
 /// with or without a leading `run` word) or the `diff` subcommand.
 pub fn parse_command(args: &[String]) -> Result<Command, String> {
@@ -257,13 +263,11 @@ pub fn parse_args(args: &[String]) -> Result<LabArgs, String> {
                     out.presets.push(p);
                 }
             }
-            "--seeds" => {
-                out.seeds = (parse_u64(value("--seeds")?)? as u32).max(1);
-            }
-            "--retries" => out.retries = parse_u64(value("--retries")?)? as u32,
+            "--seeds" => out.seeds = parse_count::<u32>(value("--seeds")?, "--seeds")?.max(1),
+            "--retries" => out.retries = parse_count(value("--retries")?, "--retries")?,
             "--resume" => out.resume = true,
             "--journal" => out.journal = Some(PathBuf::from(value("--journal")?)),
-            "--jobs" => out.jobs = parse_u64(value("--jobs")?)? as usize,
+            "--jobs" => out.jobs = parse_count(value("--jobs")?, "--jobs")?,
             "--quick" => quick = true,
             "--scale" => {
                 scale = Some(

@@ -5,11 +5,9 @@
 //! any number of worker threads and still produce the *same* results: the
 //! output vector is ordered by cell index, every cell's randomness derives
 //! from its identity, and wall-clock time never enters the serialized
-//! report. Workers claim work units off a shared counter (work stealing in
-//! its simplest form: an idle worker takes the next unclaimed unit, so long
-//! cells never serialize the queue behind them), and every unit body runs
-//! under [`std::panic::catch_unwind`] — a panicking simulation marks that
-//! one replicate [`CellStatus::Failed`] instead of killing the sweep.
+//! report. Every unit body runs under [`std::panic::catch_unwind`] — a
+//! panicking simulation marks that one replicate [`CellStatus::Failed`]
+//! instead of killing the sweep.
 //!
 //! With `seeds > 1` in [`RunOptions`], each cell fans out into that many
 //! replicate units (identity-derived seeds via
@@ -18,38 +16,51 @@
 //! order-invariant aggregation keeps reports byte-identical for every
 //! `--jobs` value.
 //!
+//! # Scheduling
+//!
+//! The calling thread is the *collector*, the engine's one scheduler. It
+//! puts one `(unit, attempt)` job per replicate to run on a job channel,
+//! and `jobs` workers share that channel's receiver: an idle worker takes
+//! the next job, so long cells never serialize the queue behind them. A
+//! worker reports when it starts an attempt and what the attempt produced;
+//! it decides nothing. The job receiver is the only state the threads
+//! share — every deadline, retry and record is the collector's own. Once
+//! every replicate is settled the collector closes the channel and idle
+//! workers exit.
+//!
 //! # The watchdog
 //!
 //! Panics are not the only way a simulation can go wrong: a pathological
 //! configuration (say, an ECPT resize loop under extreme fragmentation)
-//! can simply never finish. With [`RunOptions::timeout`] set, every work
-//! unit registers its start with the collector, which doubles as a
-//! monitor: a unit that exceeds the deadline is marked
+//! can simply never finish. With [`RunOptions::timeout`] set, the collector
+//! waits for the next message no longer than the earliest deadline of the
+//! attempts in flight. An attempt that exceeds it is marked
 //! [`CellStatus::TimedOut`] — recorded deterministically as status plus
 //! the *configured* deadline, never measured wall-clock — its worker is
 //! abandoned (the thread is detached and leaks; a truly hung body cannot
 //! be cancelled from outside), and a replacement worker is spawned so the
-//! rest of the sweep completes at full parallelism. A late result from an
+//! rest of the sweep completes at full parallelism. Replacements are the
+//! only workers spawned after the start, so with no hung bodies at most
+//! `jobs` cell bodies run at once (an abandoned body that does return
+//! late puts its worker back in the pool). A late result from an
 //! abandoned worker is discarded, so the timed-out record sticks and
 //! reports stay byte-identical across `--jobs` settings. Abandonments are
 //! tallied in the report (`summary.workers_abandoned`) from the records
-//! themselves, so the count is equally deterministic.
-//!
-//! Workers are therefore *detached* threads (not scoped): the runner and
-//! the specs are shared through an [`Arc`], which is what allows the
-//! collector to give up on a worker without joining it.
+//! themselves, so the count is equally deterministic. A deadline too far
+//! away to represent never expires. Workers are detached threads, not
+//! scoped ones, which is what lets the collector give up on one without
+//! joining it.
 //!
 //! # Deterministic retry
 //!
 //! With [`RunOptions::retries`] > 0, a replicate whose attempt ends
 //! `failed` or `timed_out` is re-run up to that many times under
 //! identity-derived retry seeds ([`CellSpec::retry_seed`]; attempt 0 is
-//! the classic replicate seed). The *collector* owns every retry
-//! decision: workers run exactly one attempt per dispatch, so the
-//! per-replicate attempt history ([`AttemptRecord`]) — recorded in the
-//! schema-v4 report — is a pure function of the attempt outcomes, never
-//! of scheduling. Modeled aborts are outcomes, not failures: they are
-//! never retried.
+//! the classic replicate seed). The collector makes every retry decision
+//! and queues the retry on the same job channel, so the per-replicate
+//! attempt history ([`AttemptRecord`]) — recorded in the schema-v4 report —
+//! is a pure function of the attempt outcomes, never of scheduling. Modeled
+//! aborts are outcomes, not failures: they are never retried.
 //!
 //! # Fault injection
 //!
@@ -72,8 +83,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -81,16 +91,11 @@ use mehpt_sim::{SimReport, Simulator};
 
 use crate::fault::{self, FaultKind, FaultPlan};
 use crate::grid::CellSpec;
-use crate::report::{AttemptRecord, CellResult, CellStatus, RepResult};
+use crate::report::{AttemptRecord, CellMetrics, CellResult, CellStatus, RepResult};
 
 /// Name prefix of the engine's worker threads. The CLI's panic hook uses
 /// it to mute the default "thread panicked" noise for isolated cells.
 pub const WORKER_THREAD_PREFIX: &str = "mehpt-lab-worker";
-
-/// How often the monitor re-checks deadlines when no unit is near expiry
-/// (also the poll interval before the first unit starts).
-const MONITOR_POLL: Duration = Duration::from_millis(25);
-
 /// A progress event: one freshly finished replicate.
 ///
 /// Fires exactly once per replicate the engine ran (after its last
@@ -198,30 +203,39 @@ pub fn run_cells(
     run_cells_with(specs, opts, simulate_cell, progress)
 }
 
-/// Per-unit scheduling state shared between the collector/monitor and the
-/// workers.
-#[derive(Clone, Copy, Default)]
-struct UnitState {
-    /// Start instant and attempt index of the currently running attempt
-    /// (`None` = not started, finished, or abandoned).
-    running: Option<(Instant, u32)>,
-    /// Finalized (or restored from a journal): workers skip this unit.
-    done: bool,
+/// One finished attempt of a replicate: its audit record plus what it
+/// measured.
+struct Attempt {
+    record: AttemptRecord,
+    metrics: Option<CellMetrics>,
+    wall_millis: u64,
 }
 
-/// Shared state between the collector/monitor and the detached workers.
-struct Shared<F> {
+/// What a worker tells the collector, as `(unit, attempt, ..)`.
+enum Event {
+    Started(usize, u32, Instant),
+    Finished(usize, u32, Box<Attempt>),
+}
+
+/// What every worker reads. The job receiver is the only mutable part.
+struct Pool<F> {
     specs: Vec<CellSpec>,
     seeds: usize,
-    units: usize,
-    next: AtomicUsize,
     runner: F,
     fault: Option<FaultPlan>,
-    /// Retry attempts awaiting a worker, as `(unit, attempt)`. Workers
-    /// drain this before claiming fresh units off the counter.
-    pending_retries: Mutex<Vec<(usize, u32)>>,
-    /// Per-unit scheduling state (index = unit).
-    state: Mutex<Vec<UnitState>>,
+    jobs: Mutex<Receiver<(usize, u32)>>,
+}
+
+/// The collector's private record of one replicate.
+#[derive(Default)]
+struct Unit {
+    /// The attempt queued or running; `None` once the replicate is settled
+    /// (or restored). A message about any other attempt is stale.
+    attempt: Option<u32>,
+    /// When the current attempt started (`None` while it is queued).
+    started: Option<Instant>,
+    history: Vec<AttemptRecord>,
+    wall_millis: u64,
 }
 
 /// Runs every cell (× `opts.seeds` replicates) on a pool of `opts.jobs`
@@ -252,137 +266,123 @@ where
     F: Fn(&CellSpec) -> SimReport + Send + Sync + 'static,
 {
     let seeds = opts.effective_seeds() as usize;
-    let retries = opts.retries;
-    let units = specs.len() * seeds;
-    let jobs = opts.effective_jobs(units);
-
-    let mut slots: Vec<Vec<Option<RepResult>>> =
-        (0..specs.len()).map(|_| vec![None; seeds]).collect();
-    let mut state = vec![UnitState::default(); units];
-    let mut filled = 0usize;
-    if !opts.restored.is_empty() {
-        for (ci, spec) in specs.iter().enumerate() {
-            let id = spec.id();
-            for r in 0..seeds {
-                if let Some(rep) = opts.restored.get(&(id.clone(), r as u32)) {
-                    slots[ci][r] = Some(rep.clone());
-                    state[ci * seeds + r].done = true;
-                    filled += 1;
-                }
+    let total = specs.len() * seeds;
+    let (job_tx, job_rx) = mpsc::channel();
+    let mut results: Vec<Option<RepResult>> = vec![None; total];
+    let mut units: Vec<Unit> = (0..total).map(|_| Unit::default()).collect();
+    for (u, result) in results.iter_mut().enumerate() {
+        let key = (specs[u / seeds].id(), (u % seeds) as u32);
+        match opts.restored.get(&key) {
+            Some(rep) => *result = Some(rep.clone()),
+            None => {
+                units[u].attempt = Some(0);
+                job_tx.send((u, 0)).expect("the pool holds the receiver");
             }
         }
     }
+    let mut filled = results.iter().filter(|r| r.is_some()).count();
 
-    let shared = Arc::new(Shared {
+    let pool = Arc::new(Pool {
         specs: specs.to_vec(),
         seeds,
-        units,
-        next: AtomicUsize::new(0),
         runner,
         fault: opts.fault.clone(),
-        pending_retries: Mutex::new(Vec::new()),
-        state: Mutex::new(state),
+        jobs: Mutex::new(job_rx),
     });
-
-    // The collector keeps its own sender alive so the channel never
+    // The collector keeps its own event sender, so the channel never
     // disconnects while replacement workers may still be spawned.
-    let (tx, rx) = mpsc::channel::<(usize, u32, RepResult)>();
+    let (tx, rx) = mpsc::channel();
     let mut spawned = 0usize;
-    let mut spawn_worker = |shared: &Arc<Shared<F>>, tx: &mpsc::Sender<(usize, u32, RepResult)>| {
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
+    let mut spawn_worker = || {
+        let (pool, tx) = (Arc::clone(&pool), tx.clone());
         std::thread::Builder::new()
             .name(format!("{WORKER_THREAD_PREFIX}-{spawned}"))
-            .spawn(move || worker(&shared, &tx))
+            .spawn(move || worker(&pool, &tx))
             .expect("spawn lab worker");
         spawned += 1;
     };
-    if filled < units {
-        for _ in 0..jobs.min(units) {
-            spawn_worker(&shared, &tx);
+    if filled < total {
+        for _ in 0..opts.effective_jobs(total - filled) {
+            spawn_worker();
         }
     }
 
-    // Collector-private retry bookkeeping: the attempt index the unit is
-    // currently on (anything else is a stale message from an abandoned
-    // worker), the attempt history, and the accumulated wall time.
-    let mut expected: Vec<u32> = vec![0; units];
-    let mut history: Vec<Vec<AttemptRecord>> = vec![Vec::new(); units];
-    let mut wall: Vec<u64> = vec![0; units];
-
-    while filled < units {
-        let received = match opts.timeout {
-            None => rx.recv().ok(),
-            Some(timeout) => {
-                let wait = next_expiry(&shared, timeout).unwrap_or(MONITOR_POLL);
-                match rx.recv_timeout(wait.clamp(Duration::from_millis(1), MONITOR_POLL.max(wait)))
-                {
-                    Ok(r) => Some(r),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("collector holds a sender")
+    while filled < total {
+        let deadline = opts.timeout.and_then(|timeout| {
+            units
+                .iter()
+                .filter_map(|unit| unit.started?.checked_add(timeout))
+                .min()
+        });
+        let event = match deadline {
+            None => Some(rx.recv().expect("the collector holds a sender")),
+            Some(d) => rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok(),
+        };
+        let mut settled: Vec<(usize, Attempt)> = Vec::new();
+        match event {
+            Some(Event::Started(u, attempt, at)) => {
+                if units[u].attempt == Some(attempt) {
+                    units[u].started = Some(at);
+                }
+            }
+            Some(Event::Finished(u, attempt, outcome)) => {
+                // A result for any other attempt comes from a worker the
+                // watchdog abandoned: the record on file stands.
+                if units[u].attempt == Some(attempt) {
+                    settled.push((u, *outcome));
+                }
+            }
+            None => {
+                // The earliest deadline passed: abandon every attempt past
+                // its own, and replace each abandoned worker.
+                let timeout = opts.timeout.expect("deadlines need a timeout");
+                let now = Instant::now();
+                for (u, unit) in units.iter().enumerate() {
+                    let (Some(attempt), Some(start)) = (unit.attempt, unit.started) else {
+                        continue;
+                    };
+                    if start.checked_add(timeout).is_some_and(|d| d <= now) {
+                        let spec = &specs[u / seeds];
+                        settled.push((u, timed_out(spec, (u % seeds) as u32, attempt, timeout)));
+                        spawn_worker();
                     }
                 }
             }
-        };
-        // (unit, attempt, result, worker abandoned by the watchdog).
-        let mut finished: Vec<(usize, u32, RepResult, bool)> = Vec::new();
-        match received {
-            Some((u, attempt, result)) => finished.push((u, attempt, result, false)),
-            None => {
-                // Monitor tick: abandon every unit past its deadline.
-                let timeout = opts.timeout.expect("ticks only happen with a deadline");
-                for (u, attempt) in expired_units(&shared, timeout) {
-                    let (cell, rep) = (u / seeds, (u % seeds) as u32);
-                    let result = timed_out(&shared.specs[cell], rep, attempt, timeout);
-                    finished.push((u, attempt, result, true));
-                }
-            }
         }
-        for (u, attempt, result, abandoned) in finished {
-            let (cell, rep) = (u / seeds, (u % seeds) as u32);
-            if slots[cell][rep as usize].is_some() || attempt != expected[u] {
-                // A late or stale result from an abandoned worker: the
-                // record on file stands; keep reports deterministic.
-                continue;
-            }
-            wall[u] += result.wall_millis;
-            history[u].push(AttemptRecord {
-                attempt,
-                seed: result.seed,
-                status: result.status,
-                error: result.error.clone(),
-            });
-            if result.status.is_failure() && attempt < retries {
+        for (u, outcome) in settled {
+            let unit = &mut units[u];
+            let attempt = outcome.record.attempt;
+            unit.started = None;
+            unit.wall_millis += outcome.wall_millis;
+            let failed = outcome.record.status.is_failure();
+            unit.history.push(outcome.record);
+            if failed && attempt < opts.retries {
                 // Deterministic retry: the next attempt's seed derives
                 // from the replicate identity and the attempt index, so
-                // the history is independent of scheduling. The fresh
-                // worker both replaces any abandoned thread and keeps the
-                // pool full if the queue already drained.
-                expected[u] = attempt + 1;
-                shared
-                    .pending_retries
-                    .lock()
-                    .unwrap()
-                    .push((u, attempt + 1));
-                spawn_worker(&shared, &tx);
+                // the history is independent of scheduling.
+                unit.attempt = Some(attempt + 1);
+                job_tx
+                    .send((u, attempt + 1))
+                    .expect("the pool holds the receiver");
                 continue;
             }
-            if abandoned {
-                // No retry follows: respawn a worker for the abandoned
-                // slot so the rest of the sweep keeps full parallelism.
-                spawn_worker(&shared, &tx);
-            }
-            let final_rep = RepResult {
+            unit.attempt = None;
+            let (cell, rep) = (u / seeds, (u % seeds) as u32);
+            let last = unit
+                .history
+                .last()
+                .expect("a settled replicate made an attempt");
+            let result = RepResult {
                 replicate: rep,
-                seed: result.seed,
-                status: result.status,
-                error: result.error,
-                metrics: result.metrics,
-                wall_millis: wall[u],
-                attempts: std::mem::take(&mut history[u]),
+                seed: last.seed,
+                status: last.status,
+                error: last.error.clone(),
+                metrics: outcome.metrics,
+                wall_millis: unit.wall_millis,
+                attempts: std::mem::take(&mut unit.history),
             };
-            shared.state.lock().unwrap()[u].done = true;
             filled += 1;
             let id = if rep == 0 {
                 specs[cell].id()
@@ -391,124 +391,85 @@ where
             };
             progress(Progress {
                 done: filled,
-                total: units,
+                total,
                 id,
                 spec: &specs[cell],
-                result: &final_rep,
+                result: &result,
             });
-            slots[cell][rep as usize] = Some(final_rep);
+            results[u] = Some(result);
         }
     }
+    // Closing the job channel lets idle workers exit.
+    drop(job_tx);
 
+    let mut results = results
+        .into_iter()
+        .map(|r| r.expect("every replicate produces a result"));
     specs
         .iter()
-        .zip(slots)
-        .map(|(spec, reps)| {
-            let reps = reps
-                .into_iter()
-                .map(|r| r.expect("every replicate produces a result"))
-                .collect();
-            CellResult::from_replicates(spec.clone(), reps)
+        .map(|spec| {
+            CellResult::from_replicates(spec.clone(), results.by_ref().take(seeds).collect())
         })
         .collect()
 }
 
-/// The detached worker loop: take a pending retry or claim a fresh unit,
-/// register its start, run one attempt, deliver the result. Exits when
-/// the queue drains or the collector went away (a late send after
-/// abandonment fails harmlessly).
-fn worker<F>(shared: &Shared<F>, tx: &mpsc::Sender<(usize, u32, RepResult)>)
+/// The detached worker loop: take a job, report its start, run one
+/// attempt, report its outcome. Exits when the collector closes the job
+/// channel or went away (a late send after abandonment fails harmlessly).
+fn worker<F>(pool: &Pool<F>, tx: &Sender<Event>)
 where
     F: Fn(&CellSpec) -> SimReport + Send + Sync,
 {
     loop {
-        let (u, attempt) = match shared.pending_retries.lock().unwrap().pop() {
-            Some(job) => job,
-            None => {
-                let u = shared.next.fetch_add(1, Ordering::Relaxed);
-                if u >= shared.units {
-                    break;
-                }
-                (u, 0)
-            }
-        };
-        let (cell, rep) = (u / shared.seeds, (u % shared.seeds) as u32);
-        {
-            let mut state = shared.state.lock().unwrap();
-            if state[u].done {
-                // Restored from a journal: nothing to run.
-                continue;
-            }
-            state[u].running = Some((Instant::now(), attempt));
-        }
-        let spec = shared.specs[cell].replicate_attempt(rep, attempt);
-        let kind = shared
+        // A statement of its own, so the lock is released before the body
+        // runs (a `while let` would hold it for the whole iteration).
+        let job = pool.jobs.lock().unwrap().recv();
+        let Ok((u, attempt)) = job else { break };
+        let rep = (u % pool.seeds) as u32;
+        let spec = pool.specs[u / pool.seeds].replicate_attempt(rep, attempt);
+        let kind = pool
             .fault
             .as_ref()
-            .and_then(|p| p.fault_for(&spec.id(), rep, shared.seeds as u32, attempt));
-        let result = execute(&spec, rep, &shared.runner, kind);
-        {
-            // Clear only our own registration: a newer attempt of this
-            // unit may already be running under its own deadline.
-            let mut state = shared.state.lock().unwrap();
-            if matches!(state[u].running, Some((_, a)) if a == attempt) {
-                state[u].running = None;
-            }
+            .and_then(|p| p.fault_for(&spec.id(), rep, pool.seeds as u32, attempt));
+        if tx.send(Event::Started(u, attempt, Instant::now())).is_err() {
+            break;
         }
-        if tx.send((u, attempt, result)).is_err() {
+        let outcome = execute(&spec, rep, attempt, &pool.runner, kind);
+        if tx
+            .send(Event::Finished(u, attempt, Box::new(outcome)))
+            .is_err()
+        {
             break;
         }
     }
 }
 
-/// Time until the soonest deadline among running units (`None` when no
-/// unit is currently running).
-fn next_expiry<F>(shared: &Shared<F>, timeout: Duration) -> Option<Duration> {
-    let state = shared.state.lock().unwrap();
-    let now = Instant::now();
-    state
-        .iter()
-        .filter_map(|s| s.running)
-        .map(|(start, _)| (start + timeout).saturating_duration_since(now))
-        .min()
-}
-
-/// Drains and returns every `(unit, attempt)` past its deadline, clearing
-/// its start entry so it fires exactly once.
-fn expired_units<F>(shared: &Shared<F>, timeout: Duration) -> Vec<(usize, u32)> {
-    let mut state = shared.state.lock().unwrap();
-    let now = Instant::now();
-    let mut expired = Vec::new();
-    for (u, slot) in state.iter_mut().enumerate() {
-        if let Some((start, attempt)) = slot.running {
-            if now.saturating_duration_since(start) >= timeout {
-                slot.running = None;
-                expired.push((u, attempt));
-            }
-        }
-    }
-    expired
-}
-
-/// The deterministic record of a unit the watchdog abandoned: status plus
-/// the *configured* deadline. Measured wall-clock never appears, so the
-/// serialized report is identical for every `--jobs` value.
-fn timed_out(spec: &CellSpec, replicate: u32, attempt: u32, timeout: Duration) -> RepResult {
-    RepResult {
-        replicate,
-        seed: spec.retry_seed(replicate, attempt),
-        status: CellStatus::TimedOut,
-        error: Some(format!(
-            "replicate exceeded the {}s deadline; worker abandoned",
-            timeout_label(timeout)
-        )),
+/// The deterministic record of an attempt the watchdog abandoned: status
+/// plus the *configured* deadline. Measured wall-clock never appears, so
+/// the serialized report is identical for every `--jobs` value.
+fn timed_out(spec: &CellSpec, replicate: u32, attempt: u32, timeout: Duration) -> Attempt {
+    Attempt {
+        record: AttemptRecord {
+            attempt,
+            seed: spec.retry_seed(replicate, attempt),
+            status: CellStatus::TimedOut,
+            error: Some(format!(
+                "replicate exceeded the {}s deadline; worker abandoned",
+                timeout_label(timeout)
+            )),
+        },
         metrics: None,
         wall_millis: timeout.as_millis() as u64,
-        attempts: vec![],
     }
 }
 
-fn execute<F>(spec: &CellSpec, replicate: u32, runner: &F, injected: Option<FaultKind>) -> RepResult
+fn execute<F>(
+    spec: &CellSpec,
+    replicate: u32,
+    attempt: u32,
+    runner: &F,
+    injected: Option<FaultKind>,
+) -> Attempt
 where
     F: Fn(&CellSpec) -> SimReport,
 {
@@ -523,29 +484,26 @@ where
         None => runner(spec),
     }));
     let wall_millis = start.elapsed().as_millis() as u64;
-    match outcome {
-        Ok(report) => RepResult {
-            replicate,
+    let (status, error, metrics) = match outcome {
+        Ok(report) if report.aborted.is_some() => {
+            (CellStatus::Aborted, report.aborted, Some(report.metrics))
+        }
+        Ok(report) => (CellStatus::Ok, None, Some(report.metrics)),
+        Err(panic) => (
+            CellStatus::Failed,
+            Some(panic_message(panic.as_ref())),
+            None,
+        ),
+    };
+    Attempt {
+        record: AttemptRecord {
+            attempt,
             seed: spec.seed,
-            status: if report.aborted.is_some() {
-                CellStatus::Aborted
-            } else {
-                CellStatus::Ok
-            },
-            error: report.aborted,
-            metrics: Some(report.metrics),
-            wall_millis,
-            attempts: vec![],
+            status,
+            error,
         },
-        Err(panic) => RepResult {
-            replicate,
-            seed: spec.seed,
-            status: CellStatus::Failed,
-            error: Some(panic_message(panic.as_ref())),
-            metrics: None,
-            wall_millis,
-            attempts: vec![],
-        },
+        metrics,
+        wall_millis,
     }
 }
 
@@ -808,6 +766,51 @@ mod tests {
     fn timeout_labels_are_exact_decimals() {
         assert_eq!(timeout_label(Duration::from_secs(2)), "2");
         assert_eq!(timeout_label(Duration::from_millis(150)), "0.15");
+    }
+
+    #[test]
+    fn retries_run_on_the_pool_and_never_grow_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let specs = specs();
+        let first_seeds = attempt0_seeds(&specs, 1);
+        let running = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let (r, m) = (Arc::clone(&running), Arc::clone(&most));
+        // Every cell body fails its first attempt after 20 ms, so each
+        // cell is queued twice.
+        let flaky = move |spec: &CellSpec| -> SimReport {
+            m.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            r.fetch_sub(1, Ordering::SeqCst);
+            if first_seeds.contains(&spec.seed) {
+                panic!("transient failure in {}", spec.id());
+            }
+            fake_sim(spec)
+        };
+        let opts = RunOptions {
+            retries: 1,
+            ..RunOptions::with_jobs(2)
+        };
+        let results = run_cells_with(&specs, &opts, flaky, &|_| {});
+        assert!(results.iter().all(|c| c.status == CellStatus::Ok));
+        assert!(results.iter().all(|c| c.replicates[0].attempts.len() == 2));
+        let most = most.load(Ordering::SeqCst);
+        assert!(most <= 2, "{most} cell bodies ran at once on 2 jobs");
+    }
+
+    #[test]
+    fn a_deadline_too_far_to_represent_never_expires() {
+        let specs = &specs()[..3];
+        let slow = |spec: &CellSpec| -> SimReport {
+            std::thread::sleep(Duration::from_millis(200));
+            fake_sim(spec)
+        };
+        let opts = RunOptions {
+            timeout: Some(Duration::from_secs(u64::MAX)),
+            ..RunOptions::with_jobs(2)
+        };
+        let results = run_cells_with(specs, &opts, slow, &|_| {});
+        assert!(results.iter().all(|c| c.status == CellStatus::Ok));
     }
 
     /// The seeds every (replicate, attempt-0) unit of `specs` runs under —

@@ -1,8 +1,8 @@
 //! # mehpt-lab — parallel, deterministic experiment execution
 //!
 //! The lab turns the paper's evaluation (Tables I–II, Figures 7–16) into
-//! declarative experiment grids and runs them on a work-stealing thread
-//! pool with three guarantees:
+//! declarative experiment grids and runs them on a fixed pool of worker
+//! threads fed from one job queue, with these guarantees:
 //!
 //! 1. **Determinism.** Every cell's randomness derives from its identity
 //!    string and the base seed (replicate seeds from the cell seed and the

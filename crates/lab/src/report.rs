@@ -226,28 +226,13 @@ pub struct RepResult {
     pub metrics: Option<CellMetrics>,
     /// Wall-clock milliseconds (progress stream only, never serialized).
     pub wall_millis: u64,
-    /// Full attempt history, in attempt order. An empty vector means a
-    /// single attempt described by the replicate fields themselves (the
-    /// common no-retry case); serialization synthesizes that one entry.
+    /// Full attempt history, in attempt order; never empty. The last
+    /// entry is the final attempt, whose seed, status and error the fields
+    /// above repeat.
     pub attempts: Vec<AttemptRecord>,
 }
 
 impl RepResult {
-    /// The attempt history, synthesizing the single-attempt entry when
-    /// [`RepResult::attempts`] is empty. Always non-empty.
-    pub fn attempt_history(&self) -> Vec<AttemptRecord> {
-        if self.attempts.is_empty() {
-            vec![AttemptRecord {
-                attempt: 0,
-                seed: self.seed,
-                status: self.status,
-                error: self.error.clone(),
-            }]
-        } else {
-            self.attempts.clone()
-        }
-    }
-
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("replicate", Json::UInt(self.replicate as u64)),
@@ -256,12 +241,7 @@ impl RepResult {
             ("error", Json::opt_str(self.error.as_deref())),
             (
                 "attempts",
-                Json::Arr(
-                    self.attempt_history()
-                        .iter()
-                        .map(AttemptRecord::to_json)
-                        .collect(),
-                ),
+                Json::Arr(self.attempts.iter().map(AttemptRecord::to_json).collect()),
             ),
         ])
     }
@@ -488,13 +468,9 @@ impl LabReport {
         self.cells
             .iter()
             .flat_map(|c| &c.replicates)
-            .map(|r| {
-                r.attempt_history()
-                    .iter()
-                    .filter(|a| a.status == CellStatus::TimedOut)
-                    .count() as u64
-            })
-            .sum()
+            .flat_map(|r| &r.attempts)
+            .filter(|a| a.status == CellStatus::TimedOut)
+            .count() as u64
     }
 
     /// Looks up one cell by its grid coordinates (the first match on any
@@ -616,11 +592,7 @@ impl LabReport {
             let cpa = st.and_then(|st| st.field("cycles_per_access")).copied();
             let cyc = st.and_then(|st| st.field("total_cycles")).copied();
             let peak = st.and_then(|st| st.field("pt_peak_bytes")).copied();
-            let attempts: usize = cell
-                .replicates
-                .iter()
-                .map(|r| r.attempt_history().len())
-                .sum();
+            let attempts: usize = cell.replicates.iter().map(|r| r.attempts.len()).sum();
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.id(),
@@ -707,6 +679,16 @@ mod tests {
         }
     }
 
+    /// The history of a replicate that ran once.
+    fn one_attempt(seed: u64, status: CellStatus, error: &Option<String>) -> Vec<AttemptRecord> {
+        vec![AttemptRecord {
+            attempt: 0,
+            seed,
+            status,
+            error: error.clone(),
+        }]
+    }
+
     fn fake_report() -> LabReport {
         let grid =
             ExperimentGrid::paper(vec![App::Gups, App::Bfs], vec![PtKind::MeHpt], vec![false]);
@@ -715,18 +697,20 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, spec)| {
+                let status = if i == 0 {
+                    CellStatus::Ok
+                } else {
+                    CellStatus::Failed
+                };
+                let error = (i != 0).then(|| "injected, with comma".to_string());
                 let rep = RepResult {
                     replicate: 0,
                     seed: spec.seed,
-                    status: if i == 0 {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    error: (i != 0).then(|| "injected, with comma".to_string()),
+                    status,
+                    attempts: one_attempt(spec.seed, status, &error),
+                    error,
                     metrics: (i == 0).then(|| fake_metrics(1000)),
                     wall_millis: 12 + i as u64,
-                    attempts: vec![],
                 };
                 CellResult::single(spec, rep)
             })
@@ -768,16 +752,19 @@ mod tests {
         r.timeout_secs = Some(2.0);
         r.fault = Some("hang:@2".to_string());
         let spec = r.cells[0].spec.clone();
-        let rep = |r: u32, status: CellStatus| RepResult {
-            replicate: r,
-            seed: spec.replicate_seed(r),
-            status,
-            error: status
+        let rep = |r: u32, status: CellStatus| {
+            let error = status
                 .is_failure()
-                .then(|| "replicate exceeded the 2s deadline; worker abandoned".to_string()),
-            metrics: (!status.is_failure()).then(|| fake_metrics(1000)),
-            wall_millis: 2000,
-            attempts: vec![],
+                .then(|| "replicate exceeded the 2s deadline; worker abandoned".to_string());
+            RepResult {
+                replicate: r,
+                seed: spec.replicate_seed(r),
+                status,
+                attempts: one_attempt(spec.replicate_seed(r), status, &error),
+                error,
+                metrics: (!status.is_failure()).then(|| fake_metrics(1000)),
+                wall_millis: 2000,
+            }
         };
         r.cells[0] = CellResult::from_replicates(
             spec.clone(),
@@ -804,14 +791,17 @@ mod tests {
     fn replicate_aggregation_summarizes_statuses_and_stats() {
         let grid = ExperimentGrid::paper(vec![App::Gups], vec![PtKind::MeHpt], vec![false]);
         let spec = grid.expand(&Tuning::quick()).remove(0);
-        let rep = |r: u32, cycles: u64, status: CellStatus| RepResult {
-            replicate: r,
-            seed: spec.replicate_seed(r),
-            status,
-            error: (status == CellStatus::Failed).then(|| "boom".to_string()),
-            metrics: (status != CellStatus::Failed).then(|| fake_metrics(cycles)),
-            wall_millis: 5,
-            attempts: vec![],
+        let rep = |r: u32, cycles: u64, status: CellStatus| {
+            let error = (status == CellStatus::Failed).then(|| "boom".to_string());
+            RepResult {
+                replicate: r,
+                seed: spec.replicate_seed(r),
+                status,
+                attempts: one_attempt(spec.replicate_seed(r), status, &error),
+                error,
+                metrics: (status != CellStatus::Failed).then(|| fake_metrics(cycles)),
+                wall_millis: 5,
+            }
         };
         // Out-of-order arrival, one aborted replicate: still aggregates.
         let cell = CellResult::from_replicates(
@@ -853,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn attempt_histories_synthesize_serialize_and_round_trip() {
+    fn attempt_histories_serialize_and_round_trip() {
         // A retried replicate: attempt 0 panicked, attempt 1 succeeded.
         let retried = RepResult {
             replicate: 1,
@@ -884,23 +874,22 @@ mod tests {
         assert_eq!(back.wall_millis, 0, "wall-clock never round-trips");
         assert_eq!(back.to_journal_json().render(), text);
 
-        // An empty history synthesizes the single classic attempt, and the
+        // A single timed-out attempt serializes its one record, and the
         // parsed form serializes to the very same bytes.
+        let error = Some("replicate exceeded the 2s deadline; worker abandoned".to_string());
         let plain = RepResult {
             replicate: 0,
             seed: 7,
             status: CellStatus::TimedOut,
-            error: Some("replicate exceeded the 2s deadline; worker abandoned".into()),
+            attempts: one_attempt(7, CellStatus::TimedOut, &error),
+            error,
             metrics: None,
             wall_millis: 2000,
-            attempts: vec![],
         };
-        let history = plain.attempt_history();
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].status, CellStatus::TimedOut);
         let text = plain.to_journal_json().render();
+        assert_eq!(text.matches("\"attempt\": ").count(), 1);
         let back = RepResult::from_journal_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.attempts.len(), 1);
+        assert_eq!(back.attempts, plain.attempts);
         assert_eq!(back.to_journal_json().render(), text);
         assert!(RepResult::from_journal_json(&Json::parse("{}").unwrap()).is_err());
     }

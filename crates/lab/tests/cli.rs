@@ -168,3 +168,25 @@ fn impossible_memory_sizes_are_usage_errors() {
     assert!(parse("1").is_ok());
     assert!(parse("17179869183").is_ok());
 }
+
+#[test]
+fn counts_too_large_for_their_type_are_usage_errors() {
+    // 4294967298 is 2^32 + 2: narrowed to 32 bits it would run 2 seeds.
+    let parse = |flag: &str, n: &str| {
+        let args: Vec<String> = ["table1", "--quick", flag, n]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        parse_command(&args)
+    };
+    for flag in ["--seeds", "--retries"] {
+        for bad in ["4294967296", "4294967298"] {
+            let err = parse(flag, bad)
+                .err()
+                .unwrap_or_else(|| panic!("{flag} {bad} parsed"));
+            assert!(err.contains(flag), "{err}");
+        }
+        assert!(parse(flag, "4294967295").is_ok());
+    }
+    assert!(parse("--jobs", "4294967296").is_ok(), "a usize holds it");
+}

@@ -278,7 +278,7 @@ fn transient_faults_recover_under_retry_with_recorded_history() {
             let fr = FaultPlan::fault_replicate(&id, seeds);
             for rep in &cell.replicates {
                 if rep.replicate != fr {
-                    assert_eq!(rep.attempt_history().len(), 1, "{id} r{}", rep.replicate);
+                    assert_eq!(rep.attempts.len(), 1, "{id} r{}", rep.replicate);
                     continue;
                 }
                 assert_eq!(rep.status, CellStatus::Ok, "{id} r{fr}");
@@ -300,7 +300,7 @@ fn transient_faults_recover_under_retry_with_recorded_history() {
             let abandoned: u64 = serial
                 .iter()
                 .flat_map(|c| &c.replicates)
-                .flat_map(|r| r.attempt_history())
+                .flat_map(|r| &r.attempts)
                 .filter(|a| a.status == CellStatus::TimedOut)
                 .count() as u64;
             assert_eq!(abandoned, 1);

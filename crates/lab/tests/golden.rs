@@ -91,10 +91,8 @@ fn golden_report() -> LabReport {
                         CellStatus::TimedOut => Some(DEADLINE.to_string()),
                         _ => None,
                     };
-                    // The timed-out replicate carries an explicit
-                    // two-attempt history; everything else records a
-                    // single attempt (the empty vector, serialized as
-                    // one synthesized attempt).
+                    // The timed-out replicate carries a two-attempt
+                    // history; everything else records a single attempt.
                     let (seed, attempts) = if status == CellStatus::TimedOut {
                         (
                             spec.retry_seed(r, 1),
@@ -114,7 +112,13 @@ fn golden_report() -> LabReport {
                             ],
                         )
                     } else {
-                        (spec.replicate_seed(r), vec![])
+                        let attempt = AttemptRecord {
+                            attempt: 0,
+                            seed: spec.replicate_seed(r),
+                            status,
+                            error: error.clone(),
+                        };
+                        (spec.replicate_seed(r), vec![attempt])
                     };
                     RepResult {
                         replicate: r,
@@ -345,7 +349,7 @@ fn journal_v1_matches_the_golden_file_and_recovers_from_corruption() {
         assert_eq!(rec.result.seed, rep.seed);
         assert_eq!(rec.result.error, rep.error);
         assert_eq!(rec.result.metrics, rep.metrics);
-        assert_eq!(rec.result.attempt_history(), rep.attempt_history());
+        assert_eq!(rec.result.attempts, rep.attempts);
         assert_eq!(rec.result.wall_millis, 0);
     }
 

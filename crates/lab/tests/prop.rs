@@ -2,8 +2,8 @@
 //! about the order replicates are collected in (different `--jobs`
 //! interleavings deliver them in arbitrary order).
 
-use mehpt_lab::grid::{ExperimentGrid, Tuning};
-use mehpt_lab::report::{CellMetrics, CellResult, CellStatus, RepResult};
+use mehpt_lab::grid::{CellSpec, ExperimentGrid, Tuning};
+use mehpt_lab::report::{AttemptRecord, CellMetrics, CellResult, CellStatus, RepResult};
 use mehpt_lab::stats::{CellStats, MetricStats};
 use mehpt_sim::PtKind;
 use mehpt_types::proptest_lite::{check, Gen};
@@ -12,6 +12,32 @@ use mehpt_workloads::App;
 fn shuffle<T>(g: &mut Gen, v: &mut [T]) {
     for i in (1..v.len()).rev() {
         v.swap(i, g.index(i + 1));
+    }
+}
+
+/// A replicate of `spec` that ran once.
+fn replicate(
+    spec: &CellSpec,
+    r: u32,
+    status: CellStatus,
+    error: Option<String>,
+    metrics: Option<CellMetrics>,
+    wall_millis: u64,
+) -> RepResult {
+    let seed = spec.replicate_seed(r);
+    RepResult {
+        replicate: r,
+        seed,
+        status,
+        attempts: vec![AttemptRecord {
+            attempt: 0,
+            seed,
+            status,
+            error: error.clone(),
+        }],
+        error,
+        metrics,
+        wall_millis,
     }
 }
 
@@ -86,19 +112,20 @@ fn cell_results_serialize_identically_for_any_arrival_order() {
         let mut reps: Vec<RepResult> = (0..n)
             .map(|r| {
                 let failed = g.below(8) == 0 && r != 0;
-                RepResult {
-                    replicate: r,
-                    seed: spec.replicate_seed(r),
-                    status: if failed {
-                        CellStatus::Failed
-                    } else {
-                        CellStatus::Ok
-                    },
-                    error: failed.then(|| "injected".to_string()),
-                    metrics: (!failed).then(|| metrics(g)),
-                    wall_millis: g.below(100),
-                    attempts: vec![],
-                }
+                let status = if failed {
+                    CellStatus::Failed
+                } else {
+                    CellStatus::Ok
+                };
+                let error = failed.then(|| "injected".to_string());
+                replicate(
+                    &spec,
+                    r,
+                    status,
+                    error,
+                    (!failed).then(|| metrics(g)),
+                    g.below(100),
+                )
             })
             .collect();
         let in_order = CellResult::from_replicates(spec.clone(), reps.clone());
@@ -143,16 +170,16 @@ fn aggregation_over_failed_replicate_subsets_is_order_invariant() {
                     1 => CellStatus::TimedOut,
                     _ => CellStatus::Ok,
                 };
-                let failed = status != CellStatus::Ok;
-                RepResult {
-                    replicate: r,
-                    seed: spec.replicate_seed(r),
+                let error =
+                    (status != CellStatus::Ok).then(|| format!("injected {}", status.label()));
+                replicate(
+                    &spec,
+                    r,
                     status,
-                    error: failed.then(|| format!("injected {}", status.label())),
-                    metrics: (!failed).then(|| metrics(g)),
-                    wall_millis: g.below(100),
-                    attempts: vec![],
-                }
+                    error,
+                    (status == CellStatus::Ok).then(|| metrics(g)),
+                    g.below(100),
+                )
             })
             .collect();
         let in_order = CellResult::from_replicates(spec.clone(), reps.clone());
@@ -196,19 +223,13 @@ fn ci95_degrades_gracefully_under_failures() {
         let reps: Vec<RepResult> = (0..n)
             .map(|r| {
                 let failed = r >= survivors;
-                RepResult {
-                    replicate: r,
-                    seed: spec.replicate_seed(r),
-                    status: if failed {
-                        CellStatus::TimedOut
-                    } else {
-                        CellStatus::Ok
-                    },
-                    error: failed.then(|| "deadline".to_string()),
-                    metrics: (!failed).then(|| metrics(g)),
-                    wall_millis: 1,
-                    attempts: vec![],
-                }
+                let status = if failed {
+                    CellStatus::TimedOut
+                } else {
+                    CellStatus::Ok
+                };
+                let error = failed.then(|| "deadline".to_string());
+                replicate(&spec, r, status, error, (!failed).then(|| metrics(g)), 1)
             })
             .collect();
         let cell = CellResult::from_replicates(spec.clone(), reps);

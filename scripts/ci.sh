@@ -227,6 +227,15 @@ echo "==> deterministic retry: a transient fault heals, a persistent one exhaust
     --frag 0.7 --seeds 2 --jobs 4 --quick --max-accesses 20000 \
     --out target/lab-ci-retry >/dev/null 2>&1
 grep -q '"attempt": 1' target/lab-ci-retry/fig7/report.json
+# Its --jobs 1 twin: a retry runs on the same pool as every other job, so
+# the healed sweep's reports must not depend on the pool's size.
+./target/release/mehpt-lab fig7 --fault 'panic:gups-mehpt' --retries 1 \
+    --frag 0.7 --seeds 2 --jobs 1 --quick --max-accesses 20000 \
+    --out target/lab-ci-retry-j1 >/dev/null 2>&1
+cmp target/lab-ci-retry/fig7/report.json target/lab-ci-retry-j1/fig7/report.json
+cmp target/lab-ci-retry/fig7/report.csv target/lab-ci-retry-j1/fig7/report.csv
+./target/release/mehpt-lab diff \
+    target/lab-ci-retry/fig7/report.json target/lab-ci-retry-j1/fig7/report.json
 # Persistent rule (kind*): every attempt faults; the cell stays failed.
 expect_failed_cells ./target/release/mehpt-lab fig7 --fault 'panic*:gups-mehpt' \
     --retries 1 --frag 0.7 --seeds 2 --jobs 4 --quick --max-accesses 20000 \
@@ -276,6 +285,16 @@ status=0
     target/lab-ci-kill-clean/fig7/report.json >/dev/null 2>&1 || status=$?
 if [ "$status" -ne 3 ]; then
     echo "expected exit 3 (I/O or parse error) from diff on a torn report (got $status)" >&2
+    exit 1
+fi
+
+echo "==> exit-code contract: a count too large for its type exits 2"
+# 4294967298 is 2^32 + 2, which a 32-bit narrowing would run as 2 seeds.
+status=0
+./target/release/mehpt-lab table1 --quick --seeds 4294967298 \
+    --out target/lab-ci-seeds >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 (usage error) from --seeds 4294967298 (got $status)" >&2
     exit 1
 fi
 
